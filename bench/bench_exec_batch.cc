@@ -1,11 +1,11 @@
-// Vectorized-executor bench: T_E on a join-heavy scan+filter+join workload,
-// row-at-a-time (Volcano-style oracle) vs the batch path (exec/vectorized.h)
-// vs the late-materialization path (row-id intermediates), plus the
-// bit-identity pin the speedups are only allowed to ride on: every finished
-// operator's rowset in batch and late mode, at pool sizes {1, 2, 4}, must
-// equal the row path's single-thread output bit for bit (late intermediates
-// gathered through exec::MaterializeRowSet first). Peak intermediate bytes
-// are reported per path; the late path must also shrink them.
+// Executor bench: T_E on a join-heavy scan+filter+join workload, the
+// production executor (vectorized kernels on row-id intermediates,
+// exec/vectorized.h) vs the row-at-a-time oracle kept with the tests
+// (tests/testing/row_executor.h), plus the bit-identity pin the speedup is
+// only allowed to ride on: every finished operator's rowset, at pool sizes
+// {1, 2, 4}, must equal the oracle's single-thread output bit for bit
+// (production intermediates gathered through their row ids first). Peak
+// intermediate bytes are reported per executor; production must shrink them.
 //
 // Self-contained like bench_plancache: builds its own synthetic database,
 // runs in seconds.
@@ -14,14 +14,13 @@
 //   --scale=F             synthetic database scale (default 0.2)
 //   --queries=N           generated queries (default 8)
 //   --joins=N             joins per query (default 8 — the Join-eight shape)
-//   --batch=N             batch size for the vectorized path (default 1024)
 //   --repeats=N           timing repeats per query; min is kept (default 5)
-//   --min_speedup=F       fail (exit 1) if batch-path T_E speedup over the
-//                         row path is below this (default 2; 0 disables)
-//   --min_late_speedup=F  fail (exit 1) if late-mat T_E speedup over the
-//                         batch path is below this (default 1; 0 disables);
-//                         also requires late peak bytes < batch peak bytes
+//   --min_speedup=F       fail (exit 1) if the production T_E speedup over
+//                         the oracle is below this (default 2; 0 disables)
 //   --metrics_json=PATH   append one summary JSON line
+//
+// The bench always fails (exit 1) on a bit-identity mismatch or when the
+// production peak intermediate bytes are not below the oracle's.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,8 +33,8 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "exec/executor.h"
-#include "exec/vectorized.h"
 #include "storage/database.h"
+#include "testing/row_executor.h"
 #include "workload/workload.h"
 
 namespace lpce::bench {
@@ -45,10 +44,8 @@ struct Flags {
   double scale = 0.2;
   int queries = 8;
   int joins = 8;
-  int batch = 1024;
   int repeats = 5;
   double min_speedup = 2.0;
-  double min_late_speedup = 1.0;
   std::string metrics_json;
 };
 
@@ -66,28 +63,23 @@ Flags ParseFlags(int argc, char** argv) {
       flags.queries = std::atoi(v);
     } else if (const char* v = value_of("--joins=")) {
       flags.joins = std::atoi(v);
-    } else if (const char* v = value_of("--batch=")) {
-      flags.batch = std::atoi(v);
     } else if (const char* v = value_of("--repeats=")) {
       flags.repeats = std::atoi(v);
     } else if (const char* v = value_of("--min_speedup=")) {
       flags.min_speedup = std::atof(v);
-    } else if (const char* v = value_of("--min_late_speedup=")) {
-      flags.min_late_speedup = std::atof(v);
     } else if (const char* v = value_of("--metrics_json=")) {
       flags.metrics_json = v;
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: %s [--scale=F] [--queries=N] "
-                   "[--joins=N] [--batch=N] [--repeats=N] [--min_speedup=F] "
-                   "[--min_late_speedup=F] [--metrics_json=PATH]\n",
+                   "[--joins=N] [--repeats=N] [--min_speedup=F] "
+                   "[--metrics_json=PATH]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }
   }
-  if (flags.queries <= 0 || flags.joins <= 0 || flags.batch <= 0 ||
-      flags.repeats <= 0) {
-    std::fprintf(stderr, "need positive --queries/--joins/--batch/--repeats\n");
+  if (flags.queries <= 0 || flags.joins <= 0 || flags.repeats <= 0) {
+    std::fprintf(stderr, "need positive --queries/--joins/--repeats\n");
     std::exit(2);
   }
   return flags;
@@ -102,17 +94,16 @@ struct Outcome {
 };
 
 Outcome RunOnce(const db::Database& database, const qry::Query& query,
-                int batch_size, int late = 0) {
+                bool oracle) {
   Outcome outcome;
   auto plan = exec::BuildCanonicalHashPlan(query);
-  exec::Executor executor(&database, &query);
-  exec::Executor::Options options;
-  options.batch_size = batch_size;
-  options.late_materialization = late;
+  std::unique_ptr<exec::Executor> executor =
+      oracle ? testing::RowExecutor::Make(&database, &query)
+             : std::make_unique<exec::Executor>(&database, &query);
   WallTimer timer;
-  exec::Executor::RunResult result = executor.Run(plan.get(), options);
+  exec::Executor::RunResult result = executor->Run(plan.get(), {});
   outcome.exec_seconds = timer.ElapsedSeconds();
-  outcome.peak_bytes = executor.peak_intermediate_bytes();
+  outcome.peak_bytes = executor->peak_intermediate_bytes();
   std::vector<exec::PlanNode*> nodes;
   exec::PostOrderPlan(plan.get(), &nodes);
   for (exec::PlanNode* node : nodes) {
@@ -122,7 +113,8 @@ Outcome RunOnce(const db::Database& database, const qry::Query& query,
   }
   if (std::getenv("LPCE_BENCH_PER_NODE") != nullptr) {
     for (exec::PlanNode* node : nodes) {
-      std::printf("  [batch=%d] %-12s card=%-10llu %.3fms\n", batch_size,
+      std::printf("  [%s] %-12s card=%-10llu %.3fms\n",
+                  oracle ? "oracle" : "production",
                   exec::PhysOpName(node->op),
                   static_cast<unsigned long long>(node->actual_card),
                   node->exec_seconds * 1e3);
@@ -164,89 +156,70 @@ int Run(int argc, char** argv) {
   const common::MetricsSnapshot before =
       common::MetricsRegistry::Global().Snapshot();
 
-  // Timing: single-thread T_E, min of repeats, both paths over the same
+  // Timing: single-thread T_E, min of repeats, both executors over the same
   // canonical hash plans. Single-thread is the honest comparison — the pool
-  // speeds both paths up by the same chunking.
+  // would speed up only the production kernels.
   common::SetGlobalPoolSize(1);
-  double row_seconds = 0.0, batch_seconds = 0.0, late_seconds = 0.0;
+  double oracle_seconds = 0.0, prod_seconds = 0.0;
   uint64_t total_rows = 0;
-  size_t row_peak = 0, batch_peak = 0, late_peak = 0;
+  size_t oracle_peak = 0, prod_peak = 0;
   for (const qry::Query& query : queries) {
-    double row_min = 0.0, batch_min = 0.0, late_min = 0.0;
+    double oracle_min = 0.0, prod_min = 0.0;
     for (int r = 0; r < flags.repeats; ++r) {
-      const Outcome row = RunOnce(*database, query, /*batch_size=*/0);
-      if (r == 0 || row.exec_seconds < row_min) row_min = row.exec_seconds;
-      const Outcome batch = RunOnce(*database, query, flags.batch);
-      if (r == 0 || batch.exec_seconds < batch_min) {
-        batch_min = batch.exec_seconds;
+      const Outcome oracle = RunOnce(*database, query, /*oracle=*/true);
+      if (r == 0 || oracle.exec_seconds < oracle_min) {
+        oracle_min = oracle.exec_seconds;
       }
-      const Outcome late =
-          RunOnce(*database, query, flags.batch, /*late=*/1);
-      if (r == 0 || late.exec_seconds < late_min) {
-        late_min = late.exec_seconds;
-      }
+      const Outcome prod = RunOnce(*database, query, /*oracle=*/false);
+      if (r == 0 || prod.exec_seconds < prod_min) prod_min = prod.exec_seconds;
       if (r == 0) {
-        total_rows += row.result_rows;
-        row_peak += row.peak_bytes;
-        batch_peak += batch.peak_bytes;
-        late_peak += late.peak_bytes;
+        total_rows += oracle.result_rows;
+        oracle_peak += oracle.peak_bytes;
+        prod_peak += prod.peak_bytes;
       }
     }
-    row_seconds += row_min;
-    batch_seconds += batch_min;
-    late_seconds += late_min;
+    oracle_seconds += oracle_min;
+    prod_seconds += prod_min;
   }
   const double speedup =
-      batch_seconds > 0.0 ? row_seconds / batch_seconds : 0.0;
-  const double late_speedup =
-      late_seconds > 0.0 ? batch_seconds / late_seconds : 0.0;
+      prod_seconds > 0.0 ? oracle_seconds / prod_seconds : 0.0;
 
-  // Bit-identity pin: the batch and late paths at pool sizes {1, 2, 4}
-  // against the row path's single-thread output, every finished operator
-  // compared (late rowsets gathered back to payload columns first).
+  // Bit-identity pin: production at pool sizes {1, 2, 4} against the
+  // oracle's single-thread output, every finished operator compared
+  // (production rowsets gathered back to payload columns first).
   uint64_t mismatches = 0;
   for (const qry::Query& query : queries) {
     common::SetGlobalPoolSize(1);
-    const Outcome oracle = RunOnce(*database, query, /*batch_size=*/0);
+    const Outcome oracle = RunOnce(*database, query, /*oracle=*/true);
     for (int pool : {1, 2, 4}) {
       common::SetGlobalPoolSize(pool);
-      const Outcome got = RunOnce(*database, query, flags.batch);
+      Outcome got = RunOnce(*database, query, /*oracle=*/false);
+      for (exec::RowSetPtr& rs : got.rowsets) {
+        rs = testing::MaterializeRowSet(*database, rs);
+      }
       if (!BitIdentical(oracle, got)) {
         ++mismatches;
-        std::printf("!! bit-identity mismatch: batch=%d pool=%d\n",
-                    flags.batch, pool);
-      }
-      Outcome late = RunOnce(*database, query, flags.batch, /*late=*/1);
-      for (exec::RowSetPtr& rs : late.rowsets) {
-        if (rs != nullptr) rs = exec::MaterializeRowSet(*database, rs);
-      }
-      if (!BitIdentical(oracle, late)) {
-        ++mismatches;
-        std::printf("!! bit-identity mismatch: late batch=%d pool=%d\n",
-                    flags.batch, pool);
+        std::printf("!! bit-identity mismatch: pool=%d\n", pool);
       }
     }
   }
   common::SetGlobalPoolSize(0);
 
-  std::printf("exec batch bench: %d queries x %d joins, scale %.2f, "
-              "batch %d, %llu result rows\n",
-              flags.queries, flags.joins, flags.scale, flags.batch,
+  std::printf("exec bench: %d queries x %d joins, scale %.2f, %llu result "
+              "rows\n",
+              flags.queries, flags.joins, flags.scale,
               static_cast<unsigned long long>(total_rows));
-  std::printf("%-28s %10.1fms  peak %10llu B\n", "row-at-a-time T_E",
-              row_seconds * 1e3, static_cast<unsigned long long>(row_peak));
-  std::printf("%-28s %10.1fms  peak %10llu B\n", "vectorized T_E",
-              batch_seconds * 1e3,
-              static_cast<unsigned long long>(batch_peak));
-  std::printf("%-28s %10.1fms  peak %10llu B\n", "late-mat T_E",
-              late_seconds * 1e3, static_cast<unsigned long long>(late_peak));
-  std::printf("batch-path speedup: %.2fx\n", speedup);
-  std::printf("late-mat speedup over batch: %.2fx, peak bytes %.1f%% of "
-              "batch\n",
-              late_speedup,
-              batch_peak > 0
-                  ? 100.0 * static_cast<double>(late_peak) /
-                        static_cast<double>(batch_peak)
+  std::printf("%-28s %10.1fms  peak %10llu B\n", "row-at-a-time oracle T_E",
+              oracle_seconds * 1e3,
+              static_cast<unsigned long long>(oracle_peak));
+  std::printf("%-28s %10.1fms  peak %10llu B\n", "production T_E",
+              prod_seconds * 1e3, static_cast<unsigned long long>(prod_peak));
+  std::printf("production speedup over oracle: %.2fx, peak bytes %.1f%% of "
+              "oracle\n",
+              speedup,
+              oracle_peak > 0
+                  ? 100.0 * static_cast<double>(prod_peak) /
+                        static_cast<double>(oracle_peak)
                   : 0.0);
 
   bool ok = true;
@@ -257,21 +230,14 @@ int Run(int argc, char** argv) {
   }
   if (flags.min_speedup > 0.0 && speedup < flags.min_speedup) {
     ok = false;
-    std::printf("!! batch speedup %.2fx below required %.2fx\n", speedup,
-                flags.min_speedup);
+    std::printf("!! production speedup %.2fx below required %.2fx\n",
+                speedup, flags.min_speedup);
   }
-  if (flags.min_late_speedup > 0.0) {
-    if (late_speedup < flags.min_late_speedup) {
-      ok = false;
-      std::printf("!! late-mat speedup %.2fx below required %.2fx\n",
-                  late_speedup, flags.min_late_speedup);
-    }
-    if (late_peak >= batch_peak) {
-      ok = false;
-      std::printf("!! late-mat peak bytes %llu not below batch peak %llu\n",
-                  static_cast<unsigned long long>(late_peak),
-                  static_cast<unsigned long long>(batch_peak));
-    }
+  if (prod_peak >= oracle_peak) {
+    ok = false;
+    std::printf("!! production peak bytes %llu not below oracle peak %llu\n",
+                static_cast<unsigned long long>(prod_peak),
+                static_cast<unsigned long long>(oracle_peak));
   }
 
   if (!flags.metrics_json.empty()) {
@@ -282,16 +248,14 @@ int Run(int argc, char** argv) {
     std::snprintf(
         line, sizeof(line),
         "{\"bench\":\"exec_batch\",\"queries\":%d,\"joins\":%d,"
-        "\"scale\":%.3f,\"batch\":%d,\"repeats\":%d,\"row_te_ms\":%.3f,"
-        "\"batch_te_ms\":%.3f,\"late_te_ms\":%.3f,\"speedup\":%.3f,"
-        "\"late_speedup\":%.3f,\"row_peak_bytes\":%llu,"
-        "\"batch_peak_bytes\":%llu,\"late_peak_bytes\":%llu,"
-        "\"result_rows\":%llu,\"mismatches\":%llu,\"delta\":",
-        flags.queries, flags.joins, flags.scale, flags.batch, flags.repeats,
-        row_seconds * 1e3, batch_seconds * 1e3, late_seconds * 1e3, speedup,
-        late_speedup, static_cast<unsigned long long>(row_peak),
-        static_cast<unsigned long long>(batch_peak),
-        static_cast<unsigned long long>(late_peak),
+        "\"scale\":%.3f,\"repeats\":%d,\"oracle_te_ms\":%.3f,"
+        "\"te_ms\":%.3f,\"speedup\":%.3f,\"oracle_peak_bytes\":%llu,"
+        "\"peak_bytes\":%llu,\"result_rows\":%llu,\"mismatches\":%llu,"
+        "\"delta\":",
+        flags.queries, flags.joins, flags.scale, flags.repeats,
+        oracle_seconds * 1e3, prod_seconds * 1e3, speedup,
+        static_cast<unsigned long long>(oracle_peak),
+        static_cast<unsigned long long>(prod_peak),
         static_cast<unsigned long long>(total_rows),
         static_cast<unsigned long long>(mismatches));
     metrics_out << line << delta.ToJson() << "}\n";

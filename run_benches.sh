@@ -1,8 +1,9 @@
 #!/bin/sh
 # Runs every bench binary in sequence (the cached world must exist or the
 # first binary will build it). The glob picks up all of build/bench/bench_*,
-# including bench_exec_batch (row vs batch vs late-materialization T_E and
-# peak intermediate bytes), bench_plancache, and bench_serving.
+# including bench_exec_batch (production executor vs the row-at-a-time
+# oracle: T_E, peak intermediate bytes, bit-identity at pools 1/2/4),
+# bench_plancache, and bench_serving.
 # Usage: ./run_benches.sh [output-file]
 out="${1:-bench_output.txt}"
 : > "$out"

@@ -7,7 +7,8 @@
 // data-dependent branch for the CPU to mispredict. Because candidates are
 // visited in ascending order and kept in place, a selection vector preserves
 // the input row order exactly — the property the executor's bit-identity
-// contract rests on (see DESIGN.md "Vectorized execution").
+// contract rests on (see DESIGN.md "Vectorized execution on row-id
+// intermediates").
 #ifndef LPCE_COMMON_SELVEC_H_
 #define LPCE_COMMON_SELVEC_H_
 

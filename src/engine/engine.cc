@@ -130,15 +130,15 @@ RunStats Engine::RunQuery(const qry::Query& query,
   // refinement model (when present) additionally adjusts the supersets.
   card::ObservedOverlay overlay(refiner != nullptr ? refiner : initial);
 
-  exec::Executor executor(db_, &query);
+  std::unique_ptr<exec::Executor> executor =
+      executor_factory_ ? executor_factory_(db_, &query)
+                        : std::make_unique<exec::Executor>(db_, &query);
   exec::Executor::Options exec_opts;
   exec_opts.enable_checkpoints = config.enable_reopt;
   exec_opts.qerror_threshold = config.qerror_threshold;
   exec_opts.min_trip_rows = config.min_trip_rows;
   exec_opts.underestimates_only = config.underestimates_only;
   exec_opts.num_threads = config.exec_threads;
-  exec_opts.batch_size = config.exec_batch_size;
-  exec_opts.late_materialization = config.exec_late_mat;
   exec_opts.trace = trace;
 
   while (true) {
@@ -146,11 +146,11 @@ RunStats Engine::RunQuery(const qry::Query& query,
     WallTimer exec_timer;
     exec::Executor::RunResult run = [&] {
       LPCE_PROFILE_SCOPE("T_E.execute");
-      return executor.Run(plan.get(), exec_opts);
+      return executor->Run(plan.get(), exec_opts);
     }();
     stats.exec_seconds += exec_timer.ElapsedSeconds();
     stats.peak_intermediate_bytes = std::max(
-        stats.peak_intermediate_bytes, executor.peak_intermediate_bytes());
+        stats.peak_intermediate_bytes, executor->peak_intermediate_bytes());
     if (run.tripped == nullptr) {
       LPCE_CHECK(run.result != nullptr);
       stats.result_count = run.result->num_rows();

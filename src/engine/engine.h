@@ -6,6 +6,7 @@
 #ifndef LPCE_ENGINE_ENGINE_H_
 #define LPCE_ENGINE_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,15 +37,6 @@ struct RunConfig {
   /// layer uses this to trade per-query latency against cross-query
   /// throughput when many queries share the pool.
   int exec_threads = 0;
-  /// Executor batch size: -1 = follow the LPCE_EXEC_BATCH environment knob,
-  /// 0 = row-at-a-time operators, > 0 = vectorized batches of this many rows
-  /// (see exec/vectorized.h). Bit-identical results at every setting.
-  int exec_batch_size = -1;
-  /// Late materialization (row-id intermediates): -1 = follow the
-  /// LPCE_EXEC_LATE_MAT environment knob, 0 = off, > 0 = on (see
-  /// Executor::Options::late_materialization). Bit-identical results and
-  /// deterministic traces at every setting.
-  int exec_late_mat = -1;
 };
 
 struct RunStats {
@@ -58,9 +50,9 @@ struct RunStats {
   /// Peak total bytes of retained executor intermediates, maximized across
   /// re-optimization rounds (each round's peak is the sum of the rowsets it
   /// retained; rounds after a trip keep their pseudo inputs alive, so the
-  /// maximum round is the query's memory high-water mark). Under late
-  /// materialization this counts row-id columns at their narrower width —
-  /// the Sec. 6.2 "overhead" axis the serving telemetry reports per window.
+  /// maximum round is the query's memory high-water mark). Row-id columns
+  /// count at their 4-byte width — the Sec. 6.2 "overhead" axis the serving
+  /// telemetry reports per window.
   size_t peak_intermediate_bytes = 0;
   /// Model-registry version every estimate of this query came from (0 when
   /// the serving layer runs without a registry). Stamped by EngineServer;
@@ -113,11 +105,21 @@ class Engine {
   /// be shared across engines (thread-safe).
   void set_feedback_store(fb::FeedbackStore* store) { feedback_store_ = store; }
 
+  /// Builds the executor each query runs on. Unset means exec::Executor; the
+  /// differential suites install the row-at-a-time oracle
+  /// (tests/testing/row_executor.h) to compare whole engine runs against it.
+  using ExecutorFactory = std::function<std::unique_ptr<exec::Executor>(
+      const db::Database*, const qry::Query*)>;
+  void set_executor_factory(ExecutorFactory factory) {
+    executor_factory_ = std::move(factory);
+  }
+
  private:
   const db::Database* db_;
   opt::Planner planner_;
   opt::PlanCache* plan_cache_ = nullptr;
   fb::FeedbackStore* feedback_store_ = nullptr;
+  ExecutorFactory executor_factory_;
 };
 
 }  // namespace lpce::eng

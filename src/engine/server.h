@@ -52,9 +52,7 @@ struct ServerOptions {
   /// admitted queries are waiting (queries already running do not count).
   size_t max_queue = 256;
   /// Default per-query engine configuration (Submit can override per query).
-  /// Executor knobs ride along unchanged: exec_threads, exec_batch_size, and
-  /// exec_late_mat reach every worker's Executor (the -1 defaults resolve the
-  /// LPCE_EXEC_BATCH / LPCE_EXEC_LATE_MAT environment knobs per query).
+  /// exec_threads reaches every worker's Executor unchanged.
   RunConfig run_config;
   /// Template-keyed plan & estimate cache shared by all workers (see
   /// optimizer/plan_cache.h): maximum resident templates, 0 = disabled.

@@ -1,17 +1,13 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <atomic>
+#include <functional>
+#include <limits>
 
 #include "common/metrics.h"
 #include "common/profiler.h"
-#include "common/selvec.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "exec/vectorized.h"
-#include <functional>
-#include <limits>
-#include <unordered_map>
 
 namespace lpce::exec {
 
@@ -28,34 +24,6 @@ void AppendUnique(std::vector<db::ColRef>* cols, db::ColRef ref) {
     if (c == ref) return;
   }
   cols->push_back(ref);
-}
-
-// Inputs below this many rows run the sequential operator paths: the pool
-// dispatch is not worth it, and tiny intermediates dominate the plans here.
-constexpr size_t kMinParallelRows = 4096;
-
-// Effective worker count for an operator: the global pool capped by the
-// per-run knob.
-int EffectiveThreads(int num_threads) {
-  int workers = common::GlobalPool().size();
-  if (num_threads > 0) workers = std::min(workers, num_threads);
-  return workers;
-}
-
-// The late kernels cover hash joins over scans and late pseudo relations.
-// Re-planned remainders may pick merge/nest-loop joins (deliberately
-// mispriced row-kernel alternatives) or carry materialized pseudo rowsets
-// from an earlier non-late round; such plans run the plain batch path — the
-// knob is per-run, not per-operator, so a run never mixes representations.
-bool PlanSupportsLate(const PlanNode& node) {
-  if (node.is_join()) {
-    return node.op == PhysOp::kHashJoin && PlanSupportsLate(*node.outer) &&
-           PlanSupportsLate(*node.inner);
-  }
-  if (node.op == PhysOp::kPseudoScan) {
-    return node.pseudo != nullptr && node.pseudo->late();
-  }
-  return true;
 }
 
 }  // namespace
@@ -102,15 +70,6 @@ RowSetPtr Executor::Execute(PlanNode* root) {
 Executor::RunResult Executor::Run(PlanNode* root, const Options& options) {
   peak_bytes_ = 0;
   live_bytes_ = 0;
-  // Resolved once per run: -1 defers to the LPCE_EXEC_BATCH environment knob
-  // so whole suites can be re-run in batch mode without code changes.
-  batch_size_ = options.batch_size >= 0 ? options.batch_size : BatchSizeFromEnv();
-  late_ = options.late_materialization >= 0 ? options.late_materialization > 0
-                                            : LateMatFromEnv();
-  // Late materialization is a refinement of the batch path: row-id columns
-  // are per-batch selection vectors promoted to intermediates.
-  if (late_ && batch_size_ <= 0) batch_size_ = kDefaultBatchSize;
-  if (late_) late_ = PlanSupportsLate(*root);
   RunResult result;
   RowSetPtr out = ExecuteNode(root, {}, options, &result);
   if (result.tripped == nullptr) result.result = out;
@@ -123,11 +82,10 @@ Executor::RunResult Executor::Run(PlanNode* root, const Options& options) {
 RowSetPtr Executor::ExecuteNode(PlanNode* node,
                                 const std::vector<db::ColRef>& required,
                                 const Options& options, RunResult* result) {
-  // Late runs fuse a hash join over a leaf scan into one scan→probe pipeline
-  // (DESIGN.md "Pipelined execution & late materialization"). Fusion stops at
-  // join children: their checkpoints must be evaluated before the parent may
-  // run, which is exactly a pipeline breaker.
-  if (late_ && node->op == PhysOp::kHashJoin &&
+  // A hash join over a leaf scan runs as one scan→probe pipeline. Fusion
+  // stops at join children: their checkpoints must be evaluated before the
+  // parent may run, which is exactly a pipeline breaker.
+  if (FusesScanIntoProbe() && node->op == PhysOp::kHashJoin &&
       (node->outer->op == PhysOp::kSeqScan ||
        node->outer->op == PhysOp::kIndexScan) &&
       !node->inner->is_join()) {
@@ -294,7 +252,7 @@ RowSetPtr Executor::ExecuteFusedScanJoin(PlanNode* node,
       *db_, table, table_id, dense ? nullptr : &rows, scan_residual, outer_req,
       &scan_out, *inner, node->outer_key, node->inner_key, node->residual_keys,
       required, LateRidTables(node->rels, required), options.max_node_rows,
-      &overflow, batch_size_, options.num_threads);
+      &overflow, options.num_threads);
   const double fused_seconds = fused_timer.ElapsedSeconds();
   if (overflow) {
     // The fused probe abandons its run mid-stream, so its scan by-product is
@@ -302,8 +260,7 @@ RowSetPtr Executor::ExecuteFusedScanJoin(PlanNode* node,
     // (actual cardinality, checkpoint) must match the unfused lanes even on
     // an aborted run.
     scan_out = BatchScan(table, table_id, dense ? nullptr : &rows,
-                         scan_residual, outer_req, batch_size_,
-                         options.num_threads, /*late=*/true);
+                         scan_residual, outer_req, options.num_threads);
   }
 
   int outer_span = -1, inner_span = -1;
@@ -381,9 +338,6 @@ bool Executor::ResolveScanInput(const PlanNode& node,
     return false;
   }
   *residual = node.filters;
-  // A dense scan visits the whole table in storage order; only the row path
-  // materializes the identity row list for it (the batch paths iterate
-  // positions directly).
   return true;
 }
 
@@ -393,90 +347,11 @@ RowSetPtr Executor::ExecuteScan(const PlanNode& node,
   LPCE_PROFILE_SCOPE(node.op == PhysOp::kIndexScan ? "exec.index_scan"
                                                    : "exec.seq_scan");
   const int32_t table_id = query_->tables[node.table_pos];
-  const db::Table& table = db_->table(table_id);
-
   std::vector<uint32_t> rows;
   std::vector<qry::Predicate> residual;
   const bool dense = ResolveScanInput(node, &rows, &residual);
-
-  if (batch_size_ > 0) {
-    return BatchScan(table, table_id, dense ? nullptr : &rows, residual,
-                     required, batch_size_, num_threads, late_);
-  }
-  auto out = std::make_shared<RowSet>();
-  out->schema = required;
-  out->cols.resize(required.size());
-  if (dense) {
-    rows.resize(table.num_rows());
-    for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<uint32_t>(i);
-  }
-
-  // Apply residual filters: every chunk filters its slice into a private
-  // buffer and the buffers are concatenated in chunk order, so the surviving
-  // row order matches the sequential path exactly.
-  if (!residual.empty()) {
-    auto filter_range = [&](size_t b, size_t e, std::vector<uint32_t>* kept) {
-      for (size_t i = b; i < e; ++i) {
-        const uint32_t row = rows[i];
-        bool pass = true;
-        for (const auto& f : residual) {
-          if (!qry::EvalCmp(table.at(row, f.col.column), f.op, f.value)) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) kept->push_back(row);
-      }
-    };
-    const int workers = EffectiveThreads(num_threads);
-    if (workers > 1 && rows.size() >= kMinParallelRows) {
-      const auto chunks = common::ThreadPool::Partition(
-          0, rows.size(), kMinParallelRows / 4, workers);
-      std::vector<std::vector<uint32_t>> kept(chunks.size());
-      common::GlobalPool().ParallelFor(
-          0, chunks.size(), 1,
-          [&](size_t c0, size_t c1) {
-            LPCE_PROFILE_SCOPE("exec.worker.filter");
-            for (size_t c = c0; c < c1; ++c) {
-              kept[c].reserve(chunks[c].second - chunks[c].first);
-              filter_range(chunks[c].first, chunks[c].second, &kept[c]);
-            }
-          },
-          workers);
-      size_t total = 0;
-      for (const auto& k : kept) total += k.size();
-      std::vector<uint32_t> merged;
-      merged.reserve(total);
-      for (const auto& k : kept) merged.insert(merged.end(), k.begin(), k.end());
-      rows.swap(merged);
-    } else {
-      std::vector<uint32_t> kept;
-      kept.reserve(rows.size());
-      filter_range(0, rows.size(), &kept);
-      rows.swap(kept);
-    }
-  }
-
-  out->row_count = rows.size();
-  const int workers = EffectiveThreads(num_threads);
-  for (size_t c = 0; c < required.size(); ++c) {
-    LPCE_CHECK(required[c].table == table_id);
-    const auto& src = table.column(required[c].column);
-    auto& dst = out->cols[c];
-    dst.resize(rows.size());
-    if (workers > 1 && rows.size() >= kMinParallelRows) {
-      common::GlobalPool().ParallelFor(
-          0, rows.size(), kMinParallelRows / 4,
-          [&](size_t b, size_t e) {
-            LPCE_PROFILE_SCOPE("exec.worker.gather");
-            for (size_t i = b; i < e; ++i) dst[i] = src[rows[i]];
-          },
-          workers);
-    } else {
-      for (size_t i = 0; i < rows.size(); ++i) dst[i] = src[rows[i]];
-    }
-  }
-  return out;
+  return BatchScan(db_->table(table_id), table_id, dense ? nullptr : &rows,
+                   residual, required, num_threads);
 }
 
 RowSetPtr Executor::ExecutePseudo(const PlanNode& node,
@@ -484,42 +359,20 @@ RowSetPtr Executor::ExecutePseudo(const PlanNode& node,
   LPCE_PROFILE_SCOPE("exec.pseudo_scan");
   LPCE_CHECK(node.pseudo != nullptr);
   const RowSet& src = *node.pseudo;
+  // Every round runs on row-id intermediates, so a pseudo relation is an
+  // earlier round's row-id result: pass its columns through, pruned to the
+  // tables the remainder of the plan still references. A pseudo relation can
+  // serve any column of its tables — availability is per table, not per
+  // recorded schema entry.
+  LPCE_CHECK_MSG(src.late(), "pseudo relation without row-id columns");
   auto out = std::make_shared<RowSet>();
   out->row_count = src.row_count;
   out->schema = required;
-  if (late_) {
-    // Late run (implies a late source, see PlanSupportsLate): pass the
-    // retained row-id columns through, pruned to the tables the remainder of
-    // the plan still references. A late pseudo can serve any column of its
-    // tables — availability is per table, not per recorded schema entry.
-    for (int32_t table_id : LateRidTables(node.rels, required)) {
-      const int idx = src.RidIndex(table_id);
-      LPCE_CHECK_MSG(idx >= 0, "late pseudo relation missing a row-id column");
-      out->rid_tables.push_back(table_id);
-      out->rid_cols.push_back(src.rid_cols[idx]);
-    }
-    return out;
-  }
-  out->cols.resize(required.size());
-  if (src.late()) {
-    // A late round tripped and this round runs materialized (the re-planned
-    // remainder picked operators the late kernels do not cover): force the
-    // deferred payload gather from the base tables now.
-    for (size_t c = 0; c < required.size(); ++c) {
-      const int idx = src.RidIndex(required[c].table);
-      LPCE_CHECK_MSG(idx >= 0, "pseudo relation missing row ids for a column");
-      const auto& rid = src.rid_cols[idx];
-      const auto& col = db_->table(required[c].table).column(required[c].column);
-      auto& dst = out->cols[c];
-      dst.resize(rid.size());
-      common::GatherSelected(col.data(), rid.data(), rid.size(), dst.data());
-    }
-    return out;
-  }
-  for (size_t c = 0; c < required.size(); ++c) {
-    const int idx = src.ColumnIndex(required[c]);
-    LPCE_CHECK_MSG(idx >= 0, "pseudo relation missing a required column");
-    out->cols[c] = src.cols[idx];
+  for (int32_t table_id : LateRidTables(node.rels, required)) {
+    const int idx = src.RidIndex(table_id);
+    LPCE_CHECK_MSG(idx >= 0, "pseudo relation missing a row-id column");
+    out->rid_tables.push_back(table_id);
+    out->rid_cols.push_back(src.rid_cols[idx]);
   }
   return out;
 }
@@ -529,295 +382,24 @@ RowSetPtr Executor::ExecuteJoin(const PlanNode& node, const RowSet& outer,
                                 const std::vector<db::ColRef>& required,
                                 size_t max_rows, bool* overflow,
                                 int num_threads) {
-  LPCE_PROFILE_SCOPE(node.op == PhysOp::kHashJoin    ? "exec.hash_join"
-                     : node.op == PhysOp::kMergeJoin ? "exec.merge_join"
-                                                     : "exec.nestloop_join");
-  // Late runs dispatch before any column-index resolution: late inputs carry
-  // row-id columns only, and the late kernel resolves its accessors against
-  // the base tables directly.
-  if (late_) {
-    LPCE_CHECK(node.op == PhysOp::kHashJoin && batch_size_ > 0);
-    return LateHashJoin(*db_, outer, inner, node.outer_key, node.inner_key,
-                        node.residual_keys, required,
-                        LateRidTables(node.rels, required), max_rows, overflow,
-                        batch_size_, num_threads);
-  }
-  const int outer_key = outer.ColumnIndex(node.outer_key);
-  const int inner_key = inner.ColumnIndex(node.inner_key);
-  LPCE_CHECK(outer_key >= 0 && inner_key >= 0);
-  const auto& okeys = outer.cols[outer_key];
-  const auto& ikeys = inner.cols[inner_key];
-
-  // Residual equi-join predicates (multigraph cuts): resolved to column
-  // indexes once; a candidate match survives only when every pair agrees.
-  std::vector<std::pair<int, int>> residual;
-  residual.reserve(node.residual_keys.size());
-  for (const auto& [outer_col, inner_col] : node.residual_keys) {
-    const int oc = outer.ColumnIndex(outer_col);
-    const int ic = inner.ColumnIndex(inner_col);
-    LPCE_CHECK_MSG(oc >= 0 && ic >= 0, "residual key column not materialized");
-    residual.emplace_back(oc, ic);
-  }
-
-  // Vectorized hash join (merge and nested-loop joins always run the row
-  // kernels — they exist as deliberately mispriced alternatives, not hot
-  // paths).
-  if (node.op == PhysOp::kHashJoin && batch_size_ > 0) {
-    return BatchHashJoin(outer, inner, outer_key, inner_key, residual,
-                         required, max_rows, overflow, batch_size_,
-                         num_threads);
-  }
-  if (node.op == PhysOp::kHashJoin && EffectiveThreads(num_threads) > 1 &&
-      okeys.size() + ikeys.size() >= kMinParallelRows) {
-    return ParallelHashJoin(outer, inner, outer_key, inner_key, residual,
-                            required, max_rows, overflow, num_threads);
-  }
-
-  // Source (side, column index) for every output column.
-  struct Source {
-    bool from_outer;
-    int col;
-  };
-  std::vector<Source> sources;
-  sources.reserve(required.size());
-  for (const auto& ref : required) {
-    int idx = outer.ColumnIndex(ref);
-    if (idx >= 0) {
-      sources.push_back({true, idx});
-    } else {
-      idx = inner.ColumnIndex(ref);
-      LPCE_CHECK_MSG(idx >= 0, "join output column not found in either side");
-      sources.push_back({false, idx});
-    }
-  }
-
-  auto out = std::make_shared<RowSet>();
-  out->schema = required;
-  out->cols.resize(required.size());
-
-  auto emit = [&](size_t outer_row, size_t inner_row) {
-    for (const auto& [oc, ic] : residual) {
-      if (outer.cols[oc][outer_row] != inner.cols[ic][inner_row]) return;
-    }
-    for (size_t c = 0; c < sources.size(); ++c) {
-      const Source& s = sources[c];
-      out->cols[c].push_back(s.from_outer ? outer.cols[s.col][outer_row]
-                                          : inner.cols[s.col][inner_row]);
-    }
-    ++out->row_count;
-  };
-  auto over_limit = [&]() {
-    if (max_rows > 0 && out->row_count > max_rows) {
-      *overflow = true;
-      return true;
-    }
-    return false;
-  };
-
+  const std::vector<int32_t> rid_tables = LateRidTables(node.rels, required);
   switch (node.op) {
-    case PhysOp::kHashJoin: {
-      std::unordered_map<int64_t, std::vector<uint32_t>> build;
-      build.reserve(ikeys.size());
-      for (size_t r = 0; r < ikeys.size(); ++r) {
-        build[ikeys[r]].push_back(static_cast<uint32_t>(r));
-      }
-      for (size_t r = 0; r < okeys.size(); ++r) {
-        auto it = build.find(okeys[r]);
-        if (it == build.end()) continue;
-        for (uint32_t ir : it->second) emit(r, ir);
-        if (over_limit()) return out;
-      }
-      break;
-    }
-    case PhysOp::kMergeJoin: {
-      std::vector<uint32_t> operm(okeys.size()), iperm(ikeys.size());
-      for (size_t i = 0; i < operm.size(); ++i) operm[i] = static_cast<uint32_t>(i);
-      for (size_t i = 0; i < iperm.size(); ++i) iperm[i] = static_cast<uint32_t>(i);
-      std::sort(operm.begin(), operm.end(),
-                [&](uint32_t a, uint32_t b) { return okeys[a] < okeys[b]; });
-      std::sort(iperm.begin(), iperm.end(),
-                [&](uint32_t a, uint32_t b) { return ikeys[a] < ikeys[b]; });
-      size_t oi = 0, ii = 0;
-      while (oi < operm.size() && ii < iperm.size()) {
-        const int64_t ov = okeys[operm[oi]];
-        const int64_t iv = ikeys[iperm[ii]];
-        if (ov < iv) {
-          ++oi;
-        } else if (ov > iv) {
-          ++ii;
-        } else {
-          size_t oe = oi;
-          while (oe < operm.size() && okeys[operm[oe]] == ov) ++oe;
-          size_t ie = ii;
-          while (ie < iperm.size() && ikeys[iperm[ie]] == iv) ++ie;
-          for (size_t a = oi; a < oe; ++a) {
-            for (size_t b = ii; b < ie; ++b) emit(operm[a], iperm[b]);
-            if (over_limit()) return out;
-          }
-          oi = oe;
-          ii = ie;
-        }
-      }
-      break;
-    }
-    case PhysOp::kNestLoopJoin: {
-      // Deliberately quadratic — the whole point of the paper's running
-      // example is that a mistaken nested loop on a large outer is slow.
-      for (size_t r = 0; r < okeys.size(); ++r) {
-        const int64_t key = okeys[r];
-        for (size_t ir = 0; ir < ikeys.size(); ++ir) {
-          if (ikeys[ir] == key) emit(r, ir);
-        }
-        if (over_limit()) return out;
-      }
-      break;
-    }
+    case PhysOp::kHashJoin:
+      return LateHashJoin(*db_, outer, inner, node.outer_key, node.inner_key,
+                          node.residual_keys, required, rid_tables, max_rows,
+                          overflow, num_threads);
+    case PhysOp::kMergeJoin:
+      return LateMergeJoin(*db_, outer, inner, node.outer_key, node.inner_key,
+                           node.residual_keys, required, rid_tables, max_rows,
+                           overflow);
+    case PhysOp::kNestLoopJoin:
+      return LateNestLoopJoin(*db_, outer, inner, node.outer_key,
+                              node.inner_key, node.residual_keys, required,
+                              rid_tables, max_rows, overflow);
     default:
       LPCE_CHECK_MSG(false, "not a join operator");
+      return nullptr;
   }
-  return out;
-}
-
-RowSetPtr Executor::ParallelHashJoin(
-    const RowSet& outer, const RowSet& inner, int outer_key, int inner_key,
-    const std::vector<std::pair<int, int>>& residual,
-    const std::vector<db::ColRef>& required, size_t max_rows, bool* overflow,
-    int num_threads) {
-  const auto& okeys = outer.cols[outer_key];
-  const auto& ikeys = inner.cols[inner_key];
-  const int workers = EffectiveThreads(num_threads);
-  common::ThreadPool& pool = common::GlobalPool();
-
-  struct Source {
-    bool from_outer;
-    int col;
-  };
-  std::vector<Source> sources;
-  sources.reserve(required.size());
-  for (const auto& ref : required) {
-    int idx = outer.ColumnIndex(ref);
-    if (idx >= 0) {
-      sources.push_back({true, idx});
-    } else {
-      idx = inner.ColumnIndex(ref);
-      LPCE_CHECK_MSG(idx >= 0, "join output column not found in either side");
-      sources.push_back({false, idx});
-    }
-  }
-
-  // Partitioned build: rows are hashed into `workers` partitions; each
-  // partition's table is built by one task. Within a partition the rows keep
-  // their ascending order, so a key's match list is identical to the one the
-  // sequential build produces.
-  // Partition ids are stored in a byte; more than 255 partitions would be
-  // far past any sane pool size anyway.
-  const size_t P = std::min<size_t>(static_cast<size_t>(workers), 255);
-  std::vector<uint8_t> part(ikeys.size());
-  pool.ParallelFor(
-      0, ikeys.size(), 4096,
-      [&](size_t b, size_t e) {
-        LPCE_PROFILE_SCOPE("exec.worker.partition");
-        for (size_t r = b; r < e; ++r) {
-          part[r] = static_cast<uint8_t>(MixJoinKey(ikeys[r]) % P);
-        }
-      },
-      workers);
-  std::vector<std::unordered_map<int64_t, std::vector<uint32_t>>> build(P);
-  pool.ParallelFor(
-      0, P, 1,
-      [&](size_t p0, size_t p1) {
-        LPCE_PROFILE_SCOPE("exec.worker.build");
-        for (size_t p = p0; p < p1; ++p) {
-          build[p].reserve(ikeys.size() / P + 1);
-          for (size_t r = 0; r < ikeys.size(); ++r) {
-            if (part[r] == p) build[p][ikeys[r]].push_back(static_cast<uint32_t>(r));
-          }
-        }
-      },
-      workers);
-
-  // Parallel probe: each chunk of outer rows emits into private per-column
-  // buffers; concatenating them in chunk order reproduces the sequential
-  // output row order exactly (outer order, then build-list order per key).
-  const auto chunks =
-      common::ThreadPool::Partition(0, okeys.size(), 1024, workers);
-  struct ChunkOut {
-    std::vector<std::vector<int64_t>> cols;
-    size_t rows = 0;
-  };
-  std::vector<ChunkOut> partials(chunks.size());
-  std::atomic<size_t> emitted{0};
-  std::atomic<bool> over{false};
-  pool.ParallelFor(
-      0, chunks.size(), 1,
-      [&](size_t c0, size_t c1) {
-        LPCE_PROFILE_SCOPE("exec.worker.probe");
-        for (size_t c = c0; c < c1; ++c) {
-          ChunkOut& local = partials[c];
-          local.cols.resize(sources.size());
-          for (size_t r = chunks[c].first; r < chunks[c].second; ++r) {
-            if (over.load(std::memory_order_relaxed)) return;
-            const int64_t key = okeys[r];
-            const auto& table = build[MixJoinKey(key) % P];
-            auto it = table.find(key);
-            if (it == table.end()) continue;
-            size_t emits = 0;
-            for (uint32_t ir : it->second) {
-              bool pass = true;
-              for (const auto& [oc, ic] : residual) {
-                if (outer.cols[oc][r] != inner.cols[ic][ir]) {
-                  pass = false;
-                  break;
-                }
-              }
-              if (!pass) continue;
-              for (size_t s = 0; s < sources.size(); ++s) {
-                local.cols[s].push_back(sources[s].from_outer
-                                            ? outer.cols[sources[s].col][r]
-                                            : inner.cols[sources[s].col][ir]);
-              }
-              ++emits;
-            }
-            // Count only rows actually emitted: residual filters can reject
-            // candidates the primary key surfaced.
-            local.rows += emits;
-            if (max_rows > 0 && emits > 0 &&
-                emitted.fetch_add(emits, std::memory_order_relaxed) + emits >
-                    max_rows) {
-              over.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-        }
-      },
-      workers);
-
-  auto out = std::make_shared<RowSet>();
-  out->schema = required;
-  out->cols.resize(required.size());
-  if (over.load()) {
-    // The run is abandoned; the partially-built output is discarded upstream.
-    *overflow = true;
-    return out;
-  }
-  size_t total = 0;
-  for (const auto& p : partials) total += p.rows;
-  out->row_count = total;
-  // Per-column concatenation in chunk order, itself parallel across columns.
-  pool.ParallelFor(
-      0, sources.size(), 1,
-      [&](size_t s0, size_t s1) {
-        LPCE_PROFILE_SCOPE("exec.worker.concat");
-        for (size_t s = s0; s < s1; ++s) {
-          auto& dst = out->cols[s];
-          dst.reserve(total);
-          for (const auto& p : partials) {
-            dst.insert(dst.end(), p.cols[s].begin(), p.cols[s].end());
-          }
-        }
-      },
-      workers);
-  return out;
 }
 
 std::unique_ptr<PlanNode> BuildCanonicalHashPlan(const qry::Query& query) {

@@ -1,20 +1,22 @@
 // Operator-at-a-time executor with checkpoint support.
 //
-// Nodes are executed in post-order; every operator materializes its result
-// (column-at-a-time, MonetDB style — see DESIGN.md substitution 2). A
-// checkpoint fires when a finished node's actual cardinality deviates from
-// its estimate by more than a q-error threshold (paper Sec. 6.2); execution
-// stops with all finished intermediates retained so the re-optimization
-// controller can re-plan the remainder.
+// Nodes are executed in post-order; every operator finishes its whole result
+// before its parent runs (column-at-a-time, MonetDB style — see DESIGN.md
+// substitution 2). A checkpoint fires when a finished node's actual
+// cardinality deviates from its estimate by more than a q-error threshold
+// (paper Sec. 6.2); execution stops with all finished intermediates retained
+// so the re-optimization controller can re-plan the remainder.
 //
-// Two operator implementations share this control loop: the row-at-a-time
-// kernels below (the differential oracle) and the vectorized batch kernels
-// (exec/vectorized.h, selected by Options::batch_size / LPCE_EXEC_BATCH),
-// which stream scans and hash joins in column-oriented batches with
-// branch-free selection vectors. Both produce bit-identical rowsets and
-// byte-identical deterministic traces at every batch and pool size.
-#ifndef LPCE_EXEC_EXECUTOR_H_
-#define LPCE_EXEC_EXECUTOR_H_
+// The operators are the vectorized kernels of exec/vectorized.h: batch scans
+// with branch-free selection vectors, hash joins fused with a leaf outer
+// scan, and merge/nested-loop joins, all exchanging row-id intermediates
+// (late materialization, exec/rowset.h). The row-at-a-time oracle the
+// differential suites compare against (tests/testing/row_executor.h)
+// overrides the operator kernels and reuses this control loop; both produce
+// the same rows in the same order and byte-identical deterministic traces at
+// every pool size.
+#ifndef LPCE_SRC_EXEC_EXECUTOR_H_
+#define LPCE_SRC_EXEC_EXECUTOR_H_
 
 #include <unordered_map>
 #include <vector>
@@ -52,21 +54,6 @@ class Executor {
     /// scan filtering (0 = the global pool's full size, 1 = sequential).
     /// Output row order is deterministic — identical at every setting.
     int num_threads = 0;
-    /// Executor batch size: -1 = follow the LPCE_EXEC_BATCH environment knob
-    /// (see exec/vectorized.h), 0 = row-at-a-time operators, > 0 = the
-    /// vectorized batch path with this many rows per batch. Results, actual
-    /// cardinalities, and traces are bit-identical at every setting — the
-    /// row path is the batch path's differential oracle.
-    int batch_size = -1;
-    /// Late materialization (row-id intermediates, DESIGN.md "Pipelined
-    /// execution & late materialization"): -1 = follow the LPCE_EXEC_LATE_MAT
-    /// environment knob, 0 = off, > 0 = on. Implies the batch path (a zero
-    /// batch_size is promoted to kDefaultBatchSize). Falls back to the plain
-    /// batch path for any plan the late kernels do not cover (merge/nest-loop
-    /// joins picked by re-planning, materialized pseudo scans), so results
-    /// and deterministic traces stay bit-identical to both oracles at every
-    /// setting.
-    int late_materialization = -1;
     /// When set, every finished operator appends a span and every checkpoint
     /// evaluation appends an event (see engine/trace.h). Not owned.
     eng::QueryTrace* trace = nullptr;
@@ -85,6 +72,9 @@ class Executor {
 
   Executor(const db::Database* database, const qry::Query* query)
       : db_(database), query_(query) {}
+  virtual ~Executor() = default;
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
 
   /// Runs the plan to completion (no checkpoints), annotating actual_card on
   /// every node. Returns the root result.
@@ -99,6 +89,35 @@ class Executor {
   /// re-planning), so this is the sum of live rowsets at its maximum, not
   /// just the largest single one.
   size_t peak_intermediate_bytes() const { return peak_bytes_; }
+
+ protected:
+  // Operator kernels. The production versions consume and produce row-id
+  // intermediates; the test oracle overrides all three with row-at-a-time
+  // kernels over materialized payload columns.
+  virtual RowSetPtr ExecuteScan(const PlanNode& node,
+                                const std::vector<db::ColRef>& required,
+                                int num_threads);
+  virtual RowSetPtr ExecutePseudo(const PlanNode& node,
+                                  const std::vector<db::ColRef>& required);
+  /// Sets *overflow (and may return a partial result) when more than
+  /// `max_rows` rows would be emitted (0 = unlimited).
+  virtual RowSetPtr ExecuteJoin(const PlanNode& node, const RowSet& outer,
+                                const RowSet& inner,
+                                const std::vector<db::ColRef>& required,
+                                size_t max_rows, bool* overflow,
+                                int num_threads);
+  /// Whether a hash join over a leaf outer scan runs as one fused
+  /// scan→probe pipeline (ExecuteFusedScanJoin) instead of scan, then join.
+  virtual bool FusesScanIntoProbe() const { return true; }
+
+  /// Resolves a scan node's driving input: fills `rows` with the index range
+  /// result (index scans) and `residual` with the predicates left to filter;
+  /// returns true for a dense scan of the whole table in storage order.
+  bool ResolveScanInput(const PlanNode& node, std::vector<uint32_t>* rows,
+                        std::vector<qry::Predicate>* residual) const;
+
+  const db::Database* db_;
+  const qry::Query* query_;
 
  private:
   RowSetPtr ExecuteNode(PlanNode* node, const std::vector<db::ColRef>& required,
@@ -115,20 +134,13 @@ class Executor {
                   uint64_t outer_rows, uint64_t inner_rows);
 
   /// Fused scan-filter → first-probe execution of a hash join whose outer
-  /// child is a leaf scan (late-materialization runs only): each scanned
-  /// batch's selection vector feeds the probe directly, with per-node
-  /// bookkeeping emitted afterwards in oracle order (outer, inner, join).
+  /// child is a leaf scan: each scanned batch's selection vector feeds the
+  /// probe directly, with per-node bookkeeping emitted afterwards in oracle
+  /// order (outer, inner, join).
   RowSetPtr ExecuteFusedScanJoin(PlanNode* node,
                                  const std::vector<db::ColRef>& required,
                                  const Options& options, RunResult* result);
 
-  RowSetPtr ExecuteScan(const PlanNode& node, const std::vector<db::ColRef>& required,
-                        int num_threads);
-  /// Resolves a scan node's driving input: fills `rows` with the index range
-  /// result (index scans) and `residual` with the predicates left to filter;
-  /// returns true for a dense scan of the whole table in storage order.
-  bool ResolveScanInput(const PlanNode& node, std::vector<uint32_t>* rows,
-                        std::vector<qry::Predicate>* residual) const;
   /// Row-id columns a late intermediate covering `rels` must carry: the
   /// tables still referenced downstream — incident to a join edge crossing
   /// out of `rels`, or owning a parent-required column — in ascending query
@@ -136,35 +148,13 @@ class Executor {
   /// intermediate as the join chain consumes relations.
   std::vector<int32_t> LateRidTables(
       qry::RelSet rels, const std::vector<db::ColRef>& required) const;
-  RowSetPtr ExecutePseudo(const PlanNode& node,
-                          const std::vector<db::ColRef>& required);
-  RowSetPtr ExecuteJoin(const PlanNode& node, const RowSet& outer, const RowSet& inner,
-                        const std::vector<db::ColRef>& required, size_t max_rows,
-                        bool* overflow, int num_threads);
-  /// `residual` pairs resolved column indexes (outer, inner) of the extra
-  /// equi-join predicates; a candidate match is emitted only when every pair
-  /// agrees.
-  RowSetPtr ParallelHashJoin(const RowSet& outer, const RowSet& inner,
-                             int outer_key, int inner_key,
-                             const std::vector<std::pair<int, int>>& residual,
-                             const std::vector<db::ColRef>& required,
-                             size_t max_rows, bool* overflow, int num_threads);
 
   /// Splits parent-required columns into those provided by `rels`.
   std::vector<db::ColRef> SideRequired(const std::vector<db::ColRef>& required,
                                        qry::RelSet rels) const;
 
-  const db::Database* db_;
-  const qry::Query* query_;
   size_t peak_bytes_ = 0;
   size_t live_bytes_ = 0;
-  /// Effective batch size of the current run (Options::batch_size with -1
-  /// resolved against LPCE_EXEC_BATCH); 0 = row-at-a-time.
-  int batch_size_ = 0;
-  /// Whether the current run carries row-id intermediates
-  /// (Options::late_materialization resolved against LPCE_EXEC_LATE_MAT,
-  /// then gated on the plan shape being coverable by the late kernels).
-  bool late_ = false;
 };
 
 /// Builds an all-hash-join plan following the canonical left-deep tree for
@@ -174,4 +164,4 @@ std::unique_ptr<PlanNode> BuildCanonicalHashPlan(const qry::Query& query);
 
 }  // namespace lpce::exec
 
-#endif  // LPCE_EXEC_EXECUTOR_H_
+#endif  // LPCE_SRC_EXEC_EXECUTOR_H_

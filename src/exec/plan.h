@@ -4,8 +4,8 @@
 // operators (paper Fig. 10): sequential scan, index scan, hash join, sort-
 // merge join, nested-loop join. During re-optimization a leaf can also be a
 // "pseudo scan" reading an already-materialized intermediate result.
-#ifndef LPCE_EXEC_PLAN_H_
-#define LPCE_EXEC_PLAN_H_
+#ifndef LPCE_SRC_EXEC_PLAN_H_
+#define LPCE_SRC_EXEC_PLAN_H_
 
 #include <memory>
 #include <string>
@@ -91,4 +91,4 @@ Status ValidatePlan(const PlanNode& root, const qry::Query& query);
 
 }  // namespace lpce::exec
 
-#endif  // LPCE_EXEC_PLAN_H_
+#endif  // LPCE_SRC_EXEC_PLAN_H_

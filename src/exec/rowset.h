@@ -1,6 +1,6 @@
 // Materialized intermediate results exchanged between physical operators.
-#ifndef LPCE_EXEC_ROWSET_H_
-#define LPCE_EXEC_ROWSET_H_
+#ifndef LPCE_SRC_EXEC_ROWSET_H_
+#define LPCE_SRC_EXEC_ROWSET_H_
 
 #include <cstdint>
 #include <memory>
@@ -10,19 +10,19 @@
 
 namespace lpce::exec {
 
-/// A columnar result: `schema[i]` names the source column of `cols[i]`.
-/// `row_count` is tracked explicitly so zero-column results (everything
-/// projected away under a COUNT(*)) still carry their cardinality.
+/// A columnar result: `schema[i]` names the logical column the rowset
+/// provides to its consumer. `row_count` is tracked explicitly so zero-column
+/// results (everything projected away under a COUNT(*)) still carry their
+/// cardinality.
 ///
-/// Late materialization (LPCE_EXEC_LATE_MAT): instead of payload columns,
-/// a rowset may carry aligned row-id columns into the base tables —
+/// The executor's intermediates are late-materialized: instead of payload
+/// columns they carry aligned row-id columns into the base tables —
 /// `rid_cols[i][r]` is the storage row of table `rid_tables[i]` that
-/// contributed to output row r. `schema` still records which logical
-/// columns the rowset provides (so ColumnIndex-based resolution keeps
-/// working), but `cols` stays empty; consumers gather payload values through
-/// the row ids at first use (exec::MaterializeRowSet, the late join
-/// kernels). A late rowset and its materialized counterpart describe the
-/// same rows in the same order.
+/// contributed to output row r — and the join kernels gather payload values
+/// through the row ids where they need them. `cols` holds materialized
+/// payloads (`cols[i]` for `schema[i]`); only the row-at-a-time test oracle
+/// produces those. A late rowset and its materialized counterpart describe
+/// the same rows in the same order.
 struct RowSet {
   std::vector<db::ColRef> schema;
   std::vector<std::vector<int64_t>> cols;
@@ -67,4 +67,4 @@ using RowSetPtr = std::shared_ptr<const RowSet>;
 
 }  // namespace lpce::exec
 
-#endif  // LPCE_EXEC_ROWSET_H_
+#endif  // LPCE_SRC_EXEC_ROWSET_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -14,10 +13,11 @@ namespace lpce::exec {
 
 namespace {
 
-// Inputs below this many rows run the sequential paths — same threshold as
-// the row-at-a-time operators (exec/executor.cc), so flipping batch mode
-// never changes *when* the pool is engaged, only what each worker runs.
+// Inputs below this many rows run the sequential paths: the pool dispatch is
+// not worth it, and tiny intermediates dominate the plans here.
 constexpr size_t kMinParallelRows = 4096;
+
+constexpr size_t kBatch = static_cast<size_t>(kDefaultBatchSize);
 
 int EffectiveThreads(int num_threads) {
   int workers = common::GlobalPool().size();
@@ -54,27 +54,27 @@ size_t RefineCmp(const std::vector<int64_t>& col, qry::CmpOp op, int64_t lit,
   return n;
 }
 
-/// Source (side, column index) for every join output column.
-struct Source {
-  bool from_outer;
-  int col;
-};
-
-std::vector<Source> ResolveSources(const RowSet& outer, const RowSet& inner,
-                                   const std::vector<db::ColRef>& required) {
-  std::vector<Source> sources;
-  sources.reserve(required.size());
-  for (const auto& ref : required) {
-    int idx = outer.ColumnIndex(ref);
-    if (idx >= 0) {
-      sources.push_back({true, idx});
-    } else {
-      idx = inner.ColumnIndex(ref);
-      LPCE_CHECK_MSG(idx >= 0, "join output column not found in either side");
-      sources.push_back({false, idx});
-    }
+/// Fills `sel` with scan batch `batch` — candidates [batch*B, min((batch+1)*B,
+/// n)) of the table (or of the driving index's row list) — refined against
+/// every predicate; returns the surviving count. Shared by the batch scan and
+/// the fused scan→probe, so both see identical candidate batches.
+size_t FilterScanBatch(const db::Table& table,
+                       const std::vector<uint32_t>* index_rows,
+                       const std::vector<qry::Predicate>& residual, size_t n,
+                       size_t batch, uint32_t* sel) {
+  const size_t lo = batch * kBatch;
+  const size_t count = std::min(kBatch, n - lo);
+  if (index_rows != nullptr) {
+    std::copy(index_rows->data() + lo, index_rows->data() + lo + count, sel);
+  } else {
+    for (size_t i = 0; i < count; ++i) sel[i] = static_cast<uint32_t>(lo + i);
   }
-  return sources;
+  size_t live = count;
+  for (const auto& f : residual) {
+    if (live == 0) break;
+    live = RefineCmp(table.column(f.col.column), f.op, f.value, sel, live);
+  }
+  return live;
 }
 
 common::Counter* BatchesCounter() {
@@ -85,56 +85,26 @@ common::Counter* BatchesCounter() {
 
 }  // namespace
 
-int BatchSizeFromEnv() {
-  const char* env = std::getenv("LPCE_EXEC_BATCH");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || value <= 0) return 0;
-  // "1" means "enabled, default size"; anything larger is a literal size,
-  // clamped so a typo can't demand a gigarow selection buffer.
-  if (value == 1) return kDefaultBatchSize;
-  return static_cast<int>(std::min<long>(value, 1 << 20));
-}
-
-bool LateMatFromEnv() {
-  const char* env = std::getenv("LPCE_EXEC_LATE_MAT");
-  if (env == nullptr || *env == '\0') return false;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  return end != env && *end == '\0' && value > 0;
-}
-
 RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
                     const std::vector<uint32_t>* index_rows,
                     const std::vector<qry::Predicate>& residual,
-                    const std::vector<db::ColRef>& required, int batch_size,
-                    int num_threads, bool late) {
+                    const std::vector<db::ColRef>& required,
+                    int num_threads) {
   LPCE_PROFILE_SCOPE("exec.batch_scan");
-  LPCE_CHECK(batch_size > 0);
-  const size_t B = static_cast<size_t>(batch_size);
+  const size_t B = kBatch;
   const size_t n = index_rows != nullptr ? index_rows->size() : table.num_rows();
   auto out = std::make_shared<RowSet>();
   out->schema = required;
   for (const auto& ref : required) LPCE_CHECK(ref.table == table_id);
-  if (!late) out->cols.resize(required.size());
+  out->rid_tables.push_back(table_id);
 
-  // A dense scan with no predicates is a straight column copy — no
-  // selection vector, no gather. Under late materialization it is an
-  // identity row-id column instead (4 bytes per row, regardless of how many
-  // columns the parent will eventually read).
+  // A dense scan with no predicates is an identity row-id column — 4 bytes
+  // per row, regardless of how many columns the parent will eventually read.
   if (index_rows == nullptr && residual.empty()) {
     out->row_count = n;
-    if (late) {
-      out->rid_tables.push_back(table_id);
-      auto& rid = out->rid_cols.emplace_back();
-      rid.resize(n);
-      for (size_t i = 0; i < n; ++i) rid[i] = static_cast<uint32_t>(i);
-      return out;
-    }
-    for (size_t c = 0; c < required.size(); ++c) {
-      out->cols[c] = table.column(required[c].column);
-    }
+    auto& rid = out->rid_cols.emplace_back();
+    rid.resize(n);
+    for (size_t i = 0; i < n; ++i) rid[i] = static_cast<uint32_t>(i);
     return out;
   }
 
@@ -147,23 +117,8 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
                             std::vector<uint32_t>* kept) {
     std::vector<uint32_t> sel(B);
     for (size_t batch = batch_lo; batch < batch_hi; ++batch) {
-      const size_t lo = batch * B;
-      const size_t count = std::min(B, n - lo);
-      if (index_rows != nullptr) {
-        // Candidates are the driving index's row list.
-        std::copy(index_rows->data() + lo, index_rows->data() + lo + count,
-                  sel.data());
-      } else {
-        for (size_t i = 0; i < count; ++i) {
-          sel[i] = static_cast<uint32_t>(lo + i);
-        }
-      }
-      size_t live = count;
-      for (const auto& f : residual) {
-        if (live == 0) break;
-        live = RefineCmp(table.column(f.col.column), f.op, f.value, sel.data(),
-                         live);
-      }
+      const size_t live =
+          FilterScanBatch(table, index_rows, residual, n, batch, sel.data());
       kept->insert(kept->end(), sel.data(), sel.data() + live);
     }
   };
@@ -194,310 +149,19 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
   }
   BatchesCounter()->Increment(num_batches);
 
+  // The surviving selection vector *is* the result — no payload gather at
+  // all. Payload reads happen downstream through the row-id indirection.
   out->row_count = rows.size();
-  // Late materialization: the surviving selection vector *is* the result —
-  // no payload gather at all. Payload reads happen downstream through the
-  // row-id indirection (LateHashJoin / MaterializeRowSet).
-  if (late) {
-    out->rid_tables.push_back(table_id);
-    out->rid_cols.push_back(std::move(rows));
-    return out;
-  }
-  for (size_t c = 0; c < required.size(); ++c) {
-    const auto& src = table.column(required[c].column);
-    auto& dst = out->cols[c];
-    dst.resize(rows.size());
-    if (workers > 1 && rows.size() >= kMinParallelRows) {
-      common::GlobalPool().ParallelFor(
-          0, rows.size(), kMinParallelRows / 4,
-          [&](size_t b, size_t e) {
-            LPCE_PROFILE_SCOPE("exec.worker.gather");
-            common::GatherSelected(src.data(), rows.data() + b, e - b,
-                                   dst.data() + b);
-          },
-          workers);
-    } else {
-      common::GatherSelected(src.data(), rows.data(), rows.size(), dst.data());
-    }
-  }
+  out->rid_cols.push_back(std::move(rows));
   return out;
 }
 
-RowSetPtr BatchHashJoin(const RowSet& outer, const RowSet& inner,
-                        int outer_key, int inner_key,
-                        const std::vector<std::pair<int, int>>& residual,
-                        const std::vector<db::ColRef>& required,
-                        size_t max_rows, bool* overflow, int batch_size,
-                        int num_threads) {
-  LPCE_PROFILE_SCOPE("exec.batch_hash_join");
-  LPCE_CHECK(batch_size > 0);
-  const auto& okeys = outer.cols[outer_key];
-  const auto& ikeys = inner.cols[inner_key];
-  const size_t B = static_cast<size_t>(batch_size);
-  const int workers = EffectiveThreads(num_threads);
-  common::ThreadPool& pool = common::GlobalPool();
-  const std::vector<Source> sources = ResolveSources(outer, inner, required);
-
-  auto out = std::make_shared<RowSet>();
-  out->schema = required;
-  out->cols.resize(required.size());
-
-  // ---- Build: flattened bucket-segment table over the inner keys. ---------
-  // Counting sort by bucket: every bucket's (key, row) pairs land in one
-  // contiguous segment of flat_keys/flat_rows, written in ascending inner-row
-  // order, so a probe scans a cache-resident segment instead of chasing
-  // chain pointers and a key's matches enumerate exactly like the row path's
-  // per-key insertion-order vector. The hash only places rows into buckets —
-  // key equality is re-checked per entry — so the bucket count and hash
-  // function are invisible in the output.
-  const size_t n_inner = ikeys.size();
-  size_t nbuckets = 16;
-  while (nbuckets < 2 * n_inner) nbuckets <<= 1;
-  const uint64_t mask = nbuckets - 1;
-  std::vector<uint32_t> bucket(n_inner);
-  if (workers > 1 && n_inner >= kMinParallelRows) {
-    pool.ParallelFor(
-        0, n_inner, 4096,
-        [&](size_t b, size_t e) {
-          LPCE_PROFILE_SCOPE("exec.worker.batch_hash");
-          for (size_t r = b; r < e; ++r) {
-            bucket[r] = static_cast<uint32_t>(MixJoinKey(ikeys[r]) & mask);
-          }
-        },
-        workers);
-  } else {
-    for (size_t r = 0; r < n_inner; ++r) {
-      bucket[r] = static_cast<uint32_t>(MixJoinKey(ikeys[r]) & mask);
-    }
-  }
-  std::vector<uint32_t> off(nbuckets + 1, 0);
-  for (size_t r = 0; r < n_inner; ++r) ++off[bucket[r] + 1];
-  for (size_t b = 0; b < nbuckets; ++b) off[b + 1] += off[b];
-  std::vector<int64_t> flat_keys(n_inner);
-  std::vector<uint32_t> flat_rows(n_inner);
-  {
-    std::vector<uint32_t> cursor(off.begin(), off.end() - 1);
-    for (size_t r = 0; r < n_inner; ++r) {
-      const uint32_t p = cursor[bucket[r]]++;
-      flat_keys[p] = ikeys[r];
-      flat_rows[p] = static_cast<uint32_t>(r);
-    }
-  }
-
-  // ---- Probe: batches of outer rows. --------------------------------------
-  // Each batch collects candidate (outer row, inner row) match pairs, then
-  // refines them branch-free against the residual equi-join keys, then
-  // gathers the survivors column-at-a-time. Batch boundaries are fixed
-  // globally (batch k covers [k*B, (k+1)*B)), so chunking whole batches
-  // across workers and concatenating in chunk order reproduces the
-  // sequential output exactly.
-  const size_t n_outer = okeys.size();
-  const size_t num_batches = (n_outer + B - 1) / B;
-  std::atomic<size_t> emitted{0};
-  std::atomic<bool> over{false};
-
-  struct ChunkOut {
-    std::vector<std::vector<int64_t>> cols;
-    size_t rows = 0;
-  };
-
-  // Probe modes, all sharing the branch-free segment scan (every entry is
-  // stored/summed unconditionally, the cursor advances by the key-equality
-  // result):
-  //  - count-only (no residuals, no output columns — a root join): each
-  //    batch is a pure sum of key-equality hits, nothing materialized;
-  //  - expand (no residuals): only inner row ids are collected, plus a
-  //    per-outer-row match count; outer columns are emitted by run-length
-  //    fill (one load per outer row) and inner columns by gather;
-  //  - pairs (residual keys): full (outer, inner) candidate pairs, refined
-  //    branch-free per residual key, then gathered per side.
-  const bool count_only = residual.empty() && sources.empty();
-  const bool expand = residual.empty() && !sources.empty();
-  // Expand mode only materializes inner row ids when an inner column is
-  // actually emitted; a join whose output draws on the outer side alone gets
-  // by on the per-row match counts.
-  bool need_inner_rows = !expand;
-  for (const Source& s : sources) need_inner_rows |= !s.from_outer;
-
-  auto probe_batches = [&](size_t batch_lo, size_t batch_hi, ChunkOut* local) {
-    local->cols.resize(sources.size());
-    std::vector<uint32_t> m_outer(expand || count_only ? 0 : B), m_inner(B);
-    std::vector<uint32_t> counts(expand ? B : 0);
-    std::vector<uint32_t> buckets(B);
-    for (size_t batch = batch_lo; batch < batch_hi; ++batch) {
-      if (over.load(std::memory_order_relaxed)) return;
-      const size_t lo = batch * B;
-      const size_t hi = std::min(lo + B, n_outer);
-      // Hashing is hoisted into its own pass: the multiply/xor chains of
-      // consecutive rows pipeline back to back with no branchy segment scan
-      // between them.
-      for (size_t r = lo; r < hi; ++r) {
-        buckets[r - lo] = static_cast<uint32_t>(MixJoinKey(okeys[r]) & mask);
-      }
-      if (count_only) {
-        size_t hits = 0;
-        for (size_t r = lo; r < hi; ++r) {
-          const int64_t key = okeys[r];
-          const uint64_t b = buckets[r - lo];
-          const uint32_t seg_end = off[b + 1];
-          for (uint32_t i = off[b]; i < seg_end; ++i) {
-            hits += static_cast<size_t>(flat_keys[i] == key);
-          }
-        }
-        local->rows += hits;
-        if (max_rows > 0 && hits > 0 &&
-            emitted.fetch_add(hits, std::memory_order_relaxed) + hits >
-                max_rows) {
-          over.store(true, std::memory_order_relaxed);
-          return;
-        }
-        continue;
-      }
-      // Candidate collection. Capacity is grown ahead of each row's segment
-      // so the scan carries no bounds check.
-      size_t m = 0;
-      for (size_t r = lo; r < hi; ++r) {
-        const int64_t key = okeys[r];
-        const uint64_t b = buckets[r - lo];
-        const uint32_t seg_begin = off[b];
-        const uint32_t seg_end = off[b + 1];
-        if (need_inner_rows && m + (seg_end - seg_begin) > m_inner.size()) {
-          const size_t grown =
-              std::max(m_inner.size() * 2, m + (seg_end - seg_begin));
-          m_inner.resize(grown);
-          if (!expand) m_outer.resize(grown);
-        }
-        if (expand && !need_inner_rows) {
-          size_t hits = 0;
-          for (uint32_t i = seg_begin; i < seg_end; ++i) {
-            hits += static_cast<size_t>(flat_keys[i] == key);
-          }
-          counts[r - lo] = static_cast<uint32_t>(hits);
-          m += hits;
-        } else if (expand) {
-          const size_t before = m;
-          for (uint32_t i = seg_begin; i < seg_end; ++i) {
-            m_inner[m] = flat_rows[i];
-            m += static_cast<size_t>(flat_keys[i] == key);
-          }
-          counts[r - lo] = static_cast<uint32_t>(m - before);
-        } else {
-          for (uint32_t i = seg_begin; i < seg_end; ++i) {
-            m_outer[m] = static_cast<uint32_t>(r);
-            m_inner[m] = flat_rows[i];
-            m += static_cast<size_t>(flat_keys[i] == key);
-          }
-        }
-      }
-      for (const auto& [oc, ic] : residual) {
-        const auto& ocol = outer.cols[oc];
-        const auto& icol = inner.cols[ic];
-        size_t k = 0;
-        for (size_t j = 0; j < m; ++j) {
-          const uint32_t orow = m_outer[j];
-          const uint32_t irow = m_inner[j];
-          m_outer[k] = orow;
-          m_inner[k] = irow;
-          k += static_cast<size_t>(ocol[orow] == icol[irow]);
-        }
-        m = k;
-      }
-      for (size_t s = 0; s < sources.size(); ++s) {
-        auto& dst = local->cols[s];
-        const auto& src = sources[s].from_outer ? outer.cols[sources[s].col]
-                                                : inner.cols[sources[s].col];
-        // Appends go through insert (fill / iterator-range overloads) rather
-        // than resize + overwrite: insert writes each new element exactly
-        // once, where resize would value-initialize the tail first — a whole
-        // extra pass over every emitted column.
-        if (sources[s].from_outer && expand) {
-          // Run-length emit: each outer row's value repeats once per match,
-          // in match order — identical to gathering through explicit
-          // (outer, inner) pairs, without materializing them.
-          for (size_t r = lo; r < hi; ++r) {
-            const uint32_t cnt = counts[r - lo];
-            if (cnt > 0) dst.insert(dst.end(), cnt, src[r]);
-          }
-        } else {
-          const uint32_t* sel =
-              sources[s].from_outer ? m_outer.data() : m_inner.data();
-          dst.insert(dst.end(), common::GatherIterator(src.data(), sel, 0),
-                     common::GatherIterator(src.data(), sel, m));
-        }
-      }
-      local->rows += m;
-      // Count only rows actually emitted: residual keys can reject
-      // candidates the primary key surfaced. Same trip condition as the row
-      // paths — overflow fires iff the total would exceed max_rows.
-      if (max_rows > 0 && m > 0 &&
-          emitted.fetch_add(m, std::memory_order_relaxed) + m > max_rows) {
-        over.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  BatchesCounter()->Increment(num_batches);
-  if (workers > 1 && n_outer + n_inner >= kMinParallelRows &&
-      num_batches > 1) {
-    const auto chunks =
-        common::ThreadPool::Partition(0, num_batches, 1, workers);
-    std::vector<ChunkOut> partials(chunks.size());
-    pool.ParallelFor(
-        0, chunks.size(), 1,
-        [&](size_t c0, size_t c1) {
-          LPCE_PROFILE_SCOPE("exec.worker.batch_probe");
-          for (size_t c = c0; c < c1; ++c) {
-            probe_batches(chunks[c].first, chunks[c].second, &partials[c]);
-          }
-        },
-        workers);
-    if (over.load()) {
-      // The run is abandoned; the partial output is discarded upstream.
-      *overflow = true;
-      return out;
-    }
-    size_t total = 0;
-    for (const auto& p : partials) total += p.rows;
-    out->row_count = total;
-    pool.ParallelFor(
-        0, sources.size(), 1,
-        [&](size_t s0, size_t s1) {
-          LPCE_PROFILE_SCOPE("exec.worker.concat");
-          for (size_t s = s0; s < s1; ++s) {
-            auto& dst = out->cols[s];
-            dst.reserve(total);
-            for (const auto& p : partials) {
-              dst.insert(dst.end(), p.cols[s].begin(), p.cols[s].end());
-            }
-          }
-        },
-        workers);
-    return out;
-  }
-
-  ChunkOut all;
-  probe_batches(0, num_batches, &all);
-  if (over.load()) {
-    *overflow = true;
-    return out;
-  }
-  out->row_count = all.rows;
-  for (size_t s = 0; s < sources.size(); ++s) {
-    out->cols[s] = std::move(all.cols[s]);
-  }
-  return out;
-}
-
-// ---- Late materialization (row-id intermediates) ----------------------------
+// ---- Joins on row-id intermediates -----------------------------------------
 //
-// Under LPCE_EXEC_LATE_MAT a join's inputs and output carry base-table row-id
-// columns instead of payload columns. Every payload read — join keys at probe
-// time, residual-key values, the final materialization — goes through the
-// row-id indirection (common/selvec.h GatherGathered). The probe structure,
-// overflow contract, and order-preserving chunk-concat parallelism are shared
-// with BatchHashJoin, so the emitted row order is bit-identical to the
-// materialized paths.
+// A join's inputs and output carry base-table row-id columns instead of
+// payload columns. Every payload read — join keys at probe time, residual-key
+// values — goes through the row-id indirection (common/selvec.h
+// GatherGathered).
 
 namespace {
 
@@ -517,8 +181,12 @@ struct LateRidSource {
   const uint32_t* rid = nullptr;
 };
 
-/// Flattened bucket-segment table over the inner side's (gathered) keys —
-/// identical layout and enumeration order to BatchHashJoin's build.
+/// Flattened bucket-segment table over the inner side's (gathered) keys,
+/// built by counting sort: every bucket's (key, row) pairs land in one
+/// contiguous segment written in ascending inner-row order, so a key's
+/// matches enumerate exactly like the oracle's per-key insertion-order list.
+/// Key equality is re-checked per entry, so the bucket count and hash
+/// function are invisible in the output.
 struct LateBuildTable {
   uint64_t mask = 0;
   std::vector<uint32_t> off;
@@ -576,24 +244,31 @@ struct LateProbeArgs {
   std::vector<std::pair<LateKeyCol, LateKeyCol>> residual;  // (outer, inner)
   std::vector<LateRidSource> out_rids;
   size_t max_rows = 0;
-  size_t B = 0;
   int workers = 1;
   size_t n_cand = 0;   // candidate domain size (pre-filter for fused)
   size_t n_inner = 0;  // build-side rows (parallel threshold only)
-  bool collect = false;  // accumulate candidates (the fused scan's output)
 };
 
-/// Shared probe driver for the late join kernels. `fill(batch, cand)` writes
+/// Shared probe loop of the hash-join kernels. `fill(batch, cand)` writes
 /// the batch's candidate handles (rowset rows for the unfused kernel, filter-
 /// surviving base rows for the fused one) and returns how many there are;
 /// batch k always covers candidate domain [k*B, (k+1)*B), so chunking whole
 /// batches across workers concatenates back to the sequential order.
-/// Returns false on overflow.
+///
+/// Three probe modes share the branch-free segment scan (every entry is
+/// stored/summed unconditionally, the cursor advances by the key-equality
+/// result): count-only (no residual keys, no output columns — a root join)
+/// sums hits; expand (no residual keys) collects inner row ids only when an
+/// inner table is emitted, plus per-candidate match counts for run-length
+/// outer emission; pairs (residual keys) collects (outer, inner) candidate
+/// pairs and refines them. When `collected` is set, every batch's
+/// candidates are also accumulated into it in order (the fused scan's row-id
+/// output). Returns false on overflow.
 template <typename FillBatch>
 bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
                     FillBatch fill, RowSet* out,
                     std::vector<uint32_t>* collected) {
-  const size_t B = a.B;
+  const size_t B = kBatch;
   const uint64_t mask = build.mask;
   const std::vector<uint32_t>& off = build.off;
   const std::vector<int64_t>& flat_keys = build.flat_keys;
@@ -616,15 +291,92 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
   auto probe_batches = [&](size_t batch_lo, size_t batch_hi, ChunkOut* local) {
     local->rids.resize(a.out_rids.size());
     std::vector<uint32_t> cand(B);
-    std::vector<uint32_t> m_outer(expand || count_only ? 0 : B), m_inner(B);
+    std::vector<uint32_t> m_outer(expand || count_only ? 0 : B);
+    std::vector<uint32_t> m_inner(need_inner_rows ? B : 0);
     std::vector<uint32_t> counts(expand ? B : 0);
     std::vector<uint32_t> buckets(B);
     std::vector<int64_t> okey_buf(B);
     std::vector<int64_t> res_outer, res_inner;
+
+    // Refines the m pending matches against the residual keys, charges the
+    // survivors to the row budget, and only then appends their row ids.
+    // Expand-mode matches belong to candidates [cand_lo, cand_hi) of the
+    // batch (their per-candidate counts drive the run-length outer emit).
+    // Every emitted row is charged exactly once, so overflow fires iff the
+    // join's total output exceeds max_rows — checked before anything past
+    // the budget is appended. Returns false on overflow.
+    auto flush = [&](size_t cand_lo, size_t cand_hi, size_t m) {
+      // Residual equi-join keys evaluate through the same indirection:
+      // gather both sides' candidate values (two-level on the rid-backed
+      // sides), then refine branch-free.
+      for (const auto& [res_o, res_i] : a.residual) {
+        if (m == 0) break;
+        if (res_outer.size() < m) {
+          res_outer.resize(m);
+          res_inner.resize(m);
+        }
+        if (res_o.rid != nullptr) {
+          common::GatherGathered(res_o.base, res_o.rid, m_outer.data(), m,
+                                 res_outer.data());
+        } else {
+          common::GatherSelected(res_o.base, m_outer.data(), m,
+                                 res_outer.data());
+        }
+        common::GatherGathered(res_i.base, res_i.rid, m_inner.data(), m,
+                               res_inner.data());
+        size_t k = 0;
+        for (size_t j = 0; j < m; ++j) {
+          m_outer[k] = m_outer[j];
+          m_inner[k] = m_inner[j];
+          k += static_cast<size_t>(res_outer[j] == res_inner[j]);
+        }
+        m = k;
+      }
+      if (a.max_rows > 0 && m > 0 &&
+          emitted.fetch_add(m, std::memory_order_relaxed) + m > a.max_rows) {
+        over.store(true, std::memory_order_relaxed);
+        return false;
+      }
+      // Emit row-id columns only: one uint32 column per still-referenced
+      // table instead of one int64 column per payload.
+      for (size_t s = 0; s < a.out_rids.size(); ++s) {
+        auto& dst = local->rids[s];
+        const LateRidSource& src = a.out_rids[s];
+        if (src.from_outer && expand) {
+          // Run-length emit: each outer handle repeats once per match, in
+          // match order — identical to gathering through explicit pairs.
+          for (size_t i = cand_lo; i < cand_hi; ++i) {
+            const uint32_t cnt = counts[i];
+            if (cnt > 0) {
+              dst.insert(dst.end(), cnt,
+                         src.rid != nullptr ? src.rid[cand[i]] : cand[i]);
+            }
+          }
+        } else if (src.from_outer) {
+          if (src.rid != nullptr) {
+            dst.insert(dst.end(),
+                       common::GatherIterator<uint32_t>(src.rid,
+                                                        m_outer.data(), 0),
+                       common::GatherIterator<uint32_t>(src.rid,
+                                                        m_outer.data(), m));
+          } else {
+            dst.insert(dst.end(), m_outer.data(), m_outer.data() + m);
+          }
+        } else {
+          dst.insert(dst.end(),
+                     common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
+                                                      0),
+                     common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
+                                                      m));
+        }
+      }
+      local->rows += m;
+      return true;
+    };
     for (size_t batch = batch_lo; batch < batch_hi; ++batch) {
       if (over.load(std::memory_order_relaxed)) return;
       const size_t live = fill(batch, cand.data());
-      if (a.collect) {
+      if (collected != nullptr) {
         local->cand_rows.insert(local->cand_rows.end(), cand.data(),
                                 cand.data() + live);
       }
@@ -660,17 +412,26 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
         }
         continue;
       }
-      size_t m = 0;
+      // Candidate collection. Capacity is checked ahead of each candidate's
+      // segment so the scan carries no bounds check. A full buffer is
+      // flushed — refined, budget-checked, emitted — before it may grow, so
+      // the match buffers never hold more than one batch's worth or one
+      // bucket segment, however much a batch would emit.
+      size_t m = 0, flush_lo = 0;
       for (size_t i = 0; i < live; ++i) {
         const int64_t key = okey_buf[i];
         const uint64_t b = buckets[i];
         const uint32_t seg_begin = off[b];
         const uint32_t seg_end = off[b + 1];
-        if (need_inner_rows && m + (seg_end - seg_begin) > m_inner.size()) {
-          const size_t grown =
-              std::max(m_inner.size() * 2, m + (seg_end - seg_begin));
-          m_inner.resize(grown);
-          if (!expand) m_outer.resize(grown);
+        const size_t seg = seg_end - seg_begin;
+        if (need_inner_rows && m + seg > m_inner.size()) {
+          if (!flush(flush_lo, i, m)) return;
+          m = 0;
+          flush_lo = i;
+          if (seg > m_inner.size()) {
+            m_inner.resize(seg);
+            if (!expand) m_outer.resize(seg);
+          }
         }
         if (expand && !need_inner_rows) {
           size_t hits = 0;
@@ -694,70 +455,7 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
           }
         }
       }
-      // Residual equi-join keys evaluate through the same indirection: gather
-      // both sides' candidate values (two-level on the rid-backed sides),
-      // then refine branch-free.
-      for (const auto& [res_o, res_i] : a.residual) {
-        if (m == 0) break;
-        if (res_outer.size() < m) {
-          res_outer.resize(m);
-          res_inner.resize(m);
-        }
-        if (res_o.rid != nullptr) {
-          common::GatherGathered(res_o.base, res_o.rid, m_outer.data(), m,
-                                 res_outer.data());
-        } else {
-          common::GatherSelected(res_o.base, m_outer.data(), m,
-                                 res_outer.data());
-        }
-        common::GatherGathered(res_i.base, res_i.rid, m_inner.data(), m,
-                               res_inner.data());
-        size_t k = 0;
-        for (size_t j = 0; j < m; ++j) {
-          m_outer[k] = m_outer[j];
-          m_inner[k] = m_inner[j];
-          k += static_cast<size_t>(res_outer[j] == res_inner[j]);
-        }
-        m = k;
-      }
-      // Emit row-id columns only — the whole point: one uint32 column per
-      // still-referenced table instead of one int64 column per payload.
-      for (size_t s = 0; s < a.out_rids.size(); ++s) {
-        auto& dst = local->rids[s];
-        const LateRidSource& src = a.out_rids[s];
-        if (src.from_outer && expand) {
-          // Run-length emit, exactly like the batch path's outer columns.
-          for (size_t i = 0; i < live; ++i) {
-            const uint32_t cnt = counts[i];
-            if (cnt > 0) {
-              dst.insert(dst.end(), cnt,
-                         src.rid != nullptr ? src.rid[cand[i]] : cand[i]);
-            }
-          }
-        } else if (src.from_outer) {
-          if (src.rid != nullptr) {
-            dst.insert(dst.end(),
-                       common::GatherIterator<uint32_t>(src.rid,
-                                                        m_outer.data(), 0),
-                       common::GatherIterator<uint32_t>(src.rid,
-                                                        m_outer.data(), m));
-          } else {
-            dst.insert(dst.end(), m_outer.data(), m_outer.data() + m);
-          }
-        } else {
-          dst.insert(dst.end(),
-                     common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
-                                                      0),
-                     common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
-                                                      m));
-        }
-      }
-      local->rows += m;
-      if (a.max_rows > 0 && m > 0 &&
-          emitted.fetch_add(m, std::memory_order_relaxed) + m > a.max_rows) {
-        over.store(true, std::memory_order_relaxed);
-        return;
-      }
+      if (!flush(flush_lo, live, m)) return;
     }
   };
 
@@ -794,7 +492,7 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
           }
         },
         a.workers);
-    if (a.collect) {
+    if (collected != nullptr) {
       size_t kept = 0;
       for (const auto& p : partials) kept += p.cand_rows.size();
       collected->reserve(kept);
@@ -813,7 +511,7 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
   for (size_t s = 0; s < a.out_rids.size(); ++s) {
     out->rid_cols[s] = std::move(all.rids[s]);
   }
-  if (a.collect) *collected = std::move(all.cand_rows);
+  if (collected != nullptr) *collected = std::move(all.cand_rows);
   return true;
 }
 
@@ -859,10 +557,8 @@ RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
                            residual_keys,
                        const std::vector<db::ColRef>& required,
                        const std::vector<int32_t>& out_rid_tables,
-                       size_t max_rows, bool* overflow, int batch_size,
-                       int num_threads) {
+                       size_t max_rows, bool* overflow, int num_threads) {
   LPCE_PROFILE_SCOPE("exec.late_hash_join");
-  LPCE_CHECK(batch_size > 0);
   const int workers = EffectiveThreads(num_threads);
 
   auto out = std::make_shared<RowSet>();
@@ -884,16 +580,14 @@ RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
   }
   args.out_rids = ResolveRidSources(&outer, inner, -1, out_rid_tables);
   args.max_rows = max_rows;
-  args.B = static_cast<size_t>(batch_size);
   args.workers = workers;
   args.n_cand = outer.row_count;
   args.n_inner = inner.row_count;
 
-  const size_t B = args.B;
   const size_t n_outer = outer.row_count;
-  auto fill = [B, n_outer](size_t batch, uint32_t* cand) -> size_t {
-    const size_t lo = batch * B;
-    const size_t count = std::min(B, n_outer - lo);
+  auto fill = [n_outer](size_t batch, uint32_t* cand) -> size_t {
+    const size_t lo = batch * kBatch;
+    const size_t count = std::min(kBatch, n_outer - lo);
     for (size_t i = 0; i < count; ++i) {
       cand[i] = static_cast<uint32_t>(lo + i);
     }
@@ -914,9 +608,8 @@ RowSetPtr LateFusedScanJoin(
     const std::vector<std::pair<db::ColRef, db::ColRef>>& residual_keys,
     const std::vector<db::ColRef>& required,
     const std::vector<int32_t>& out_rid_tables, size_t max_rows,
-    bool* overflow, int batch_size, int num_threads) {
+    bool* overflow, int num_threads) {
   LPCE_PROFILE_SCOPE("exec.late_fused_scan_join");
-  LPCE_CHECK(batch_size > 0);
   LPCE_CHECK(outer_key.table == outer_table_id);
   const int workers = EffectiveThreads(num_threads);
 
@@ -942,36 +635,19 @@ RowSetPtr LateFusedScanJoin(
   args.out_rids =
       ResolveRidSources(nullptr, inner, outer_table_id, out_rid_tables);
   args.max_rows = max_rows;
-  args.B = static_cast<size_t>(batch_size);
   args.workers = workers;
   args.n_cand =
       index_rows != nullptr ? index_rows->size() : outer_table.num_rows();
   args.n_inner = inner.row_count;
-  args.collect = true;
 
   // The fusion itself: each batch's surviving selection vector (base rows)
   // feeds the probe directly — no intermediate rowset between the scan's
   // filter and the first join — while a copy of it accumulates into the
   // scan's row-id output for checkpoint/re-planning bookkeeping.
-  const size_t B = args.B;
   const size_t n_cand = args.n_cand;
   auto fill = [&](size_t batch, uint32_t* cand) -> size_t {
-    const size_t lo = batch * B;
-    const size_t count = std::min(B, n_cand - lo);
-    if (index_rows != nullptr) {
-      std::copy(index_rows->data() + lo, index_rows->data() + lo + count, cand);
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        cand[i] = static_cast<uint32_t>(lo + i);
-      }
-    }
-    size_t live = count;
-    for (const auto& f : scan_filters) {
-      if (live == 0) break;
-      live = RefineCmp(outer_table.column(f.col.column), f.op, f.value, cand,
-                       live);
-    }
-    return live;
+    return FilterScanBatch(outer_table, index_rows, scan_filters, n_cand,
+                           batch, cand);
   };
 
   std::vector<uint32_t> kept;
@@ -992,37 +668,144 @@ RowSetPtr LateFusedScanJoin(
   return out;
 }
 
-RowSetPtr MaterializeRowSet(const db::Database& db, RowSetPtr rs,
-                            int num_threads) {
-  if (rs == nullptr || !rs->late()) return rs;
-  LPCE_PROFILE_SCOPE("exec.materialize");
-  auto out = std::make_shared<RowSet>();
-  out->schema = rs->schema;
-  out->row_count = rs->row_count;
-  out->cols.resize(out->schema.size());
-  const int workers = EffectiveThreads(num_threads);
-  for (size_t c = 0; c < out->schema.size(); ++c) {
-    const db::ColRef ref = out->schema[c];
-    const int idx = rs->RidIndex(ref.table);
-    LPCE_CHECK_MSG(idx >= 0, "late rowset missing row ids for a schema column");
-    const auto& rid = rs->rid_cols[idx];
-    const auto& src = db.table(ref.table).column(ref.column);
-    auto& dst = out->cols[c];
-    dst.resize(rid.size());
-    if (workers > 1 && rid.size() >= kMinParallelRows) {
-      common::GlobalPool().ParallelFor(
-          0, rid.size(), kMinParallelRows / 4,
-          [&](size_t b, size_t e) {
-            LPCE_PROFILE_SCOPE("exec.worker.gather");
-            common::GatherSelected(src.data(), rid.data() + b, e - b,
-                                   dst.data() + b);
-          },
-          workers);
-    } else {
-      common::GatherSelected(src.data(), rid.data(), rid.size(), dst.data());
+namespace {
+
+/// Shared body of the merge and nested-loop kernels: gathers the join-key and
+/// residual-key values of both sides through their row ids once, lets
+/// `enumerate(okeys, ikeys, emit, over_budget)` produce candidate (outer,
+/// inner) position pairs in the algorithm's order, keeps the pairs whose
+/// residual keys agree, and gathers the output row-id columns through them.
+/// `over_budget()` is polled by the algorithm after every outer row; once it
+/// reports true the join is abandoned with *overflow set.
+template <typename Enumerate>
+RowSetPtr LateGatheredJoin(
+    const db::Database& db, const RowSet& outer, const RowSet& inner,
+    db::ColRef outer_key, db::ColRef inner_key,
+    const std::vector<std::pair<db::ColRef, db::ColRef>>& residual_keys,
+    const std::vector<db::ColRef>& required,
+    const std::vector<int32_t>& out_rid_tables, size_t max_rows,
+    bool* overflow, Enumerate enumerate) {
+  auto values = [&db](const RowSet& side, db::ColRef ref) {
+    const LateKeyCol col = LateSideKey(db, side, ref);
+    std::vector<int64_t> v(side.row_count);
+    common::GatherSelected(col.base, col.rid, side.row_count, v.data());
+    return v;
+  };
+  const std::vector<int64_t> okeys = values(outer, outer_key);
+  const std::vector<int64_t> ikeys = values(inner, inner_key);
+  std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>> residual;
+  residual.reserve(residual_keys.size());
+  for (const auto& [outer_col, inner_col] : residual_keys) {
+    residual.emplace_back(values(outer, outer_col), values(inner, inner_col));
+  }
+
+  std::vector<uint32_t> m_outer, m_inner;
+  auto emit = [&](uint32_t o, uint32_t i) {
+    for (const auto& [ov, iv] : residual) {
+      if (ov[o] != iv[i]) return;
     }
+    m_outer.push_back(o);
+    m_inner.push_back(i);
+  };
+  auto over_budget = [&] { return max_rows > 0 && m_outer.size() > max_rows; };
+
+  auto out = std::make_shared<RowSet>();
+  out->schema = required;
+  out->rid_tables = out_rid_tables;
+  out->rid_cols.resize(out_rid_tables.size());
+  if (!enumerate(okeys, ikeys, emit, over_budget)) {
+    *overflow = true;
+    return out;
+  }
+  out->row_count = m_outer.size();
+  const std::vector<LateRidSource> sources =
+      ResolveRidSources(&outer, inner, -1, out_rid_tables);
+  for (size_t s = 0; s < sources.size(); ++s) {
+    const std::vector<uint32_t>& sel = sources[s].from_outer ? m_outer : m_inner;
+    auto& dst = out->rid_cols[s];
+    dst.resize(sel.size());
+    common::GatherSelected(sources[s].rid, sel.data(), sel.size(), dst.data());
   }
   return out;
+}
+
+std::vector<uint32_t> SortedPositions(const std::vector<int64_t>& keys) {
+  std::vector<uint32_t> perm(keys.size());
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<uint32_t>(i);
+  std::sort(perm.begin(), perm.end(),
+            [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+  return perm;
+}
+
+}  // namespace
+
+RowSetPtr LateMergeJoin(const db::Database& db, const RowSet& outer,
+                        const RowSet& inner, db::ColRef outer_key,
+                        db::ColRef inner_key,
+                        const std::vector<std::pair<db::ColRef, db::ColRef>>&
+                            residual_keys,
+                        const std::vector<db::ColRef>& required,
+                        const std::vector<int32_t>& out_rid_tables,
+                        size_t max_rows, bool* overflow) {
+  LPCE_PROFILE_SCOPE("exec.late_merge_join");
+  return LateGatheredJoin(
+      db, outer, inner, outer_key, inner_key, residual_keys, required,
+      out_rid_tables, max_rows, overflow,
+      [](const std::vector<int64_t>& okeys, const std::vector<int64_t>& ikeys,
+         auto& emit, auto& over_budget) {
+        const std::vector<uint32_t> operm = SortedPositions(okeys);
+        const std::vector<uint32_t> iperm = SortedPositions(ikeys);
+        size_t oi = 0, ii = 0;
+        while (oi < operm.size() && ii < iperm.size()) {
+          const int64_t ov = okeys[operm[oi]];
+          const int64_t iv = ikeys[iperm[ii]];
+          if (ov < iv) {
+            ++oi;
+          } else if (ov > iv) {
+            ++ii;
+          } else {
+            size_t oe = oi;
+            while (oe < operm.size() && okeys[operm[oe]] == ov) ++oe;
+            size_t ie = ii;
+            while (ie < iperm.size() && ikeys[iperm[ie]] == iv) ++ie;
+            for (size_t a = oi; a < oe; ++a) {
+              for (size_t b = ii; b < ie; ++b) emit(operm[a], iperm[b]);
+              if (over_budget()) return false;
+            }
+            oi = oe;
+            ii = ie;
+          }
+        }
+        return true;
+      });
+}
+
+RowSetPtr LateNestLoopJoin(
+    const db::Database& db, const RowSet& outer, const RowSet& inner,
+    db::ColRef outer_key, db::ColRef inner_key,
+    const std::vector<std::pair<db::ColRef, db::ColRef>>& residual_keys,
+    const std::vector<db::ColRef>& required,
+    const std::vector<int32_t>& out_rid_tables, size_t max_rows,
+    bool* overflow) {
+  LPCE_PROFILE_SCOPE("exec.late_nestloop_join");
+  return LateGatheredJoin(
+      db, outer, inner, outer_key, inner_key, residual_keys, required,
+      out_rid_tables, max_rows, overflow,
+      [](const std::vector<int64_t>& okeys, const std::vector<int64_t>& ikeys,
+         auto& emit, auto& over_budget) {
+        // Deliberately quadratic — the paper's running example is that a
+        // mistaken nested loop on a large outer is slow.
+        for (size_t o = 0; o < okeys.size(); ++o) {
+          const int64_t key = okeys[o];
+          for (size_t i = 0; i < ikeys.size(); ++i) {
+            if (ikeys[i] == key) {
+              emit(static_cast<uint32_t>(o), static_cast<uint32_t>(i));
+            }
+          }
+          if (over_budget()) return false;
+        }
+        return true;
+      });
 }
 
 }  // namespace lpce::exec

@@ -1,16 +1,19 @@
-// Vectorized (batch-at-a-time) operator kernels — the LPCE_EXEC_BATCH fast
-// path of the executor.
+// Vectorized (batch-at-a-time) operator kernels on row-id intermediates —
+// the executor's one production path.
 //
-// Each kernel streams its input in fixed-size column-oriented batches
-// (default 1024 rows): scans drive every filter predicate through a
-// branch-free selection vector (common/selvec.h), and the hash join builds a
-// flat open-addressing chain table probed batch-at-a-time. Outputs are the
-// same fully-materialized RowSets the row-at-a-time kernels produce, in
-// bit-identical row order at every batch size and thread-pool size — the
-// row path stays available as the differential oracle (see DESIGN.md
-// "Vectorized execution" for the determinism argument).
-#ifndef LPCE_EXEC_VECTORIZED_H_
-#define LPCE_EXEC_VECTORIZED_H_
+// Each kernel streams its input in fixed-size batches of kDefaultBatchSize
+// candidates: scans drive every filter predicate through a branch-free
+// selection vector (common/selvec.h), and the hash join builds a flattened
+// bucket-segment table probed batch-at-a-time. Intermediates carry one
+// row-id column per still-referenced base table instead of payload columns
+// (late materialization, see exec/rowset.h); payload values — join keys,
+// residual keys — are read through the row ids at the operator that needs
+// them. Row order is bit-identical to the row-at-a-time oracle kept with the
+// tests (tests/testing/row_executor.h) at every thread-pool size; see
+// DESIGN.md "Vectorized execution on row-id intermediates" for the
+// determinism argument.
+#ifndef LPCE_SRC_EXEC_VECTORIZED_H_
+#define LPCE_SRC_EXEC_VECTORIZED_H_
 
 #include <utility>
 #include <vector>
@@ -22,26 +25,13 @@
 
 namespace lpce::exec {
 
-/// Rows per batch when LPCE_EXEC_BATCH enables the path without naming a
-/// size: large enough to amortize per-batch dispatch, small enough that one
-/// batch's selection vector and gathered columns stay cache-resident.
+/// Candidates per batch: large enough to amortize per-batch dispatch, small
+/// enough that one batch's selection vector and gathered keys stay
+/// cache-resident.
 inline constexpr int kDefaultBatchSize = 1024;
 
-/// Resolves the LPCE_EXEC_BATCH environment knob to an executor batch size:
-/// unset/"0"/invalid = 0 (row-at-a-time path), "1" = kDefaultBatchSize,
-/// N >= 2 = N rows per batch. Parsed on every call (once per query), so
-/// tests may flip the knob at runtime.
-int BatchSizeFromEnv();
-
-/// Resolves the LPCE_EXEC_LATE_MAT environment knob: "1" enables late
-/// materialization (row-id intermediates, see DESIGN.md "Pipelined execution
-/// & late materialization"), anything else disables it. Parsed on every call
-/// (once per query), so tests may flip the knob at runtime.
-bool LateMatFromEnv();
-
-/// splitmix64 finalizer — spreads join keys across hash buckets / build
-/// partitions even when they are small consecutive integers. Shared by the
-/// row path's partitioned build and the batch path's chain table.
+/// splitmix64 finalizer — spreads join keys across hash buckets even when
+/// they are small consecutive integers.
 inline uint64_t MixJoinKey(int64_t key) {
   uint64_t x = static_cast<uint64_t>(key);
   x += 0x9e3779b97f4a7c15ull;
@@ -52,43 +42,25 @@ inline uint64_t MixJoinKey(int64_t key) {
 
 /// Batch scan: drives the table (or, for index scans, the row list the
 /// driving index produced) through `residual` predicates batch-at-a-time
-/// with selection vectors, then gathers `required` into the output.
-/// `index_rows == nullptr` scans the whole table in storage order.
-/// Bit-identical to the row-at-a-time scan path.
-///
-/// With `late` set the payload gather is skipped entirely: the surviving
-/// selection vector becomes the output's single row-id column (the fusion
-/// boundary — downstream probes read keys through it) and `required` is
-/// recorded in the schema unmaterialized.
+/// with selection vectors. The surviving selection vector becomes the
+/// output's single row-id column; `required` is recorded in the schema
+/// unmaterialized. `index_rows == nullptr` scans the whole table in storage
+/// order.
 RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
                     const std::vector<uint32_t>* index_rows,
                     const std::vector<qry::Predicate>& residual,
-                    const std::vector<db::ColRef>& required, int batch_size,
-                    int num_threads, bool late = false);
+                    const std::vector<db::ColRef>& required, int num_threads);
 
-/// Batch hash join: flat chain-table build over the inner keys (per-key
-/// match lists traverse in ascending inner-row order, matching the row
-/// path's insertion order), then a batched probe of the outer side with
-/// branch-free residual-key refinement of the candidate matches.
-/// `residual` pairs resolved column indexes (outer, inner) of the extra
-/// equi-join predicates. Sets *overflow and returns an empty result when
-/// more than `max_rows` rows would be emitted (0 = unlimited).
-RowSetPtr BatchHashJoin(const RowSet& outer, const RowSet& inner,
-                        int outer_key, int inner_key,
-                        const std::vector<std::pair<int, int>>& residual,
-                        const std::vector<db::ColRef>& required,
-                        size_t max_rows, bool* overflow, int batch_size,
-                        int num_threads);
-
-/// Late-materialization hash join: both sides carry row-id columns
-/// (RowSet::late()); join keys and residual-key values are gathered through
-/// the row-id indirection at probe time (common/selvec.h GatherGathered) and
-/// the output carries one row-id column per table in `out_rid_tables` —
-/// no payload column is ever materialized. `required` is recorded in the
-/// output schema unmaterialized. Same probe modes, overflow contract, and
-/// order-preserving chunk-concat parallelism as BatchHashJoin: the emitted
-/// row order is bit-identical to the materialized paths at every batch and
-/// pool size.
+/// Hash join on row-id intermediates: the build gathers inner keys through
+/// the inner side's row ids into a flattened bucket-segment table (per-key
+/// matches enumerate in ascending inner-row order), the probe gathers outer
+/// keys batch-at-a-time and refines candidates branch-free against
+/// `residual_keys` (both sides read through their row ids). The output
+/// carries one row-id column per table in `out_rid_tables`; `required` is
+/// recorded in its schema unmaterialized. Sets *overflow when more than
+/// `max_rows` rows would be emitted (0 = unlimited) — checked before any
+/// buffer grows past one bucket segment or any row past the budget is
+/// emitted, so an exploding join never materializes its explosion.
 RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
                        const RowSet& inner, db::ColRef outer_key,
                        db::ColRef inner_key,
@@ -96,8 +68,7 @@ RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
                            residual_keys,
                        const std::vector<db::ColRef>& required,
                        const std::vector<int32_t>& out_rid_tables,
-                       size_t max_rows, bool* overflow, int batch_size,
-                       int num_threads);
+                       size_t max_rows, bool* overflow, int num_threads);
 
 /// Fused scan-filter → probe: streams `outer_table` (or the driving index's
 /// row list) through the scan's residual predicates and feeds each batch's
@@ -105,8 +76,7 @@ RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
 /// intermediate rowset between the scan and the first join. The scan's
 /// row-id output is still accumulated as a by-product into *scan_out (the
 /// executor needs it for actual-cardinality bookkeeping, checkpoints, and
-/// re-planning), so results, traces, and the finished-node map stay
-/// bit-identical to the unfused lanes. `inner` must be late.
+/// re-planning); on overflow *scan_out is left null.
 RowSetPtr LateFusedScanJoin(
     const db::Database& db, const db::Table& outer_table,
     int32_t outer_table_id, const std::vector<uint32_t>* index_rows,
@@ -116,19 +86,32 @@ RowSetPtr LateFusedScanJoin(
     const std::vector<std::pair<db::ColRef, db::ColRef>>& residual_keys,
     const std::vector<db::ColRef>& required,
     const std::vector<int32_t>& out_rid_tables, size_t max_rows,
-    bool* overflow, int batch_size, int num_threads);
+    bool* overflow, int num_threads);
 
-/// Gathers a late rowset's payload columns from the base tables (dst[r] =
-/// table.column(schema[c])[rid[r]]), producing the fully-materialized rowset
-/// the row/batch oracles would have built — identical schema, row order, and
-/// values. Returns `rs` unchanged when it is already materialized. This is
-/// the forced materialization point: the executor calls it when a late
-/// intermediate feeds an operator that needs values (a pseudo scan in a
-/// non-late round), and the differential tests call it to compare late
-/// intermediates bit-for-bit against the oracles.
-RowSetPtr MaterializeRowSet(const db::Database& db, RowSetPtr rs,
-                            int num_threads = 0);
+/// Sort-merge and nested-loop joins on row-id intermediates. Both gather
+/// their key and residual-key columns through the row ids once, then run the
+/// oracle's algorithm on those values — std::sort of the identity row
+/// permutation by key and a group cross product for merge, a plain double
+/// loop for nested loop — so the emitted (outer, inner) pair order is the
+/// oracle's. Output, row budget, and overflow contract as LateHashJoin; the
+/// budget is checked after every outer row. Sequential: these are the
+/// deliberately mispriced alternatives re-planning may pick, not hot paths.
+RowSetPtr LateMergeJoin(const db::Database& db, const RowSet& outer,
+                        const RowSet& inner, db::ColRef outer_key,
+                        db::ColRef inner_key,
+                        const std::vector<std::pair<db::ColRef, db::ColRef>>&
+                            residual_keys,
+                        const std::vector<db::ColRef>& required,
+                        const std::vector<int32_t>& out_rid_tables,
+                        size_t max_rows, bool* overflow);
+RowSetPtr LateNestLoopJoin(
+    const db::Database& db, const RowSet& outer, const RowSet& inner,
+    db::ColRef outer_key, db::ColRef inner_key,
+    const std::vector<std::pair<db::ColRef, db::ColRef>>& residual_keys,
+    const std::vector<db::ColRef>& required,
+    const std::vector<int32_t>& out_rid_tables, size_t max_rows,
+    bool* overflow);
 
 }  // namespace lpce::exec
 
-#endif  // LPCE_EXEC_VECTORIZED_H_
+#endif  // LPCE_SRC_EXEC_VECTORIZED_H_

@@ -1,11 +1,17 @@
 // Executor edge cases: empty inputs, all-filtered scans, duplicate-heavy
-// merge joins, row-limit aborts, peak-memory accounting, and the vectorized
-// path's selection-vector corners (empty batches, all-rows-pass filters,
-// single-row tail batches, batch boundaries straddling join partition
-// chunks, and the LPCE_EXEC_BATCH knob).
+// merge joins, row-limit aborts and the memory an exploding join may hold,
+// peak-memory accounting, and the vectorized kernels' selection-vector
+// corners (empty batches, all-rows-pass filters, inputs one row either side
+// of the batch size, batch boundaries straddling join partition chunks,
+// merge/nested-loop joins and residual keys on row-id intermediates, and
+// re-planned rounds over row-id pseudo relations) — each checked against the
+// row-at-a-time oracle.
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <new>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -14,6 +20,32 @@
 #include "exec/executor.h"
 #include "exec/vectorized.h"
 #include "storage/database.h"
+#include "testing/row_executor.h"
+
+// Counting hook for the overflow-memory test: while armed, records the
+// largest single heap allocation any thread requests.
+namespace {
+std::atomic<bool> g_track_allocs{false};
+std::atomic<size_t> g_max_alloc{0};
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined malloc with a free.
+__attribute__((noinline)) void* operator new(size_t n) {
+  if (g_track_allocs.load(std::memory_order_relaxed)) {
+    size_t seen = g_max_alloc.load(std::memory_order_relaxed);
+    while (n > seen && !g_max_alloc.compare_exchange_weak(seen, n)) {
+    }
+  }
+  void* p = std::malloc(n > 0 ? n : 1);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace lpce::exec {
 namespace {
@@ -28,7 +60,8 @@ class ExecEdgeTest : public ::testing::Test {
     query_.joins = {{{a_, 0}, {b_, 0}}};
   }
 
-  std::unique_ptr<PlanNode> Scan(int pos, std::vector<qry::Predicate> filters = {}) {
+  static std::unique_ptr<PlanNode> Scan(
+      int pos, std::vector<qry::Predicate> filters = {}) {
     auto node = std::make_unique<PlanNode>();
     node->op = PhysOp::kSeqScan;
     node->rels = qry::Bit(pos);
@@ -37,74 +70,99 @@ class ExecEdgeTest : public ::testing::Test {
     return node;
   }
 
-  std::unique_ptr<PlanNode> Join(PhysOp op, std::unique_ptr<PlanNode> outer,
-                                 std::unique_ptr<PlanNode> inner) {
+  static std::unique_ptr<PlanNode> JoinOn(
+      PhysOp op, std::unique_ptr<PlanNode> outer,
+      std::unique_ptr<PlanNode> inner, db::ColRef outer_key,
+      db::ColRef inner_key,
+      std::vector<std::pair<db::ColRef, db::ColRef>> residual_keys = {}) {
     auto node = std::make_unique<PlanNode>();
     node->op = op;
     node->rels = outer->rels | inner->rels;
     node->outer = std::move(outer);
     node->inner = std::move(inner);
-    node->outer_key = {a_, 0};
-    node->inner_key = {b_, 0};
+    node->outer_key = outer_key;
+    node->inner_key = inner_key;
+    node->residual_keys = std::move(residual_keys);
     return node;
   }
 
-  /// Runs `make_plan()` row-at-a-time (the oracle) and at every requested
-  /// (batch size x pool size) — with late materialization both off and on —
-  /// requiring every finished node's rowset to be bit-identical to the
-  /// oracle's (late rowsets are gathered through their row ids first).
-  void ExpectBatchMatchesRow(
-      const std::function<std::unique_ptr<PlanNode>()>& make_plan,
-      std::initializer_list<int> batches,
-      std::initializer_list<int> pools = {1}) {
-    struct Outcome {
-      std::vector<RowSetPtr> rowsets;  // post-order
-      std::vector<uint64_t> actuals;
-    };
-    auto run = [&](int batch, int pool, int late) {
-      common::SetGlobalPoolSize(pool);
-      auto plan = make_plan();
-      Executor executor(&database_, &query_);
-      Executor::Options options;
-      options.batch_size = batch;
-      options.late_materialization = late;
-      Executor::RunResult result = executor.Run(plan.get(), options);
-      common::SetGlobalPoolSize(0);
-      Outcome out;
-      std::vector<PlanNode*> nodes;
-      PostOrderPlan(plan.get(), &nodes);
-      for (PlanNode* node : nodes) {
-        auto it = result.finished.find(node);
-        out.rowsets.push_back(it != result.finished.end()
-                                  ? MaterializeRowSet(database_, it->second)
-                                  : nullptr);
-        out.actuals.push_back(node->actual_card);
-      }
-      return out;
-    };
-    const Outcome oracle = run(/*batch=*/0, /*pool=*/1, /*late=*/0);
-    for (int batch : batches) {
-      for (int pool : pools) {
-        for (int late : {0, 1}) {
-          SCOPED_TRACE("batch=" + std::to_string(batch) +
-                       " pool=" + std::to_string(pool) +
-                       " late=" + std::to_string(late));
-          const Outcome got = run(batch, pool, late);
-          ASSERT_EQ(got.rowsets.size(), oracle.rowsets.size());
-          for (size_t i = 0; i < oracle.rowsets.size(); ++i) {
-            EXPECT_EQ(got.actuals[i], oracle.actuals[i]) << "node " << i;
-            ASSERT_NE(got.rowsets[i], nullptr) << "node " << i;
-            ASSERT_NE(oracle.rowsets[i], nullptr) << "node " << i;
-            EXPECT_TRUE(got.rowsets[i]->schema == oracle.rowsets[i]->schema)
-                << "node " << i;
-            EXPECT_EQ(got.rowsets[i]->row_count, oracle.rowsets[i]->row_count)
-                << "node " << i;
-            EXPECT_TRUE(got.rowsets[i]->cols == oracle.rowsets[i]->cols)
-                << "node " << i;
-          }
-        }
-      }
+  std::unique_ptr<PlanNode> Join(PhysOp op, std::unique_ptr<PlanNode> outer,
+                                 std::unique_ptr<PlanNode> inner) {
+    return JoinOn(op, std::move(outer), std::move(inner), {a_, 0}, {b_, 0});
+  }
+
+  struct Outcome {
+    std::vector<RowSetPtr> rowsets;  // post-order, materialized
+    std::vector<uint64_t> actuals;
+    bool aborted = false;
+  };
+
+  /// Runs `plan` on the oracle or the production executor and collects every
+  /// finished node's rowset (production row ids gathered into payloads).
+  static Outcome RunPlan(const db::Database& db, const qry::Query& query,
+                         PlanNode* plan, bool oracle, int pool,
+                         size_t max_node_rows = 0) {
+    common::SetGlobalPoolSize(pool);
+    std::unique_ptr<Executor> executor =
+        oracle ? ::lpce::testing::RowExecutor::Make(&db, &query)
+               : std::make_unique<Executor>(&db, &query);
+    Executor::Options options;
+    options.max_node_rows = max_node_rows;
+    Executor::RunResult result = executor->Run(plan, options);
+    common::SetGlobalPoolSize(0);
+    Outcome out;
+    out.aborted = result.aborted;
+    std::vector<PlanNode*> nodes;
+    PostOrderPlan(plan, &nodes);
+    for (PlanNode* node : nodes) {
+      auto it = result.finished.find(node);
+      out.rowsets.push_back(
+          it != result.finished.end()
+              ? ::lpce::testing::MaterializeRowSet(db, it->second)
+              : nullptr);
+      out.actuals.push_back(node->actual_card);
     }
+    return out;
+  }
+
+  static void ExpectSameOutcome(const Outcome& got, const Outcome& oracle) {
+    EXPECT_EQ(got.aborted, oracle.aborted);
+    ASSERT_EQ(got.rowsets.size(), oracle.rowsets.size());
+    for (size_t i = 0; i < oracle.rowsets.size(); ++i) {
+      EXPECT_EQ(got.actuals[i], oracle.actuals[i]) << "node " << i;
+      ASSERT_EQ(got.rowsets[i] == nullptr, oracle.rowsets[i] == nullptr)
+          << "node " << i;
+      if (oracle.rowsets[i] == nullptr) continue;
+      EXPECT_TRUE(got.rowsets[i]->schema == oracle.rowsets[i]->schema)
+          << "node " << i;
+      EXPECT_EQ(got.rowsets[i]->row_count, oracle.rowsets[i]->row_count)
+          << "node " << i;
+      EXPECT_TRUE(got.rowsets[i]->cols == oracle.rowsets[i]->cols)
+          << "node " << i;
+    }
+  }
+
+  /// Runs `make_plan()` on the row-at-a-time oracle and on the production
+  /// executor at every requested pool size, requiring every finished node's
+  /// rowset to be bit-identical to the oracle's (production rowsets are
+  /// gathered through their row ids first).
+  void ExpectMatchesOracle(const db::Database& db, const qry::Query& query,
+                           const std::function<std::unique_ptr<PlanNode>()>&
+                               make_plan,
+                           std::initializer_list<int> pools = {1}) {
+    auto oracle_plan = make_plan();
+    const Outcome oracle = RunPlan(db, query, oracle_plan.get(), true, 1);
+    EXPECT_FALSE(oracle.aborted);
+    for (int pool : pools) {
+      SCOPED_TRACE("pool=" + std::to_string(pool));
+      auto plan = make_plan();
+      ExpectSameOutcome(RunPlan(db, query, plan.get(), false, pool), oracle);
+    }
+  }
+  void ExpectMatchesOracle(
+      const std::function<std::unique_ptr<PlanNode>()>& make_plan,
+      std::initializer_list<int> pools = {1}) {
+    ExpectMatchesOracle(database_, query_, make_plan, pools);
   }
 
   db::Database database_;
@@ -201,22 +259,20 @@ TEST_F(ExecEdgeTest, PeakIntermediateBytesSumsLiveResults) {
   // ever released mid-run, making the peak exactly the sum of the finished
   // results. The old largest-single-rowset accounting under-reported this as
   // one scan. Computing the expectation from the retained rowsets themselves
-  // keeps the assertion valid in every representation (row / batch /
-  // LPCE_EXEC_LATE_MAT row-id intermediates).
+  // keeps the assertion valid in every representation (the oracle's payload
+  // columns, the production row-id intermediates).
   size_t finished_sum = 0;
   for (const auto& [node, rs] : run.finished) finished_sum += rs->ByteSize();
   EXPECT_EQ(executor.peak_intermediate_bytes(), finished_sum);
-  // Both scans carry at least their 50-row key column — as int64 payloads or
-  // as uint32 row ids, never less than the narrower width.
+  // Both scans carry at least their 50-row row-id column.
   EXPECT_GE(executor.peak_intermediate_bytes(), 2 * 50 * sizeof(uint32_t));
 }
 
 TEST_F(ExecEdgeTest, PeakBytesAccountingAgreesAcrossPathsOn3JoinQuery) {
   // Regression for the peak_intermediate_bytes contract on a known 3-join
-  // query: the row and batch paths retain bit-identical materialized
-  // intermediates, so their peaks must agree exactly; the late path counts
-  // its row-id columns the same way (sum of retained rowsets) and must come
-  // in strictly lower — uint32 row ids versus int64 payload columns.
+  // query: the oracle and the production executor both count the sum of
+  // their retained rowsets; production must come in strictly lower — uint32
+  // row ids versus int64 payload columns.
   db::Database db;
   std::vector<int32_t> tables;
   for (int t = 0; t < 4; ++t) {
@@ -258,30 +314,26 @@ TEST_F(ExecEdgeTest, PeakBytesAccountingAgreesAcrossPathsOn3JoinQuery) {
     return plan;
   };
 
-  auto run_peak = [&](int batch, int late, uint64_t* rows) {
+  auto run_peak = [&](bool oracle, uint64_t* rows) {
     auto plan = make_plan();
-    Executor executor(&db, &query);
-    Executor::Options options;
-    options.batch_size = batch;
-    options.late_materialization = late;
-    Executor::RunResult run = executor.Run(plan.get(), options);
+    std::unique_ptr<Executor> executor =
+        oracle ? ::lpce::testing::RowExecutor::Make(&db, &query)
+               : std::make_unique<Executor>(&db, &query);
+    Executor::RunResult run = executor->Run(plan.get(), {});
     EXPECT_NE(run.result, nullptr);
     *rows = run.result != nullptr ? run.result->num_rows() : 0;
     size_t finished_sum = 0;
     for (const auto& [node, rs] : run.finished) finished_sum += rs->ByteSize();
-    EXPECT_EQ(executor.peak_intermediate_bytes(), finished_sum);
-    return executor.peak_intermediate_bytes();
+    EXPECT_EQ(executor->peak_intermediate_bytes(), finished_sum);
+    return executor->peak_intermediate_bytes();
   };
 
-  uint64_t row_rows = 0, batch_rows = 0, late_rows = 0;
-  const size_t row_peak = run_peak(/*batch=*/0, /*late=*/0, &row_rows);
-  const size_t batch_peak = run_peak(/*batch=*/1024, /*late=*/0, &batch_rows);
-  const size_t late_peak = run_peak(/*batch=*/1024, /*late=*/1, &late_rows);
-  EXPECT_EQ(row_rows, batch_rows);
-  EXPECT_EQ(row_rows, late_rows);
-  EXPECT_EQ(row_peak, batch_peak);
-  EXPECT_LT(late_peak, row_peak);
-  EXPECT_GT(late_peak, 0u);
+  uint64_t oracle_rows = 0, rows = 0;
+  const size_t oracle_peak = run_peak(/*oracle=*/true, &oracle_rows);
+  const size_t peak = run_peak(/*oracle=*/false, &rows);
+  EXPECT_EQ(rows, oracle_rows);
+  EXPECT_LT(peak, oracle_peak);
+  EXPECT_GT(peak, 0u);
 }
 
 TEST_F(ExecEdgeTest, IndexScanLtAtInt64MinIsEmptyNotUB) {
@@ -371,43 +423,69 @@ TEST_F(ExecEdgeTest, NeFilterIsResidualOnIndexScan) {
 }
 
 TEST_F(ExecEdgeTest, BatchEmptyTablesBitIdentical) {
-  // Zero input rows -> zero batches; the batch path must still produce the
-  // same (empty) rowsets and cardinalities as the row path.
+  // Zero input rows -> zero batches; every join algorithm must still produce
+  // the same (empty) rowsets and cardinalities as the oracle.
   database_.BuildAllIndexes();
-  ExpectBatchMatchesRow(
-      [&] { return Join(PhysOp::kHashJoin, Scan(0), Scan(1)); }, {1, 3, 1024});
+  for (auto op : {PhysOp::kHashJoin, PhysOp::kMergeJoin, PhysOp::kNestLoopJoin}) {
+    SCOPED_TRACE(PhysOpName(op));
+    ExpectMatchesOracle([&] { return Join(op, Scan(0), Scan(1)); });
+  }
 }
 
 TEST_F(ExecEdgeTest, BatchAllRowsPassFilterBitIdentical) {
   // A filter every row passes exercises the full-selection path (the
   // selection vector is the identity), distinct from the dense no-filter
-  // column-copy fast path — both must match the row path bit for bit.
+  // identity-row-id fast path — both must match the oracle bit for bit.
   for (int64_t i = 0; i < 10; ++i) {
     database_.table(a_).AppendRow({i, i});
     database_.table(b_).AppendRow({i, i});
   }
   database_.BuildAllIndexes();
   qry::Predicate all_pass{{a_, 1}, qry::CmpOp::kGe, 0};
-  ExpectBatchMatchesRow(
-      [&] { return Join(PhysOp::kHashJoin, Scan(0, {all_pass}), Scan(1)); },
-      {1, 3, 1024});
-  ExpectBatchMatchesRow(
-      [&] { return Join(PhysOp::kHashJoin, Scan(0), Scan(1)); }, {1, 3, 1024});
+  ExpectMatchesOracle(
+      [&] { return Join(PhysOp::kHashJoin, Scan(0, {all_pass}), Scan(1)); });
+  ExpectMatchesOracle([&] { return Join(PhysOp::kHashJoin, Scan(0), Scan(1)); });
 }
 
-TEST_F(ExecEdgeTest, BatchSingleRowTailBatchBitIdentical) {
-  // 1025 rows: batch 1024 leaves a single-row tail batch; batch 4 leaves a
-  // one-row tail too (1025 = 4*256 + 1); 1024 rows exactly fills the last
-  // batch (no tail). Both shapes must be invisible in the output.
-  for (int64_t i = 0; i < 1025; ++i) {
-    database_.table(a_).AppendRow({i % 50, i});
-    database_.table(b_).AppendRow({i % 50, i});
+TEST_F(ExecEdgeTest, BatchBoundaryInputSizesBitIdentical) {
+  // Inputs one row short of, exactly at, and one row past the batch size:
+  // a partial single batch, one full batch with no tail, and a one-row tail
+  // batch. The shape must be invisible in the output of the fused scan→probe
+  // (filtered outer scan), the unfused probe (join over a join), and the
+  // merge / nested-loop kernels, on both sides of the join.
+  constexpr int64_t kB = kDefaultBatchSize;
+  for (int64_t n : {kB - 1, kB, kB + 1}) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    db::Database db;
+    const int32_t a = db.AddTable({"a", {{"k"}, {"v"}}});
+    const int32_t b = db.AddTable({"b", {{"k"}, {"w"}}});
+    const int32_t c = db.AddTable({"c", {{"k"}}});
+    qry::Query query;
+    query.tables = {a, b, c};
+    query.joins = {{{a, 0}, {b, 0}}, {{b, 1}, {c, 0}}};
+    for (int64_t i = 0; i < n; ++i) {
+      db.table(a).AppendRow({i % 50, i});
+      db.table(b).AppendRow({i % 50, i % 7});
+    }
+    for (int64_t i = 0; i < 7; ++i) db.table(c).AppendRow({i});
+    db.BuildAllIndexes();
+    qry::Predicate keep_most{{a, 1}, qry::CmpOp::kNe, 500};
+    for (auto op :
+         {PhysOp::kHashJoin, PhysOp::kMergeJoin, PhysOp::kNestLoopJoin}) {
+      SCOPED_TRACE(PhysOpName(op));
+      auto ab = [&] {
+        return JoinOn(op, Scan(0, {keep_most}), Scan(1), {a, 0}, {b, 0});
+      };
+      // (a ⋈ b) ⋈ c: the lower join feeds b's row ids up to the root.
+      ExpectMatchesOracle(db, query, [&] {
+        return JoinOn(op, ab(), Scan(2), {b, 1}, {c, 0});
+      });
+      // c ⋈ (a ⋈ b): the join result is the build side.
+      ExpectMatchesOracle(db, query, [&] {
+        return JoinOn(op, Scan(2), ab(), {c, 0}, {b, 1});
+      });
+    }
   }
-  database_.BuildAllIndexes();
-  qry::Predicate keep_most{{a_, 1}, qry::CmpOp::kNe, 500};
-  ExpectBatchMatchesRow(
-      [&] { return Join(PhysOp::kHashJoin, Scan(0, {keep_most}), Scan(1)); },
-      {4, 1024, 1025, 2048});
 }
 
 TEST_F(ExecEdgeTest, BatchBoundariesStraddleJoinPartitionChunks) {
@@ -420,156 +498,244 @@ TEST_F(ExecEdgeTest, BatchBoundariesStraddleJoinPartitionChunks) {
     database_.table(b_).AppendRow({i / 7, i + 100000});
   }
   database_.BuildAllIndexes();
-  ExpectBatchMatchesRow(
-      [&] { return Join(PhysOp::kHashJoin, Scan(0), Scan(1)); }, {3, 1024},
-      {1, 2, 4});
+  ExpectMatchesOracle([&] { return Join(PhysOp::kHashJoin, Scan(0), Scan(1)); },
+                      {1, 2, 4});
 }
 
 TEST_F(ExecEdgeTest, BatchIndexScanNeResidualBitIdentical) {
-  // Index-driven scan with a kNe residual: the batch path seeds its
-  // selection vector from the index row list (not the identity) and refines
-  // it branch-free; must match the row path at every batch size.
+  // Index-driven scan with a kNe residual: the scan seeds its selection
+  // vector from the index row list (not the identity) and refines it
+  // branch-free; fused into a hash probe or feeding merge / nested loop, it
+  // must match the oracle.
   for (int64_t i = 0; i < 200; ++i) database_.table(a_).AppendRow({i, i % 4});
   for (int64_t i = 0; i < 200; ++i) database_.table(b_).AppendRow({i, 0});
   database_.BuildAllIndexes();
   qry::Predicate range{{a_, 0}, qry::CmpOp::kLt, 100};
   qry::Predicate ne{{a_, 1}, qry::CmpOp::kNe, 0};
-  ExpectBatchMatchesRow(
-      [&] {
-        auto scan = Scan(0, {range, ne});
-        scan->op = PhysOp::kIndexScan;
-        scan->index_col = {a_, 0};
-        return Join(PhysOp::kHashJoin, std::move(scan), Scan(1));
-      },
-      {1, 3, 7, 1024});
+  for (auto op : {PhysOp::kHashJoin, PhysOp::kMergeJoin, PhysOp::kNestLoopJoin}) {
+    SCOPED_TRACE(PhysOpName(op));
+    ExpectMatchesOracle([&] {
+      auto scan = Scan(0, {range, ne});
+      scan->op = PhysOp::kIndexScan;
+      scan->index_col = {a_, 0};
+      return Join(op, std::move(scan), Scan(1));
+    });
+  }
+}
+
+TEST_F(ExecEdgeTest, ResidualKeysOnEveryJoinAlgorithmBitIdentical) {
+  // Multigraph cuts: a.k = b.k drives the middle join and a.v = b.w rides
+  // along as a residual key read through both sides' row ids (the outer side
+  // a rid-backed intermediate, not base rows); the root joins d on b.k = d.k
+  // with residual a.v = d.v, so the middle join must emit both a's and b's
+  // row ids. Duplicate-heavy keys make most candidates fail the residual;
+  // the survivors must come out in the oracle's order for every algorithm,
+  // at pool sizes that split the probe.
+  db::Database db;
+  const int32_t a = db.AddTable({"a", {{"k"}, {"v"}}});
+  const int32_t b = db.AddTable({"b", {{"k"}, {"w"}}});
+  const int32_t c = db.AddTable({"c", {{"k"}}});
+  const int32_t d = db.AddTable({"d", {{"k"}, {"v"}}});
+  qry::Query query;
+  query.tables = {a, b, c, d};
+  query.joins = {{{a, 0}, {b, 0}}, {{a, 1}, {b, 1}}, {{a, 0}, {c, 0}},
+                 {{b, 0}, {d, 0}}, {{a, 1}, {d, 1}}};
+  for (int64_t i = 0; i < 2500; ++i) {
+    db.table(a).AppendRow({i % 40, i % 9});
+    db.table(b).AppendRow({i % 40, i % 11});
+  }
+  for (int64_t i = 0; i < 40; ++i) {
+    db.table(c).AppendRow({i});
+    db.table(d).AppendRow({i, i % 9});
+  }
+  db.BuildAllIndexes();
+  for (auto op : {PhysOp::kHashJoin, PhysOp::kMergeJoin, PhysOp::kNestLoopJoin}) {
+    SCOPED_TRACE(PhysOpName(op));
+    ExpectMatchesOracle(
+        db, query,
+        [&] {
+          // ((a ⋈ c) ⋈ b) ⋈ d.
+          auto ac = JoinOn(PhysOp::kHashJoin, Scan(0), Scan(2), {a, 0}, {c, 0});
+          auto acb = JoinOn(op, std::move(ac), Scan(1), {a, 0}, {b, 0},
+                            {{{a, 1}, {b, 1}}});
+          return JoinOn(PhysOp::kHashJoin, std::move(acb), Scan(3), {b, 0},
+                        {d, 0}, {{{a, 1}, {d, 1}}});
+        },
+        {1, 2, 4});
+  }
+}
+
+TEST_F(ExecEdgeTest, ReplannedRoundOverRowIdPseudoRelationBitIdentical) {
+  // A re-optimization round: the first round's (a ⋈ b) intermediate becomes
+  // a pseudo relation, and the re-planned remainder joins it with c by every
+  // algorithm. Production replays its own row-id intermediate (pruned to the
+  // tables the remainder still references); the oracle replays its own
+  // materialized one — and, to pin that both describe the same rows, the
+  // production one too.
+  db::Database db;
+  const int32_t a = db.AddTable({"a", {{"k"}, {"v"}}});
+  const int32_t b = db.AddTable({"b", {{"k"}, {"w"}}});
+  const int32_t c = db.AddTable({"c", {{"k"}}});
+  qry::Query query;
+  query.tables = {a, b, c};
+  query.joins = {{{a, 0}, {b, 0}}, {{b, 1}, {c, 0}}};
+  for (int64_t i = 0; i < 3000; ++i) {
+    db.table(a).AppendRow({i % 60, i});
+    db.table(b).AppendRow({i % 60, i % 13});
+  }
+  for (int64_t i = 0; i < 20; ++i) db.table(c).AppendRow({i % 10});
+  db.BuildAllIndexes();
+  auto first_round = [&] {
+    return JoinOn(PhysOp::kHashJoin,
+                  JoinOn(PhysOp::kHashJoin, Scan(0), Scan(1), {a, 0}, {b, 0}),
+                  Scan(2), {b, 1}, {c, 0});
+  };
+  // The first round's (a ⋈ b) result on each executor.
+  auto intermediate = [&](bool oracle) {
+    auto plan = first_round();
+    std::unique_ptr<Executor> executor =
+        oracle ? ::lpce::testing::RowExecutor::Make(&db, &query)
+               : std::make_unique<Executor>(&db, &query);
+    Executor::RunResult run = executor->Run(plan.get(), {});
+    EXPECT_NE(run.result, nullptr);
+    return run.finished.at(plan->outer.get());
+  };
+  const RowSetPtr production_ab = intermediate(/*oracle=*/false);
+  const RowSetPtr oracle_ab = intermediate(/*oracle=*/true);
+  ASSERT_TRUE(production_ab->late());
+  ASSERT_FALSE(oracle_ab->late());
+
+  for (auto op : {PhysOp::kHashJoin, PhysOp::kMergeJoin, PhysOp::kNestLoopJoin}) {
+    for (bool pseudo_outer : {true, false}) {
+      SCOPED_TRACE(std::string(PhysOpName(op)) +
+                   (pseudo_outer ? " pseudo outer" : " pseudo inner"));
+      auto second_round = [&](RowSetPtr ab) {
+        auto pseudo = std::make_unique<PlanNode>();
+        pseudo->op = PhysOp::kPseudoScan;
+        pseudo->rels = qry::Bit(0) | qry::Bit(1);
+        pseudo->pseudo = std::move(ab);
+        return pseudo_outer
+                   ? JoinOn(op, std::move(pseudo), Scan(2), {b, 1}, {c, 0})
+                   : JoinOn(op, Scan(2), std::move(pseudo), {c, 0}, {b, 1});
+      };
+      auto oracle_plan = second_round(oracle_ab);
+      const Outcome oracle =
+          RunPlan(db, query, oracle_plan.get(), /*oracle=*/true, 1);
+      auto replay_plan = second_round(production_ab);
+      ExpectSameOutcome(
+          RunPlan(db, query, replay_plan.get(), /*oracle=*/true, 1), oracle);
+      for (int pool : {1, 2, 4}) {
+        SCOPED_TRACE("pool=" + std::to_string(pool));
+        auto plan = second_round(production_ab);
+        ExpectSameOutcome(
+            RunPlan(db, query, plan.get(), /*oracle=*/false, pool), oracle);
+      }
+    }
+  }
 }
 
 TEST_F(ExecEdgeTest, BatchRowLimitAbortsLikeRowPath) {
-  // The overflow contract is part of bit-identity: the batch path must trip
-  // the row limit on exactly the same plans as the row path, at every batch
-  // and pool size.
+  // The overflow contract is part of bit-identity: production must trip the
+  // row limit on exactly the same plans as the oracle, for every join
+  // algorithm and pool size — strictly-greater, so a join of exactly the
+  // limit completes.
   for (int i = 0; i < 100; ++i) {
     database_.table(a_).AppendRow({5, i});
     database_.table(b_).AppendRow({5, i});
   }
   database_.BuildAllIndexes();
-  for (int batch : {1, 3, 1024}) {
+  for (auto op : {PhysOp::kHashJoin, PhysOp::kMergeJoin, PhysOp::kNestLoopJoin}) {
     for (int pool : {1, 4}) {
-      common::SetGlobalPoolSize(pool);
-      auto plan = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-      Executor executor(&database_, &query_);
-      Executor::Options options;
-      options.batch_size = batch;
-      options.max_node_rows = 1000;
-      Executor::RunResult run = executor.Run(plan.get(), options);
-      EXPECT_TRUE(run.aborted) << "batch=" << batch << " pool=" << pool;
-      EXPECT_EQ(run.result, nullptr) << "batch=" << batch << " pool=" << pool;
-      // Just below the limit: must NOT abort (the trip condition is
-      // strictly-greater, same as the row kernels).
-      auto plan_ok = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-      options.max_node_rows = 10000;
-      Executor::RunResult ok = executor.Run(plan_ok.get(), options);
-      EXPECT_FALSE(ok.aborted) << "batch=" << batch << " pool=" << pool;
-      ASSERT_NE(ok.result, nullptr);
-      EXPECT_EQ(ok.result->num_rows(), 10000u);
+      SCOPED_TRACE(std::string(PhysOpName(op)) + " pool=" +
+                   std::to_string(pool));
+      for (size_t limit : {size_t{1000}, size_t{10000}}) {
+        auto oracle_plan = Join(op, Scan(0), Scan(1));
+        const Outcome oracle =
+            RunPlan(database_, query_, oracle_plan.get(), true, 1, limit);
+        EXPECT_EQ(oracle.aborted, limit < 10000);
+        auto plan = Join(op, Scan(0), Scan(1));
+        ExpectSameOutcome(
+            RunPlan(database_, query_, plan.get(), false, pool, limit), oracle);
+      }
     }
   }
-  common::SetGlobalPoolSize(0);
-}
 
-TEST_F(ExecEdgeTest, BatchSizeEnvKnobParses) {
-  // unset/"0"/garbage/negative = off; "1" = default size; N >= 2 literal,
-  // clamped at 1M rows.
-  unsetenv("LPCE_EXEC_BATCH");
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "0", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "bogus", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "3x", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "-4", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "1", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), kDefaultBatchSize);
-  setenv("LPCE_EXEC_BATCH", "3", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 3);
-  setenv("LPCE_EXEC_BATCH", "999999999", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 1 << 20);
-  unsetenv("LPCE_EXEC_BATCH");
-}
-
-TEST_F(ExecEdgeTest, BatchSizeEnvKnobDrivesExecution) {
-  // Options::batch_size = -1 (the default) must defer to the env knob, and
-  // an explicit 0 must override it back to the row path.
-  for (int64_t i = 0; i < 10; ++i) {
-    database_.table(a_).AppendRow({i, i});
-    database_.table(b_).AppendRow({i, i});
+  // An exploding non-root join: every a row and the kSegment b rows share
+  // one key, so a single 1024-row batch of a would emit 1024 * kSegment rows,
+  // over 100x the row budget. The join must abort exactly like the oracle
+  // while never holding more than the budget plus one bucket segment of row
+  // handles: no allocation may scale with what the batch would emit — only
+  // with the inputs (a gathered key or row-id column) or with the budget.
+  // The residual-key variant filters every candidate down to kSegment rows
+  // and must complete, under the same memory bound.
+  constexpr size_t kOuterRows = 4096;
+  constexpr size_t kSegment = 100;
+  constexpr size_t kMaxRows = 1000;
+  static_assert(kDefaultBatchSize * kSegment >= 100 * kMaxRows);
+  db::Database db;
+  const int32_t a = db.AddTable({"a", {{"k"}, {"v"}}});
+  const int32_t b = db.AddTable({"b", {{"k"}, {"w"}}});
+  const int32_t c = db.AddTable({"c", {{"k"}}});
+  for (size_t i = 0; i < kOuterRows; ++i) {
+    db.table(a).AppendRow({5, static_cast<int64_t>(i)});
   }
-  database_.BuildAllIndexes();
-  setenv("LPCE_EXEC_BATCH", "3", 1);
-  auto plan = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-  Executor executor(&database_, &query_);
-  EXPECT_EQ(executor.Execute(plan.get())->num_rows(), 10u);
-  auto plan_row = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-  Executor::Options options;
-  options.batch_size = 0;
-  Executor::RunResult row_run = executor.Run(plan_row.get(), options);
-  unsetenv("LPCE_EXEC_BATCH");
-  ASSERT_NE(row_run.result, nullptr);
-  EXPECT_EQ(row_run.result->num_rows(), 10u);
-}
-
-TEST_F(ExecEdgeTest, LateMatEnvKnobParses) {
-  // unset/""/"0"/garbage/negative = off; any positive integer = on.
-  unsetenv("LPCE_EXEC_LATE_MAT");
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "", 1);
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "0", 1);
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "bogus", 1);
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "1x", 1);
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "-1", 1);
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "1", 1);
-  EXPECT_TRUE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "2", 1);
-  EXPECT_TRUE(LateMatFromEnv());
-  unsetenv("LPCE_EXEC_LATE_MAT");
-}
-
-TEST_F(ExecEdgeTest, LateMatEnvKnobDrivesExecution) {
-  // Options::late_materialization = -1 (the default) must defer to the env
-  // knob — including promoting a row-path batch size to the default batch —
-  // and an explicit 0 must override the knob back off. Either way the
-  // result count matches.
-  for (int64_t i = 0; i < 10; ++i) {
-    database_.table(a_).AppendRow({i, i});
-    database_.table(b_).AppendRow({i, i});
+  for (size_t i = 0; i < kSegment; ++i) {
+    db.table(b).AppendRow({5, static_cast<int64_t>(i)});
   }
-  database_.BuildAllIndexes();
-  setenv("LPCE_EXEC_LATE_MAT", "1", 1);
-  auto plan = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-  Executor executor(&database_, &query_);
-  Executor::Options options;
-  options.batch_size = 0;  // late promotes this to kDefaultBatchSize
-  Executor::RunResult late_run = executor.Run(plan.get(), options);
-  ASSERT_NE(late_run.result, nullptr);
-  EXPECT_EQ(late_run.result->num_rows(), 10u);
-  auto plan_off = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-  options.late_materialization = 0;
-  Executor::RunResult off_run = executor.Run(plan_off.get(), options);
-  unsetenv("LPCE_EXEC_LATE_MAT");
-  ASSERT_NE(off_run.result, nullptr);
-  EXPECT_EQ(off_run.result->num_rows(), 10u);
-  // The overridden run took the row path and materialized payload columns;
-  // the env-driven run retained only row-id intermediates (smaller).
-  EXPECT_EQ(off_run.result->num_rows(), late_run.result->num_rows());
+  for (int64_t i = 0; i < 10; ++i) db.table(c).AppendRow({i});
+  db.BuildAllIndexes();
+  const size_t bound =
+      std::max(kOuterRows * sizeof(int64_t),
+               2 * (kMaxRows + kSegment) * sizeof(uint32_t));
+  for (bool residual : {false, true}) {
+    qry::Query query;
+    query.tables = {a, b, c};
+    query.joins = {{{a, 0}, {b, 0}}, {{b, 1}, {c, 0}}};
+    if (residual) query.joins.push_back({{a, 1}, {b, 1}});
+    std::vector<std::pair<db::ColRef, db::ColRef>> residual_keys;
+    if (residual) residual_keys = {{{a, 1}, {b, 1}}};
+    for (auto op :
+         {PhysOp::kHashJoin, PhysOp::kMergeJoin, PhysOp::kNestLoopJoin}) {
+      auto make_plan = [&] {
+        // (a ⋈ b) ⋈ c: the exploding join emits b's row ids to the root.
+        return JoinOn(PhysOp::kHashJoin,
+                      JoinOn(op, Scan(0), Scan(1), {a, 0}, {b, 0},
+                             residual_keys),
+                      Scan(2), {b, 1}, {c, 0});
+      };
+      auto oracle_plan = make_plan();
+      const Outcome oracle =
+          RunPlan(db, query, oracle_plan.get(), true, 1, kMaxRows);
+      EXPECT_EQ(oracle.aborted, !residual);
+      for (int pool : {1, 4}) {
+        SCOPED_TRACE(std::string(PhysOpName(op)) +
+                     (residual ? " residual" : "") +
+                     " pool=" + std::to_string(pool));
+        auto plan = make_plan();
+        common::SetGlobalPoolSize(pool);
+        Executor executor(&db, &query);
+        Executor::Options options;
+        options.max_node_rows = kMaxRows;
+        g_max_alloc.store(0);
+        g_track_allocs.store(true);
+        Executor::RunResult run = executor.Run(plan.get(), options);
+        g_track_allocs.store(false);
+        common::SetGlobalPoolSize(0);
+        EXPECT_EQ(run.aborted, oracle.aborted);
+        EXPECT_EQ(run.result == nullptr, oracle.aborted);
+        std::vector<PlanNode*> nodes;
+        PostOrderPlan(plan.get(), &nodes);
+        ASSERT_EQ(nodes.size(), oracle.actuals.size());
+        for (size_t i = 0; i < nodes.size(); ++i) {
+          EXPECT_EQ(nodes[i]->actual_card, oracle.actuals[i]) << "node " << i;
+          EXPECT_EQ(run.finished.count(nodes[i]) > 0,
+                    oracle.rowsets[i] != nullptr)
+              << "node " << i;
+        }
+        EXPECT_LE(g_max_alloc.load(), bound);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Parameterized executor sweep on the synthetic schema: every (join
 // algorithm x scan type x predicate operator) combination must agree with
-// the canonical hash plan on randomly generated queries.
+// the canonical hash plan on randomly generated queries, and with the
+// row-at-a-time oracle bit for bit.
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
 #include "engine/trace.h"
 #include "exec/executor.h"
-#include "exec/vectorized.h"
+#include "testing/row_executor.h"
 #include "workload/workload.h"
 
 namespace lpce::exec {
@@ -66,19 +67,20 @@ TEST_P(ExecSweepTest, MatchesCanonicalCount) {
   }
 }
 
-// Differential harness for the vectorized path: at every (batch size x pool
-// size) combination, every finished operator's rowset and actual cardinality
-// and the deterministic trace must match the row-at-a-time single-thread
-// run bit for bit. Checkpoints are enabled with a threshold no synthetic
-// cardinality can reach (1e300 rather than infinity — the Release build uses
-// -ffast-math), so checkpoint events are evaluated and traced at every node
-// without ever tripping.
-TEST_P(ExecSweepTest, BatchMatchesVolcanoBitIdentically) {
+// Differential harness: at every pool size, every finished operator's rowset
+// (gathered through its row ids) and actual cardinality and the
+// deterministic trace must match the row-at-a-time oracle's single-thread
+// run bit for bit — for hash joins (fused and unfused) and for the merge and
+// nested-loop kernels alike. Checkpoints are enabled with a threshold no
+// synthetic cardinality can reach (1e300 rather than infinity — the Release
+// build uses -ffast-math), so checkpoint events are evaluated and traced at
+// every node without ever tripping.
+TEST_P(ExecSweepTest, MatchesRowOracleBitIdentically) {
   const SweepParam param = GetParam();
   wk::GeneratorOptions gen;
   gen.seed = param.seed;
   wk::QueryGenerator generator(database_, gen);
-  for (int joins : {2, 4}) {
+  for (int joins : {2, 4, 6}) {
     wk::LabeledQuery labeled;
     labeled.query = generator.Generate(joins);
 
@@ -103,18 +105,18 @@ TEST_P(ExecSweepTest, BatchMatchesVolcanoBitIdentically) {
       std::vector<uint64_t> actuals;
       std::string trace_json;
     };
-    auto run = [&](int batch, int pool, int late) {
+    auto run = [&](bool oracle, int pool) {
       common::SetGlobalPoolSize(pool);
       auto plan = make_plan();
       eng::QueryTrace trace;
       Executor::Options options;
-      options.batch_size = batch;
-      options.late_materialization = late;
       options.enable_checkpoints = true;
       options.qerror_threshold = 1e300;
       options.trace = &trace;
-      Executor executor(database_, &labeled.query);
-      Executor::RunResult result = executor.Run(plan.get(), options);
+      std::unique_ptr<Executor> executor =
+          oracle ? testing::RowExecutor::Make(database_, &labeled.query)
+                 : std::make_unique<Executor>(database_, &labeled.query);
+      Executor::RunResult result = executor->Run(plan.get(), options);
       EXPECT_EQ(result.tripped, nullptr);
       EXPECT_FALSE(result.aborted);
       Outcome out;
@@ -123,46 +125,37 @@ TEST_P(ExecSweepTest, BatchMatchesVolcanoBitIdentically) {
       for (PlanNode* node : nodes) {
         auto it = result.finished.find(node);
         EXPECT_NE(it, result.finished.end());
-        // Late intermediates carry row ids; the deferred gather must
-        // reproduce the oracle's payload columns bit for bit (identity for
-        // the materialized lanes).
-        out.rowsets.push_back(it != result.finished.end()
-                                  ? MaterializeRowSet(*database_, it->second)
-                                  : nullptr);
+        // Production intermediates carry row ids; the deferred gather must
+        // reproduce the oracle's payload columns bit for bit.
+        out.rowsets.push_back(
+            it != result.finished.end()
+                ? testing::MaterializeRowSet(*database_, it->second)
+                : nullptr);
         out.actuals.push_back(node->actual_card);
       }
       out.trace_json = trace.ToJson(eng::TraceJsonMode::kDeterministic);
       return out;
     };
 
-    const Outcome oracle = run(/*batch=*/0, /*pool=*/1, /*late=*/0);
-    for (int batch : {1, 3, 1024}) {
-      for (int pool : {1, 2, 4}) {
-        // late=1 on merge/nest-loop sweeps exercises the fallback: plans the
-        // late kernels do not cover must take the plain batch path and still
-        // match bit for bit.
-        for (int late : {0, 1}) {
-          SCOPED_TRACE("joins=" + std::to_string(joins) +
-                       " batch=" + std::to_string(batch) +
-                       " pool=" + std::to_string(pool) +
-                       " late=" + std::to_string(late) +
-                       " seed=" + std::to_string(param.seed));
-          const Outcome got = run(batch, pool, late);
-          ASSERT_EQ(got.rowsets.size(), oracle.rowsets.size());
-          for (size_t i = 0; i < oracle.rowsets.size(); ++i) {
-            EXPECT_EQ(got.actuals[i], oracle.actuals[i]) << "node " << i;
-            ASSERT_NE(got.rowsets[i], nullptr);
-            ASSERT_NE(oracle.rowsets[i], nullptr);
-            EXPECT_TRUE(got.rowsets[i]->schema == oracle.rowsets[i]->schema)
-                << "node " << i;
-            EXPECT_EQ(got.rowsets[i]->row_count, oracle.rowsets[i]->row_count)
-                << "node " << i;
-            EXPECT_TRUE(got.rowsets[i]->cols == oracle.rowsets[i]->cols)
-                << "node " << i;
-          }
-          EXPECT_EQ(got.trace_json, oracle.trace_json);
-        }
+    const Outcome oracle = run(/*oracle=*/true, /*pool=*/1);
+    for (int pool : {1, 2, 4}) {
+      SCOPED_TRACE("joins=" + std::to_string(joins) +
+                   " pool=" + std::to_string(pool) +
+                   " seed=" + std::to_string(param.seed));
+      const Outcome got = run(/*oracle=*/false, pool);
+      ASSERT_EQ(got.rowsets.size(), oracle.rowsets.size());
+      for (size_t i = 0; i < oracle.rowsets.size(); ++i) {
+        EXPECT_EQ(got.actuals[i], oracle.actuals[i]) << "node " << i;
+        ASSERT_NE(got.rowsets[i], nullptr);
+        ASSERT_NE(oracle.rowsets[i], nullptr);
+        EXPECT_TRUE(got.rowsets[i]->schema == oracle.rowsets[i]->schema)
+            << "node " << i;
+        EXPECT_EQ(got.rowsets[i]->row_count, oracle.rowsets[i]->row_count)
+            << "node " << i;
+        EXPECT_TRUE(got.rowsets[i]->cols == oracle.rowsets[i]->cols)
+            << "node " << i;
       }
+      EXPECT_EQ(got.trace_json, oracle.trace_json);
     }
   }
   common::SetGlobalPoolSize(0);

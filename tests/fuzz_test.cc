@@ -5,9 +5,10 @@
 //  - parameter loader: truncations of a valid parameter file;
 //  - concurrent serving: randomized queries through a 4-worker EngineServer,
 //    every result cross-checked against the exact-cardinality oracle;
-//  - batch execution: randomized queries (plus hand-built multigraph /
-//    residual-key shapes) through the vectorized executor at randomized
-//    batch sizes, cross-checked against the same oracle.
+//  - executor: randomized queries (plus hand-built multigraph /
+//    residual-key shapes) through the engine's vectorized row-id executor,
+//    cross-checked against the same oracle and against an engine running the
+//    row-at-a-time executor oracle (results and deterministic traces).
 #include <cstdio>
 #include <future>
 #include <string>
@@ -24,6 +25,7 @@
 #include "query/parser.h"
 #include "storage/database.h"
 #include "testing/exact_card.h"
+#include "testing/row_executor.h"
 #include "workload/workload.h"
 
 namespace lpce {
@@ -228,53 +230,15 @@ TEST_F(FuzzTest, ConcurrentServerMatchesExactOracle) {
   common::SetGlobalPoolSize(0);
 }
 
-TEST_F(FuzzTest, BatchExecutorMatchesExactOracle) {
-  // Batch-mode lane of the oracle fuzz: randomized queries through the
-  // engine with the vectorized executor at randomized batch sizes, each
-  // result cross-checked against the brute-force exact-cardinality oracle.
-  // Mixes plain and re-optimizing configs so checkpoint-interrupted batch
-  // runs are covered too.
-  db::SynthImdbOptions opts;
-  opts.scale = 0.01;
-  auto database = db::BuildSynthImdb(opts);
-  stats::DatabaseStats stats;
-  stats.Build(*database);
-  common::SetGlobalPoolSize(2);
-
-  eng::Engine engine(database.get(), opt::CostModel{});
-  card::HistogramEstimator estimator(&stats);
-  const int batch_sizes[] = {1, 3, 7, 1024};
-  Rng rng(21);
-  wk::GeneratorOptions gen;
-  gen.seed = 2100;
-  wk::QueryGenerator generator(database.get(), gen);
-  for (int i = 0; i < 40; ++i) {
-    const qry::Query query =
-        generator.Generate(1 + static_cast<int>(rng.Uniform(3)));
-    const uint64_t expected =
-        testing::ExactCardinality(*database, query, query.AllRels());
-    eng::RunConfig config;
-    config.exec_batch_size = batch_sizes[rng.Uniform(4)];
-    if (rng.Uniform(2) == 0) {
-      config.enable_reopt = true;
-      config.qerror_threshold = 2.0 + rng.UniformDouble(0.0, 20.0);
-    }
-    const eng::RunStats stats_out = engine.RunQuery(query, &estimator,
-                                                    nullptr, config);
-    EXPECT_EQ(stats_out.result_count, expected)
-        << "query " << i << " batch=" << config.exec_batch_size
-        << " reopt=" << config.enable_reopt;
-  }
-
-  // Multigraph / residual-key shapes (PR 6): hand-built queries whose join
-  // cuts carry residual equi-join edges, run in batch mode at several batch
-  // sizes against the oracle.
-  const int32_t mi = database->catalog().FindTable("movie_info");
-  const int32_t midx = database->catalog().FindTable("movie_info_idx");
-  const int32_t title = database->catalog().FindTable("title");
-  ASSERT_GE(mi, 0);
-  ASSERT_GE(midx, 0);
-  ASSERT_GE(title, 0);
+/// The hand-built multigraph shapes (a pair joined on two edges, and a
+/// triangle): every join cut carries residual equi-join keys.
+std::vector<qry::Query> MultigraphQueries(const db::Database& database) {
+  const int32_t mi = database.catalog().FindTable("movie_info");
+  const int32_t midx = database.catalog().FindTable("movie_info_idx");
+  const int32_t title = database.catalog().FindTable("title");
+  EXPECT_GE(mi, 0);
+  EXPECT_GE(midx, 0);
+  EXPECT_GE(title, 0);
   qry::Query pair;
   pair.tables = {mi, midx};
   pair.joins.push_back({{mi, 1}, {midx, 1}});   // movie_id
@@ -284,28 +248,74 @@ TEST_F(FuzzTest, BatchExecutorMatchesExactOracle) {
   triangle.joins.push_back({{mi, 1}, {title, 0}});
   triangle.joins.push_back({{midx, 1}, {title, 0}});
   triangle.joins.push_back({{mi, 2}, {midx, 2}});
-  for (const qry::Query& query : {pair, triangle}) {
+  return {pair, triangle};
+}
+
+TEST_F(FuzzTest, BatchExecutorMatchesExactOracle) {
+  // Executor lane of the oracle fuzz: randomized queries through the engine,
+  // each result cross-checked against the brute-force exact-cardinality
+  // oracle and — result count and deterministic trace bytes — against the
+  // same engine running the row-at-a-time executor oracle. Mixes plain and
+  // re-optimizing configs so checkpoint-interrupted runs, and re-planned
+  // rounds over row-id pseudo relations (which may pick merge or nested-loop
+  // joins), are covered too.
+  db::SynthImdbOptions opts;
+  opts.scale = 0.01;
+  auto database = db::BuildSynthImdb(opts);
+  stats::DatabaseStats stats;
+  stats.Build(*database);
+  common::SetGlobalPoolSize(2);
+
+  eng::Engine engine(database.get(), opt::CostModel{});
+  eng::Engine oracle_engine(database.get(), opt::CostModel{});
+  oracle_engine.set_executor_factory(&testing::RowExecutor::Make);
+  card::HistogramEstimator estimator(&stats);
+  Rng rng(21);
+  wk::GeneratorOptions gen;
+  gen.seed = 2100;
+  wk::QueryGenerator generator(database.get(), gen);
+  std::vector<qry::Query> queries;
+  for (int i = 0; i < 40; ++i) {
+    queries.push_back(generator.Generate(1 + static_cast<int>(rng.Uniform(3))));
+  }
+  for (const qry::Query& query : MultigraphQueries(*database)) {
+    queries.push_back(query);
+  }
+  int reopts = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const qry::Query& query = queries[i];
     const uint64_t expected =
         testing::ExactCardinality(*database, query, query.AllRels());
-    for (int batch : {1, 3, 1024}) {
-      eng::RunConfig config;
-      config.exec_batch_size = batch;
-      const eng::RunStats stats_out = engine.RunQuery(query, &estimator,
-                                                      nullptr, config);
-      EXPECT_EQ(stats_out.result_count, expected)
-          << "multigraph batch=" << batch;
+    eng::RunConfig config;
+    if (rng.Uniform(2) == 0) {
+      config.enable_reopt = true;
+      config.qerror_threshold = 2.0 + rng.UniformDouble(0.0, 20.0);
     }
+    const eng::RunStats got =
+        engine.RunQuery(query, &estimator, nullptr, config);
+    const eng::RunStats oracle =
+        oracle_engine.RunQuery(query, &estimator, nullptr, config);
+    EXPECT_EQ(got.result_count, expected)
+        << "query " << i << " reopt=" << config.enable_reopt;
+    EXPECT_EQ(got.result_count, oracle.result_count) << "query " << i;
+    EXPECT_EQ(got.num_reopts, oracle.num_reopts) << "query " << i;
+    EXPECT_EQ(got.trace->ToJson(eng::TraceJsonMode::kDeterministic),
+              oracle.trace->ToJson(eng::TraceJsonMode::kDeterministic))
+        << "query " << i;
+    reopts += got.num_reopts;
   }
+  EXPECT_GT(reopts, 0);  // the re-planned rounds were actually exercised
   common::SetGlobalPoolSize(0);
 }
 
-TEST_F(FuzzTest, LateMatBatchExecutorMatchesExactOracle) {
-  // Late-materialization lane of the oracle fuzz: randomized queries plus
-  // the hand-built multigraph / residual-key shapes, run with row-id
-  // intermediates (exec_late_mat=1) at pool sizes {1, 2, 4}, each result
-  // differentially checked against BOTH the brute-force exact-cardinality
-  // oracle and the plain batch path at the same batch size. Batch sizes 1
-  // and 3 force single-row-tail / many-empty-batch probe shapes.
+TEST_F(FuzzTest, BatchExecutorMatchesRowOracleAcrossPools) {
+  // Pool-size lane: randomized queries plus the multigraph / residual-key
+  // shapes at pool sizes {1, 2, 4}, each result differentially checked
+  // against BOTH the brute-force exact-cardinality oracle and the engine
+  // running the row-at-a-time executor oracle (result count and
+  // deterministic trace bytes). The residual keys must refine through the
+  // row-id indirection; row-id intermediates must never be wider than the
+  // oracle's materialized payloads.
   db::SynthImdbOptions opts;
   opts.scale = 0.01;
   auto database = db::BuildSynthImdb(opts);
@@ -313,8 +323,9 @@ TEST_F(FuzzTest, LateMatBatchExecutorMatchesExactOracle) {
   stats.Build(*database);
 
   eng::Engine engine(database.get(), opt::CostModel{});
+  eng::Engine oracle_engine(database.get(), opt::CostModel{});
+  oracle_engine.set_executor_factory(&testing::RowExecutor::Make);
   card::HistogramEstimator estimator(&stats);
-  const int batch_sizes[] = {1, 3, 7, 1024};
   Rng rng(33);
   wk::GeneratorOptions gen;
   gen.seed = 3300;
@@ -324,53 +335,34 @@ TEST_F(FuzzTest, LateMatBatchExecutorMatchesExactOracle) {
     queries.push_back(
         generator.Generate(1 + static_cast<int>(rng.Uniform(3))));
   }
-  // Multigraph shapes: the late probe must refine residual equi-join edges
-  // through the row-id indirection.
-  const int32_t mi = database->catalog().FindTable("movie_info");
-  const int32_t midx = database->catalog().FindTable("movie_info_idx");
-  const int32_t title = database->catalog().FindTable("title");
-  ASSERT_GE(mi, 0);
-  ASSERT_GE(midx, 0);
-  ASSERT_GE(title, 0);
-  qry::Query pair;
-  pair.tables = {mi, midx};
-  pair.joins.push_back({{mi, 1}, {midx, 1}});   // movie_id
-  pair.joins.push_back({{mi, 2}, {midx, 2}});   // info_type_id
-  qry::Query triangle;
-  triangle.tables = {title, mi, midx};
-  triangle.joins.push_back({{mi, 1}, {title, 0}});
-  triangle.joins.push_back({{midx, 1}, {title, 0}});
-  triangle.joins.push_back({{mi, 2}, {midx, 2}});
-  queries.push_back(pair);
-  queries.push_back(triangle);
+  for (const qry::Query& query : MultigraphQueries(*database)) {
+    queries.push_back(query);
+  }
 
   for (size_t q = 0; q < queries.size(); ++q) {
     const qry::Query& query = queries[q];
     const uint64_t expected =
         testing::ExactCardinality(*database, query, query.AllRels());
-    const int batch = batch_sizes[q % 4];
+    eng::RunConfig config;
+    config.enable_reopt = q % 2 == 1;
+    common::SetGlobalPoolSize(1);
+    const eng::RunStats oracle =
+        oracle_engine.RunQuery(query, &estimator, nullptr, config);
     for (int pool : {1, 2, 4}) {
       common::SetGlobalPoolSize(pool);
-      eng::RunConfig late_config;
-      late_config.exec_batch_size = batch;
-      late_config.exec_late_mat = 1;
-      const eng::RunStats late_out =
-          engine.RunQuery(query, &estimator, nullptr, late_config);
-      eng::RunConfig batch_config;
-      batch_config.exec_batch_size = batch;
-      batch_config.exec_late_mat = 0;
-      const eng::RunStats batch_out =
-          engine.RunQuery(query, &estimator, nullptr, batch_config);
-      EXPECT_EQ(late_out.result_count, expected)
-          << "query " << q << " batch=" << batch << " pool=" << pool;
-      EXPECT_EQ(late_out.result_count, batch_out.result_count)
-          << "query " << q << " batch=" << batch << " pool=" << pool;
+      const eng::RunStats got =
+          engine.RunQuery(query, &estimator, nullptr, config);
+      EXPECT_EQ(got.result_count, expected) << "query " << q << " pool=" << pool;
+      EXPECT_EQ(got.result_count, oracle.result_count)
+          << "query " << q << " pool=" << pool;
+      EXPECT_EQ(got.trace->ToJson(eng::TraceJsonMode::kDeterministic),
+                oracle.trace->ToJson(eng::TraceJsonMode::kDeterministic))
+          << "query " << q << " pool=" << pool;
       // Row-id intermediates are never wider than the materialized payloads
       // they replace (uint32 handles vs int64 values, one handle column per
       // table instead of one column per required ref).
-      EXPECT_LE(late_out.peak_intermediate_bytes,
-                batch_out.peak_intermediate_bytes)
-          << "query " << q << " batch=" << batch << " pool=" << pool;
+      EXPECT_LE(got.peak_intermediate_bytes, oracle.peak_intermediate_bytes)
+          << "query " << q << " pool=" << pool;
     }
   }
   common::SetGlobalPoolSize(0);

@@ -21,6 +21,7 @@
 #include "engine/trace.h"
 #include "optimizer/plan_cache.h"
 #include "storage/database.h"
+#include "testing/row_executor.h"
 #include "workload/workload.h"
 
 namespace lpce::eng {
@@ -153,12 +154,14 @@ class UnderEstimator : public card::CardinalityEstimator {
 constexpr int kNumTemplates = 20;
 constexpr int kWorkloadSize = 200;
 
-/// Parameterized over the executor batch size (0 = row-at-a-time Volcano
-/// oracle, 1024 = vectorized batches): the cache's equivalence contract must
-/// hold in both execution modes — in particular a cache hit must rebind the
-/// skeleton's scan filters to the query's literals before the batch path's
-/// selection vectors consume them.
-class PlanCacheEquivalenceTest : public ::testing::TestWithParam<int> {
+/// Parameterized over the executor of the cache-off baseline (the
+/// row-at-a-time oracle, or the production executor); the cache-on runs
+/// always use production. The contract must hold against both — in
+/// particular a cache hit must rebind the skeleton's scan filters to the
+/// query's literals before the scan's selection vectors consume them, and
+/// re-planned rounds over row-id pseudo relations must match the oracle's
+/// rounds over materialized ones.
+class PlanCacheEquivalenceTest : public ::testing::TestWithParam<bool> {
  protected:
   static void SetUpTestSuite() {
     common::SetGlobalPoolSize(4);
@@ -199,23 +202,24 @@ class PlanCacheEquivalenceTest : public ::testing::TestWithParam<int> {
     common::SetGlobalPoolSize(0);
   }
 
-  static RunConfig Config(int exec_batch) {
+  static RunConfig Config() {
     RunConfig config;
     config.enable_reopt = true;
     config.qerror_threshold = 10.0;
-    config.exec_batch_size = exec_batch;
     return config;
   }
 
-  /// The cache-off serial baseline, one Outcome per workload position.
-  static std::vector<Outcome> Baseline(int exec_batch) {
+  /// The cache-off serial baseline, one Outcome per workload position, on
+  /// the row-at-a-time oracle when `oracle` is set.
+  static std::vector<Outcome> Baseline(bool oracle) {
     std::vector<Outcome> outcomes;
     UnderEstimator under(stats_);
     Engine engine(database_, opt::CostModel{});
+    if (oracle) engine.set_executor_factory(&testing::RowExecutor::Make);
     for (int idx : *sequence_) {
       const auto& labeled = (*pool_)[idx];
       outcomes.push_back(Summarize(
-          engine.RunQuery(labeled.query, &under, nullptr, Config(exec_batch))));
+          engine.RunQuery(labeled.query, &under, nullptr, Config())));
       EXPECT_EQ(outcomes.back().result_count, labeled.FinalCard());
     }
     return outcomes;
@@ -266,7 +270,7 @@ TEST_P(PlanCacheEquivalenceTest, SerialCacheOnMatchesCacheOffBitIdentically) {
   for (size_t q = 0; q < sequence_->size(); ++q) {
     const auto& labeled = (*pool_)[(*sequence_)[q]];
     const Outcome on = Summarize(
-        engine.RunQuery(labeled.query, &under, nullptr, Config(GetParam())));
+        engine.RunQuery(labeled.query, &under, nullptr, Config()));
     ExpectEquivalentModuloCache(baseline[q], on, "query " + std::to_string(q));
     // The serial hit/miss sequence is fully determined by the workload.
     EXPECT_EQ(CacheDecision(on), expected_decisions[q])
@@ -290,7 +294,7 @@ TEST_P(PlanCacheEquivalenceTest, ServedCacheOnMatchesBaselineAtAllWorkerCounts) 
     ServerOptions options;
     options.num_workers = workers;
     options.max_queue = sequence_->size();
-    options.run_config = Config(GetParam());
+    options.run_config = Config();
     options.plan_cache_capacity = 64;
     EngineServer server(database_, opt::CostModel{}, Factory(), options);
     ASSERT_NE(server.plan_cache(), nullptr);
@@ -328,7 +332,7 @@ TEST_P(PlanCacheEquivalenceTest, WarmedCacheGivesExactHitCountsConcurrently) {
   ServerOptions options;
   options.num_workers = 4;
   options.max_queue = sequence_->size() + kNumTemplates;
-  options.run_config = Config(GetParam());
+  options.run_config = Config();
   options.plan_cache_capacity = 64;
   EngineServer server(database_, opt::CostModel{}, Factory(), options);
 
@@ -366,7 +370,7 @@ TEST_P(PlanCacheEquivalenceTest, MidWorkloadInvalidationNeverServesStale) {
 
   ServerOptions options;
   options.num_workers = 1;  // deterministic decision sequence
-  options.run_config = Config(GetParam());
+  options.run_config = Config();
   options.plan_cache_capacity = 64;
   EngineServer server(database_, opt::CostModel{}, Factory(), options);
 
@@ -391,12 +395,11 @@ TEST_P(PlanCacheEquivalenceTest, MidWorkloadInvalidationNeverServesStale) {
   EXPECT_EQ(counters.hits + counters.misses, sequence_->size());
 }
 
-INSTANTIATE_TEST_SUITE_P(ExecMode, PlanCacheEquivalenceTest,
-                         ::testing::Values(0, 1024),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return info.param == 0
-                                      ? std::string("Volcano")
-                                      : "Batch" + std::to_string(info.param);
+INSTANTIATE_TEST_SUITE_P(Baseline, PlanCacheEquivalenceTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "RowOracle"
+                                                         : "Production");
                          });
 
 TEST(PlanCacheEnvTest, CapacityResolvesFromEnvKnobs) {
