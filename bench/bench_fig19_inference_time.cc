@@ -6,23 +6,27 @@
 //
 // Expected shape: SRU ~1.7x faster than LSTM at equal size; the compressed
 // models another ~1.8x faster (paper Sec. 7.3).
-// PR 4 extension: per-node latency comparison of the three inference paths —
-// the taped autograd Forward (the seed path), the legacy recursive fast walk
-// (tape-free, node-at-a-time), and the level-batched tape-free Infer — plus
-// a multi-tree batch lane. Prints per-node times and speedups, verifies the
-// batched outputs are bit-identical to Forward, and appends one JSON summary
-// line per model to the --metrics_json file.
+// Inference-path comparison: per-node latency of the taped autograd Forward
+// (training and the tests' oracle) and the level-batched tape-free Infer, plus
+// a multi-tree batch lane; verifies the batched outputs are bit-identical to
+// Forward. Then the LPCE-R round pass: µs per refined estimate of the
+// shared-prefix pass vs one unit chain per subset, after every executed
+// prefix of each Join-eight plan; exits 1 on any bit difference. One JSON
+// summary line per model goes to the --metrics_json file.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "bench_world.h"
 #include "common/logging.h"
+#include "lpce/estimators.h"
 #include "lpce/tree_model.h"
 
 namespace lpce::bench {
@@ -51,7 +55,7 @@ BENCHMARK(BM_LpceS)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_LpceC)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_LpceI)->Unit(benchmark::kMicrosecond);
 
-// ---- Inference-path comparison (PR 4) ----
+// ---- Inference-path comparison ----
 
 /// The join-8 test workload as estimation trees (canonical join order, true
 /// cardinality labels attached), shared by the path lanes below.
@@ -84,7 +88,7 @@ const TreeSet& GetTreeSet() {
   return set;
 }
 
-enum class Path { kTaped, kFastWalk, kBatched, kBatchedMultiTree };
+enum class Path { kTaped, kBatched, kBatchedMultiTree };
 
 /// One state iteration = one tree (or all trees for the multi-tree lane);
 /// items processed = plan nodes, so benchmark's items/s is nodes/s and the
@@ -92,7 +96,6 @@ enum class Path { kTaped, kFastWalk, kBatched, kBatchedMultiTree };
 void PerNodeLane(benchmark::State& state, const model::TreeModel& m,
                  Path path) {
   const TreeSet& set = GetTreeSet();
-  model::TreeModel::SetBatchedInferEnabled(path != Path::kFastWalk);
   std::vector<std::pair<const qry::Query*, const model::EstNode*>> batch;
   for (size_t t = 0; t < set.trees.size(); ++t) {
     batch.emplace_back(set.queries[t], set.trees[t].get());
@@ -106,7 +109,6 @@ void PerNodeLane(benchmark::State& state, const model::TreeModel& m,
       case Path::kTaped:
         benchmark::DoNotOptimize(m.Forward(*set.queries[t], set.trees[t].get()));
         break;
-      case Path::kFastWalk:
       case Path::kBatched:
         benchmark::DoNotOptimize(
             m.PredictCardFast(*set.queries[t], set.trees[t].get()));
@@ -121,15 +123,11 @@ void PerNodeLane(benchmark::State& state, const model::TreeModel& m,
                  : static_cast<int64_t>(set.total_nodes / set.trees.size());
     ++i;
   }
-  model::TreeModel::SetBatchedInferEnabled(true);
   state.SetItemsProcessed(items);
 }
 
 void BM_PerNode_Taped(benchmark::State& s) {
   PerNodeLane(s, *GetWorld().lpce_s, Path::kTaped);
-}
-void BM_PerNode_FastWalk(benchmark::State& s) {
-  PerNodeLane(s, *GetWorld().lpce_s, Path::kFastWalk);
 }
 void BM_PerNode_Batched(benchmark::State& s) {
   PerNodeLane(s, *GetWorld().lpce_s, Path::kBatched);
@@ -139,7 +137,6 @@ void BM_PerNode_BatchedMultiTree(benchmark::State& s) {
 }
 
 BENCHMARK(BM_PerNode_Taped)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_PerNode_FastWalk)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PerNode_Batched)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PerNode_BatchedMultiTree)->Unit(benchmark::kMicrosecond);
 
@@ -150,7 +147,6 @@ BENCHMARK(BM_PerNode_BatchedMultiTree)->Unit(benchmark::kMicrosecond);
 /// not: one preempted sweep would poison the whole lane).
 double TimePath(const model::TreeModel& m, Path path, int repeats) {
   const TreeSet& set = GetTreeSet();
-  model::TreeModel::SetBatchedInferEnabled(path != Path::kFastWalk);
   std::vector<std::pair<const qry::Query*, const model::EstNode*>> batch;
   for (size_t t = 0; t < set.trees.size(); ++t) {
     batch.emplace_back(set.queries[t], set.trees[t].get());
@@ -180,7 +176,6 @@ double TimePath(const model::TreeModel& m, Path path, int repeats) {
         std::chrono::duration<double, std::nano>(end - start).count();
     if (ns < best_ns) best_ns = ns;
   }
-  model::TreeModel::SetBatchedInferEnabled(true);
   return best_ns / static_cast<double>(set.total_nodes);
 }
 
@@ -189,7 +184,6 @@ double TimePath(const model::TreeModel& m, Path path, int repeats) {
 /// lets the engine switch paths without regenerating goldens).
 bool BatchedOutputsBitIdentical(const model::TreeModel& m) {
   const TreeSet& set = GetTreeSet();
-  model::TreeModel::SetBatchedInferEnabled(true);
   std::vector<std::pair<const qry::Query*, const model::EstNode*>> batch;
   for (size_t t = 0; t < set.trees.size(); ++t) {
     batch.emplace_back(set.queries[t], set.trees[t].get());
@@ -206,32 +200,39 @@ bool BatchedOutputsBitIdentical(const model::TreeModel& m) {
   return true;
 }
 
-void PrintInferencePathComparison() {
-  const World& world = GetWorld();
-  std::printf("\n=== per-node inference latency by path (join-8 workload, "
-              "%zu nodes) ===\n", GetTreeSet().total_nodes);
-  std::printf("%8s %12s %12s %12s %12s %10s %8s\n", "model", "taped(ns)",
-              "fastwalk(ns)", "batched(ns)", "multi(ns)", "speedup", "exact");
+/// Opens the --metrics_json file for appending (closed stream when unset).
+std::ofstream OpenMetricsJson() {
   std::ofstream json;
   if (!MetricsJsonPath().empty()) {
     json.open(MetricsJsonPath(), std::ios::app);
     LPCE_CHECK_MSG(json.good(), "cannot open --metrics_json file");
   }
+  return json;
+}
+
+/// Returns false when a batched output differs from the taped Forward.
+bool PrintInferencePathComparison() {
+  const World& world = GetWorld();
+  std::printf("\n=== per-node inference latency by path (join-8 workload, "
+              "%zu nodes) ===\n", GetTreeSet().total_nodes);
+  std::printf("%8s %12s %12s %12s %10s %8s\n", "model", "taped(ns)",
+              "batched(ns)", "multi(ns)", "speedup", "exact");
+  std::ofstream json = OpenMetricsJson();
   const int repeats = 20;
   const std::pair<const char*, const model::TreeModel*> models[] = {
       {"lpce_s", world.lpce_s.get()}, {"lpce_t", world.lpce_t.get()}};
+  bool all_exact = true;
   for (const auto& [tag, m] : models) {
     const double taped = TimePath(*m, Path::kTaped, repeats);
-    const double walk = TimePath(*m, Path::kFastWalk, repeats);
     const double batched = TimePath(*m, Path::kBatched, repeats);
     const double multi = TimePath(*m, Path::kBatchedMultiTree, repeats);
     const bool exact = BatchedOutputsBitIdentical(*m);
-    std::printf("%8s %12.0f %12.0f %12.0f %12.0f %9.2fx %8s\n", tag, taped,
-                walk, batched, multi, taped / batched, exact ? "yes" : "NO");
+    all_exact = all_exact && exact;
+    std::printf("%8s %12.0f %12.0f %12.0f %9.2fx %8s\n", tag, taped, batched,
+                multi, taped / batched, exact ? "yes" : "NO");
     if (json.is_open()) {
       json << "{\"bench\":\"fig19_inference_paths\",\"model\":\"" << tag
            << "\",\"taped_ns_per_node\":" << taped
-           << ",\"fastwalk_ns_per_node\":" << walk
            << ",\"batched_ns_per_node\":" << batched
            << ",\"batched_multi_tree_ns_per_node\":" << multi
            << ",\"speedup_batched_vs_taped\":" << taped / batched
@@ -241,6 +242,147 @@ void PrintInferencePathComparison() {
   }
   std::printf("(speedup = taped / batched; 'exact' = batched outputs "
               "bit-identical to the taped Forward)\n");
+  return all_exact;
+}
+
+// ---- LPCE-R: round pass vs per-subset chain ----
+
+/// One refinement round: a Join-eight query after the first k post-order
+/// operators of its canonical plan ran. `subsets` is every connected subset
+/// except the executed roots, which the engine's overlay answers from the
+/// observations instead.
+struct RefineRound {
+  const wk::LabeledQuery* labeled = nullptr;
+  std::vector<qry::RelSet> observed;
+  std::vector<qry::RelSet> subsets;
+};
+
+const std::vector<RefineRound>& GetRefineRounds() {
+  static const std::vector<RefineRound> rounds = [] {
+    std::vector<RefineRound> out;
+    for (const auto& labeled : GetWorld().test_by_joins.at(8)) {
+      const qry::Query& query = labeled.query;
+      auto logical = qry::BuildCanonicalTree(query, query.AllRels());
+      std::vector<const qry::LogicalNode*> nodes;
+      qry::PostOrder(logical.get(), &nodes);
+      for (size_t k = 0; k < nodes.size(); ++k) {
+        RefineRound round;
+        round.labeled = &labeled;
+        std::set<qry::RelSet> roots;
+        for (size_t i = 0; i < k; ++i) {
+          round.observed.push_back(nodes[i]->rels);
+          if (!nodes[i]->is_leaf()) {
+            roots.erase(nodes[i]->left->rels);
+            roots.erase(nodes[i]->right->rels);
+          }
+          roots.insert(nodes[i]->rels);
+        }
+        for (qry::RelSet rels = 1; rels <= query.AllRels(); ++rels) {
+          if (query.IsConnected(rels) && roots.count(rels) == 0) {
+            round.subsets.push_back(rels);
+          }
+        }
+        out.push_back(std::move(round));
+      }
+    }
+    return out;
+  }();
+  return rounds;
+}
+
+size_t CountRefineEstimates() {
+  size_t n = 0;
+  for (const RefineRound& round : GetRefineRounds()) n += round.subsets.size();
+  return n;
+}
+
+void ObserveRound(const RefineRound& round, model::LpceREstimator* estimator) {
+  estimator->ResetObservations();
+  for (qry::RelSet rels : round.observed) {
+    estimator->ObserveActual(
+        round.labeled->query, rels,
+        static_cast<double>(round.labeled->true_cards.at(rels)));
+  }
+}
+
+/// Minimum over `repeats` sweeps of every round (observations included), in
+/// µs per refined estimate; `chain` selects the per-subset chain.
+double TimeRefinePath(const model::LpceR& lpce_r, bool chain, int repeats) {
+  model::LpceREstimator estimator(&lpce_r, GetWorld().database.get());
+  double best_ns = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < repeats; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    for (const RefineRound& round : GetRefineRounds()) {
+      ObserveRound(round, &estimator);
+      const qry::Query& query = round.labeled->query;
+      for (qry::RelSet rels : round.subsets) {
+        benchmark::DoNotOptimize(
+            chain ? estimator.EstimateSubsetChain(query, rels)
+                  : estimator.EstimateSubset(query, rels));
+      }
+    }
+    const auto end = std::chrono::steady_clock::now();
+    best_ns = std::min(
+        best_ns, std::chrono::duration<double, std::nano>(end - start).count());
+  }
+  return best_ns / 1e3 / static_cast<double>(CountRefineEstimates());
+}
+
+/// Refined estimates whose round-pass bits differ from the chain's.
+size_t RoundPassMismatches(const model::LpceR& lpce_r) {
+  model::LpceREstimator pass(&lpce_r, GetWorld().database.get());
+  model::LpceREstimator chain(&lpce_r, GetWorld().database.get());
+  size_t mismatches = 0;
+  for (const RefineRound& round : GetRefineRounds()) {
+    ObserveRound(round, &pass);
+    ObserveRound(round, &chain);
+    const qry::Query& query = round.labeled->query;
+    for (qry::RelSet rels : round.subsets) {
+      const double a = pass.EstimateSubset(query, rels);
+      const double b = chain.EstimateSubsetChain(query, rels);
+      if (std::bit_cast<uint64_t>(a) != std::bit_cast<uint64_t>(b)) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+/// Returns false when a round-pass estimate differs from the chain's.
+bool PrintRefinerRoundPass() {
+  const World& world = GetWorld();
+  const size_t estimates = CountRefineEstimates();
+  std::printf("\n=== LPCE-R refined estimates: round pass vs per-subset chain "
+              "(join-8, %zu rounds, %zu estimates) ===\n",
+              GetRefineRounds().size(), estimates);
+  std::printf("%12s %14s %14s %10s %10s\n", "model", "chain(us/est)",
+              "pass(us/est)", "speedup", "mismatch");
+  std::ofstream json = OpenMetricsJson();
+  const int repeats = 5;
+  const std::pair<const char*, const model::LpceR*> models[] = {
+      {"lpce_r", world.lpce_r.get()}, {"lpce_r_two", world.lpce_r_two.get()}};
+  bool all_exact = true;
+  for (const auto& [tag, m] : models) {
+    const double chain = TimeRefinePath(*m, /*chain=*/true, repeats);
+    const double pass = TimeRefinePath(*m, /*chain=*/false, repeats);
+    const size_t mismatches = RoundPassMismatches(*m);
+    all_exact = all_exact && mismatches == 0;
+    std::printf("%12s %14.2f %14.2f %9.2fx %10zu\n", tag, chain, pass,
+                chain / pass, mismatches);
+    if (json.is_open()) {
+      json << "{\"bench\":\"fig19_lpce_r_round_pass\",\"model\":\"" << tag
+           << "\",\"rounds\":" << GetRefineRounds().size()
+           << ",\"estimates\":" << estimates
+           << ",\"chain_us_per_estimate\":" << chain
+           << ",\"pass_us_per_estimate\":" << pass
+           << ",\"speedup_pass_vs_chain\":" << chain / pass
+           << ",\"bit_identical_to_chain\":"
+           << (mismatches == 0 ? "true" : "false") << "}\n";
+    }
+  }
+  std::printf("(speedup = chain / pass; 'mismatch' = estimates whose bits "
+              "differ from the chain's)\n");
+  return all_exact;
 }
 
 void PrintTrainingSummary() {
@@ -269,7 +411,13 @@ int main(int argc, char** argv) {
   lpce::bench::ParseBenchFlags(argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  lpce::bench::PrintInferencePathComparison();
+  const bool paths_exact = lpce::bench::PrintInferencePathComparison();
+  const bool refiner_exact = lpce::bench::PrintRefinerRoundPass();
   lpce::bench::PrintTrainingSummary();
+  if (!paths_exact || !refiner_exact) {
+    std::fprintf(stderr, "bench_fig19: batched estimates are not bit-identical "
+                         "to their reference path\n");
+    return 1;
+  }
   return 0;
 }

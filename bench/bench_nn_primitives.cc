@@ -1,8 +1,7 @@
-// Microbenchmarks for the nn substrate: the matrix product, the two
-// recurrent cells (graph vs. inference fast path), and a full training step.
-// These quantify the two claims the library's design leans on: SRU needs
-// fewer matrix products than LSTM (paper Sec. 4.2), and the inference fast
-// path avoids the autograd graph entirely.
+// Microbenchmarks for the nn substrate: the matrix product, one step of each
+// recurrent cell, and a full training step. The cell steps quantify the claim
+// the library's design leans on: SRU needs fewer matrix products than LSTM
+// (paper Sec. 4.2). Inference runs level-batched; bench_fig19 times it.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -73,33 +72,6 @@ BENCHMARK(BM_GemmZeroSkipDenseInput)->Arg(32)->Arg(96)->Arg(256);
 BENCHMARK(BM_GemmSparseInput)->Arg(96);
 BENCHMARK(BM_GemmZeroSkipSparseInput)->Arg(96);
 
-void BM_SruStepFast(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  Rng rng(2);
-  ParamStore store;
-  TreeSruCell cell(&store, "sru", dim, &rng);
-  Matrix x = RandomMatrix(&rng, 1, dim);
-  Matrix cl = RandomMatrix(&rng, 1, dim);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.Apply(x, &cl, nullptr));
-  }
-}
-BENCHMARK(BM_SruStepFast)->Arg(32)->Arg(96);
-
-void BM_LstmStepFast(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  Rng rng(3);
-  ParamStore store;
-  TreeLstmCell cell(&store, "lstm", dim, &rng);
-  Matrix x = RandomMatrix(&rng, 1, dim);
-  Matrix cl = RandomMatrix(&rng, 1, dim);
-  Matrix hl = RandomMatrix(&rng, 1, dim);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.Apply(x, &cl, &hl, nullptr, nullptr));
-  }
-}
-BENCHMARK(BM_LstmStepFast)->Arg(32)->Arg(96);
-
 void BM_SruStepGraph(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   Rng rng(4);
@@ -112,6 +84,20 @@ void BM_SruStepGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SruStepGraph)->Arg(32)->Arg(96);
+
+void BM_LstmStepGraph(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  Rng rng(3);
+  ParamStore store;
+  TreeLstmCell cell(&store, "lstm", dim, &rng);
+  Tensor x = MakeTensor(RandomMatrix(&rng, 1, dim));
+  Tensor cl = MakeTensor(RandomMatrix(&rng, 1, dim));
+  Tensor hl = MakeTensor(RandomMatrix(&rng, 1, dim));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cell.Step(x, cl, hl, nullptr, nullptr));
+  }
+}
+BENCHMARK(BM_LstmStepGraph)->Arg(32)->Arg(96);
 
 void BM_TrainStepChain(benchmark::State& state) {
   // One forward+backward+Adam step through an 8-deep SRU chain — the inner

@@ -165,13 +165,13 @@ RunStats Engine::RunQuery(const qry::Query& query,
     ++stats.num_reopts;
 
     // Deferred estimator preparation (cache-hit path): re-planning needs the
-    // estimators live, and observations must land on prepared state exactly
-    // as they do in an uncached run. Counted in T_R — it is re-optimization
-    // work the cache could not avoid.
+    // overlay's estimator live, and observations must land on prepared state
+    // exactly as they do in an uncached run. Only the estimator the overlay
+    // wraps is read from here on, so only it is prepared. Counted in T_R —
+    // it is re-optimization work the cache could not avoid.
     if (!prepared) {
       LPCE_PROFILE_SCOPE("T_R.prepare");
-      initial->PrepareQuery(query);
-      if (refiner != nullptr) refiner->PrepareQuery(query);
+      (refiner != nullptr ? refiner : initial)->PrepareQuery(query);
       prepared = true;
     }
 

@@ -1,6 +1,7 @@
 #include "lpce/estimators.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/metrics.h"
 #include "common/profiler.h"
@@ -23,22 +24,178 @@ std::unique_ptr<EstNode> CloneEstTree(const EstNode* node) {
 
 namespace {
 
-/// Last table position the canonical builder adds for the connected subset
-/// `rels` (see qry::BuildCanonicalTree: lowest bit first, then repeatedly
-/// the lowest connected position).
-int CanonicalLastPosition(const qry::Query& query, qry::RelSet rels) {
-  qry::RelSet acc = qry::Bit(__builtin_ctz(rels));
-  int last = __builtin_ctz(rels);
-  while (acc != rels) {
-    for (int pos = 0; pos < query.num_tables(); ++pos) {
-      if (!qry::Contains(rels, pos) || qry::Contains(acc, pos)) continue;
-      if (query.JoinsBetween(acc, qry::Bit(pos)).empty()) continue;
-      acc |= qry::Bit(pos);
-      last = pos;
-      break;
+/// Join-graph adjacency by table position: connectivity tests between
+/// relation sets are a few bit operations instead of a scan of the joins.
+class JoinGraph {
+ public:
+  explicit JoinGraph(const qry::Query& query)
+      : adjacent_(static_cast<size_t>(query.num_tables()), 0) {
+    edges_.reserve(query.joins.size());
+    for (const qry::Join& join : query.joins) {
+      const int lp = query.PositionOf(join.left.table);
+      const int rp = query.PositionOf(join.right.table);
+      edges_.emplace_back(qry::Bit(lp), qry::Bit(rp));
+      adjacent_[lp] |= qry::Bit(rp);
+      adjacent_[rp] |= qry::Bit(lp);
     }
   }
+
+  /// Tables joined to some table of `s`.
+  qry::RelSet Neighbors(qry::RelSet s) const {
+    qry::RelSet out = 0;
+    for (; s != 0; s &= s - 1) out |= adjacent_[__builtin_ctz(s)];
+    return out;
+  }
+
+  /// Same as Query::IsConnected.
+  bool Connected(qry::RelSet s) const {
+    if (s == 0) return false;
+    qry::RelSet reached = qry::Bit(__builtin_ctz(s));
+    while (true) {
+      const qry::RelSet next = reached | (Neighbors(reached) & s);
+      if (next == reached) return reached == s;
+      reached = next;
+    }
+  }
+
+  /// Same as Query::JoinsBetween(a, b)[0]; -1 when no edge crosses.
+  int FirstJoinBetween(qry::RelSet a, qry::RelSet b) const {
+    for (size_t i = 0; i < edges_.size(); ++i) {
+      const auto [l, r] = edges_[i];
+      if (((l & a) != 0 && (r & b) != 0) || ((r & a) != 0 && (l & b) != 0)) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  }
+
+ private:
+  std::vector<std::pair<qry::RelSet, qry::RelSet>> edges_;
+  std::vector<qry::RelSet> adjacent_;
+};
+
+/// An executed sub-plan entering the chain pass as one unit.
+struct InjectedUnit {
+  qry::RelSet rels = 0;
+  const float* c = nullptr;  // c_AB, `dim` floats
+  double card = 0.0;         // its true cardinality
+};
+
+/// The units of `rels` in RelSet order: the injected units inside it, then
+/// one unit per remaining table.
+void UnitsOf(const std::vector<InjectedUnit>& injected, qry::RelSet rels,
+             std::vector<qry::RelSet>* units) {
+  units->clear();
+  qry::RelSet covered = 0;
+  for (const InjectedUnit& unit : injected) {
+    if ((unit.rels & rels) != unit.rels) continue;
+    units->push_back(unit.rels);
+    covered |= unit.rels;
+  }
+  for (qry::RelSet rest = rels & ~covered; rest != 0; rest &= rest - 1) {
+    units->push_back(qry::Bit(__builtin_ctz(rest)));
+  }
+  std::sort(units->begin(), units->end());
+}
+
+/// Index of the unit a subset's chain attaches last. The chain starts at
+/// units[0] and repeatedly attaches the first unused unit (RelSet order)
+/// joined to what it holds — the order of qry::BuildCanonicalTree when every
+/// unit is one table.
+size_t LastAttached(const JoinGraph& graph,
+                    const std::vector<qry::RelSet>& units) {
+  qry::RelSet reach = graph.Neighbors(units[0]);
+  uint64_t used = 1;
+  size_t last = 0;
+  for (size_t step = 1; step < units.size(); ++step) {
+    size_t i = 1;
+    while (i < units.size() &&
+           (((used >> i) & 1) != 0 || (reach & units[i]) == 0)) {
+      ++i;
+    }
+    LPCE_CHECK_MSG(i < units.size(), "estimate subset must be connected");
+    used |= uint64_t{1} << i;
+    reach |= graph.Neighbors(units[i]);
+    last = i;
+  }
   return last;
+}
+
+/// The shared-prefix pass (paper Sec. 6.1) behind both estimators: sets
+/// (*cards)[S] to `model`'s estimate for every connected subset S of the
+/// query, -1 for every other RelSet. S's estimate is the root of its unit
+/// chain (UnitsOf, LastAttached). Removing the last-attached unit changes
+/// none of the earlier picks, so S's chain is the chain of S minus that unit
+/// plus one join step: subsets are grouped by unit count and each level runs
+/// as one JoinStatesFastBatch on the states of the level below. `injected`
+/// units must be pairwise disjoint and connected. Resets the thread's
+/// inference arena; states live there for the pass only.
+void RunChainPass(const TreeModel& model, const qry::Query& query,
+                  const std::vector<InjectedUnit>& injected,
+                  std::vector<double>* cards) {
+  static common::Counter* level_batches_total =
+      common::MetricsRegistry::Global().counter(
+          "lpce.infer.subplan_level_batches_total");
+  struct Step {
+    qry::RelSet rels;
+    qry::RelSet prefix;
+    qry::RelSet last;
+    int join_idx;
+  };
+  // Per-thread scratch: vectors keep their capacity across queries.
+  thread_local std::vector<TreeModel::RawState> states;
+  thread_local std::vector<std::vector<Step>> levels;  // by unit count
+  thread_local std::vector<qry::RelSet> units;
+  thread_local std::vector<int> positions;
+  thread_local std::vector<TreeModel::RawState> level_states;
+  thread_local std::vector<TreeModel::JoinStateRequest> requests;
+
+  const JoinGraph graph(query);
+  const size_t num_sets = size_t{1} << query.num_tables();
+  nn::InferArena::ThreadLocal().Reset();
+  positions.resize(static_cast<size_t>(query.num_tables()));
+  std::iota(positions.begin(), positions.end(), 0);
+  model.LeafStatesFastBatch(query, positions, &level_states);
+  level_batches_total->Increment();
+  states.assign(num_sets, {});
+  cards->assign(num_sets, -1.0);
+  for (size_t pos = 0; pos < positions.size(); ++pos) {
+    states[qry::Bit(static_cast<int>(pos))] = level_states[pos];
+  }
+  for (const InjectedUnit& unit : injected) {
+    states[unit.rels] = {unit.c, nullptr, unit.card};
+  }
+
+  for (auto& level : levels) level.clear();
+  for (qry::RelSet rels = 1; rels < num_sets; ++rels) {
+    if (!graph.Connected(rels)) continue;
+    UnitsOf(injected, rels, &units);
+    if (units.size() == 1) {
+      (*cards)[rels] = states[rels].card;
+      continue;
+    }
+    const qry::RelSet last = units[LastAttached(graph, units)];
+    const qry::RelSet prefix = rels & ~last;
+    if (levels.size() <= units.size()) levels.resize(units.size() + 1);
+    levels[units.size()].push_back(
+        {rels, prefix, last, graph.FirstJoinBetween(prefix, last)});
+  }
+
+  for (size_t n = 2; n < levels.size(); ++n) {
+    const std::vector<Step>& level = levels[n];
+    if (level.empty()) continue;
+    requests.clear();
+    for (const Step& step : level) {
+      requests.push_back(
+          {step.join_idx, &states[step.prefix], &states[step.last]});
+    }
+    model.JoinStatesFastBatch(query, requests, &level_states);
+    level_batches_total->Increment();
+    for (size_t i = 0; i < level.size(); ++i) {
+      states[level[i].rels] = level_states[i];
+      (*cards)[level[i].rels] = level_states[i].card;
+    }
+  }
 }
 
 }  // namespace
@@ -56,84 +213,11 @@ void TreeModelEstimator::PrepareQuery(const qry::Query& query) {
           "lpce.tree_model.prepared_queries_total");
   prepared_total->Increment();
   prepared_ = false;
-  prepared_cards_.clear();
   if (model_->config().with_child_cards) return;  // unsupported; lazy path
-  if (TreeModel::BatchedInferEnabled()) {
-    // Batched incremental chain (paper Sec. 6.1 + PR 4): all leaves run as
-    // one [T x d] pass, then every connected subset of each popcount size
-    // runs as one pass — its canonical prefix has one table fewer, so the
-    // whole level's inputs exist before the level starts. States live in the
-    // thread's inference arena: reset once here, kept alive across levels,
-    // so a prepared query does zero heap allocations after warmup.
-    static common::Counter* level_batches_total =
-        common::MetricsRegistry::Global().counter(
-            "lpce.infer.subplan_level_batches_total");
-    nn::InferArena::ThreadLocal().Reset();
-    std::unordered_map<qry::RelSet, TreeModel::RawState> states;
-    std::vector<int> positions(static_cast<size_t>(query.num_tables()));
-    for (int pos = 0; pos < query.num_tables(); ++pos) positions[pos] = pos;
-    std::vector<TreeModel::RawState> level_states;
-    model_->LeafStatesFastBatch(query, positions, &level_states);
-    level_batches_total->Increment();
-    for (int pos = 0; pos < query.num_tables(); ++pos) {
-      states[qry::Bit(pos)] = level_states[pos];
-      prepared_cards_[qry::Bit(pos)] = level_states[pos].card;
-    }
-    const qry::RelSet all = query.AllRels();
-    std::vector<qry::RelSet> level_rels;
-    std::vector<TreeModel::JoinStateRequest> requests;
-    for (int size = 2; size <= query.num_tables(); ++size) {
-      level_rels.clear();
-      requests.clear();
-      for (qry::RelSet rels = 1; rels <= all; ++rels) {
-        if (qry::PopCount(rels) != size || !query.IsConnected(rels)) continue;
-        const int last = CanonicalLastPosition(query, rels);
-        const qry::RelSet prefix = rels & ~qry::Bit(last);
-        auto it = states.find(prefix);
-        LPCE_CHECK_MSG(it != states.end(), "canonical prefix must be computed");
-        const auto joins = query.JoinsBetween(prefix, qry::Bit(last));
-        LPCE_CHECK(!joins.empty());
-        level_rels.push_back(rels);
-        // unordered_map references are stable across inserts.
-        requests.push_back({joins[0], &it->second, &states[qry::Bit(last)]});
-      }
-      if (requests.empty()) continue;
-      model_->JoinStatesFastBatch(query, requests, &level_states);
-      level_batches_total->Increment();
-      for (size_t i = 0; i < level_rels.size(); ++i) {
-        states[level_rels[i]] = level_states[i];
-        prepared_cards_[level_rels[i]] = level_states[i].card;
-      }
-    }
-  } else {
-    // Legacy one-node-at-a-time chain: the canonical chain of S minus its
-    // last-added table is a strict prefix of S's chain, so
-    // state(S) = JoinStep(state(S \ last), leaf(last)).
-    std::unordered_map<qry::RelSet, TreeModel::FastNodeState> states;
-    std::vector<TreeModel::FastNodeState> leaves(query.tables.size());
-    for (int pos = 0; pos < query.num_tables(); ++pos) {
-      leaves[pos] = model_->LeafStateFast(query, pos);
-      states[qry::Bit(pos)] = leaves[pos];
-      prepared_cards_[qry::Bit(pos)] = leaves[pos].card;
-    }
-    // Enumerate connected subsets grouped by size.
-    const qry::RelSet all = query.AllRels();
-    for (int size = 2; size <= query.num_tables(); ++size) {
-      for (qry::RelSet rels = 1; rels <= all; ++rels) {
-        if (qry::PopCount(rels) != size || !query.IsConnected(rels)) continue;
-        const int last = CanonicalLastPosition(query, rels);
-        const qry::RelSet prefix = rels & ~qry::Bit(last);
-        auto it = states.find(prefix);
-        LPCE_CHECK_MSG(it != states.end(), "canonical prefix must be computed");
-        const auto joins = query.JoinsBetween(prefix, qry::Bit(last));
-        LPCE_CHECK(!joins.empty());
-        TreeModel::FastNodeState state = model_->JoinStateFast(
-            query, joins[0], it->second, leaves[last]);
-        prepared_cards_[rels] = state.card;
-        states[rels] = std::move(state);
-      }
-    }
-  }
+  // Every subset is a chain of base tables; the pass keeps a query's states
+  // in the thread's inference arena, so a prepared query does zero heap
+  // allocations after warmup.
+  RunChainPass(*model_, query, {}, &prepared_cards_);
   prepared_tables_ = query.tables;
   prepared_joins_ = query.joins.size();
   prepared_predicates_ = query.predicates.size();
@@ -142,13 +226,24 @@ void TreeModelEstimator::PrepareQuery(const qry::Query& query) {
 
 double TreeModelEstimator::EstimateSubset(const qry::Query& query,
                                           qry::RelSet rels) {
-  if (PreparedFor(query)) {
-    auto it = prepared_cards_.find(rels);
-    if (it != prepared_cards_.end()) return it->second;
+  if (PreparedFor(query) && rels < prepared_cards_.size() &&
+      prepared_cards_[rels] >= 0.0) {
+    return prepared_cards_[rels];
   }
   auto logical = qry::BuildCanonicalTree(query, rels);
   auto tree = MakeEstTree(query, logical.get(), *db_, nullptr);
   return model_->PredictCardFast(query, tree.get());
+}
+
+void LpceREstimator::PrepareQuery(const qry::Query& query) {
+  (void)query;
+  round_query_ = nullptr;
+}
+
+void LpceREstimator::ResetObservations() {
+  roots_.clear();
+  encoding_cache_.clear();
+  round_query_ = nullptr;
 }
 
 void LpceREstimator::ObserveActual(const qry::Query& query, qry::RelSet rels,
@@ -158,6 +253,7 @@ void LpceREstimator::ObserveActual(const qry::Query& query, qry::RelSet rels,
       common::MetricsRegistry::Global().counter(
           "lpce.refiner.observations_total");
   observations_total->Increment();
+  round_query_ = nullptr;
   auto node = std::make_unique<EstNode>();
   node->rels = rels;
   node->true_card = actual;
@@ -188,13 +284,20 @@ void LpceREstimator::ObserveActual(const qry::Query& query, qry::RelSet rels,
       node->join_idx = joins[0];
       node->left = std::move(roots_[left_rels]);
       node->right = std::move(roots_[right_rels]);
-      roots_.erase(left_rels);
-      roots_.erase(right_rels);
-      encoding_cache_.erase(left_rels);
-      encoding_cache_.erase(right_rels);
       node->child_card_left = node->left->true_card;
       node->child_card_right = node->right->true_card;
     }
+  }
+  // The newest observation supersedes every root it intersects: its two
+  // children (moved into `node` above) and, after a restart re-executes
+  // tables an older root covers, that older root.
+  for (auto it = roots_.begin(); it != roots_.end();) {
+    if ((it->first & rels) == 0) {
+      ++it;
+      continue;
+    }
+    encoding_cache_.erase(it->first);
+    it = roots_.erase(it);
   }
   roots_[rels] = std::move(node);
 }
@@ -210,11 +313,48 @@ nn::Tensor LpceREstimator::EncodingFor(const qry::Query& query, qry::RelSet rels
   return enc;
 }
 
+void LpceREstimator::RunRoundPass(const qry::Query& query) {
+  LPCE_PROFILE_SCOPE("lpce.refiner_round_pass");
+  static common::Counter* passes_total =
+      common::MetricsRegistry::Global().counter(
+          "lpce.refiner.round_passes_total");
+  passes_total->Increment();
+  // Encode the executed roots first: EncodeExecutedFast runs Infer, which
+  // resets the thread arena the pass's states live in.
+  std::vector<InjectedUnit> injected;
+  injected.reserve(roots_.size());
+  for (const auto& [rels, tree] : roots_) {
+    injected.push_back(
+        {rels, EncodingFor(query, rels)->value().data(), tree->true_card});
+  }
+  RunChainPass(model_->refine(), query, injected, &round_cards_);
+  round_query_ = &query;
+  round_tables_ = query.tables;
+  round_joins_ = query.joins.size();
+  round_predicates_ = query.predicates.size();
+}
+
 double LpceREstimator::EstimateSubset(const qry::Query& query, qry::RelSet rels) {
   LPCE_PROFILE_SCOPE("lpce.refiner_estimate");
   static common::Counter* estimates_total =
       common::MetricsRegistry::Global().counter("lpce.refiner.estimates_total");
   estimates_total->Increment();
+  if (model_->mode() == RefinerMode::kSingle) {
+    return EstimateSubsetChain(query, rels);
+  }
+  const bool round_valid = round_query_ == &query &&
+                           round_tables_ == query.tables &&
+                           round_joins_ == query.joins.size() &&
+                           round_predicates_ == query.predicates.size();
+  if (!round_valid) RunRoundPass(query);
+  if (rels < round_cards_.size() && round_cards_[rels] >= 0.0) {
+    return round_cards_[rels];
+  }
+  return EstimateSubsetChain(query, rels);
+}
+
+double LpceREstimator::EstimateSubsetChain(const qry::Query& query,
+                                           qry::RelSet rels) {
   // Units: maximal executed subtrees inside `rels` + uncovered base tables.
   struct Unit {
     qry::RelSet rels;

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "card/estimator.h"
 #include "lpce/lpce_r.h"
@@ -39,17 +40,28 @@ class TreeModelEstimator : public card::CardinalityEstimator {
   const TreeModel* model_;
   const db::Database* db_;
 
-  // Batched-preparation cache (valid while the prepared query matches).
+  // Batched-preparation cache (valid while the prepared query matches):
+  // card per RelSet, < 0 where the RelSet is not a connected subset.
   bool prepared_ = false;
   std::vector<int32_t> prepared_tables_;
   size_t prepared_joins_ = 0;
   size_t prepared_predicates_ = 0;
-  std::unordered_map<qry::RelSet, double> prepared_cards_;
+  std::vector<double> prepared_cards_;
 };
 
 /// LPCE-R: tracks the executed sub-plans reported via ObserveActual,
 /// encodes them with the content/cardinality modules, and estimates
 /// remaining subsets with the refine module (injected encodings).
+///
+/// A subset's estimate runs the refine module over its unit chain: the
+/// subset's units (executed roots inside it, then its uncovered base tables)
+/// in RelSet order, attached left-deep, each step taking the first unit
+/// connected to what is attached so far. For LPCE-R and LPCE-R-Two the first
+/// estimate of a round (after PrepareQuery, ObserveActual or
+/// ResetObservations) computes every connected subset of the query in one
+/// shared-prefix pass (DESIGN.md "LPCE-R round pass"); later estimates of the
+/// round are lookups. The round's cache belongs to one query: callers reset
+/// or prepare between queries, as Engine::RunQuery does.
 class LpceREstimator : public card::CardinalityEstimator {
  public:
   LpceREstimator(const LpceR* model, const db::Database* database)
@@ -66,17 +78,23 @@ class LpceREstimator : public card::CardinalityEstimator {
     }
   }
 
+  void PrepareQuery(const qry::Query& query) override;
+
   double EstimateSubset(const qry::Query& query, qry::RelSet rels) override;
 
+  /// One subset's unit chain, built and run as its own tree: the path of
+  /// LPCE-R-Single (its dynamic child cards cannot share prefixes) and the
+  /// reference the round pass is checked against bit for bit.
+  double EstimateSubsetChain(const qry::Query& query, qry::RelSet rels);
+
   /// Mirrors execution: finished nodes arrive in post-order; singleton sets
-  /// become leaves, larger sets join two previously-observed roots.
+  /// become leaves, larger sets join two previously-observed roots. The
+  /// newest observation evicts every other root it intersects, so the roots
+  /// stay disjoint and follow the engine's current plan after a restart.
   void ObserveActual(const qry::Query& query, qry::RelSet rels,
                      double actual) override;
 
-  void ResetObservations() override {
-    roots_.clear();
-    encoding_cache_.clear();
-  }
+  void ResetObservations() override;
 
   bool SupportsRefinement() const override { return true; }
 
@@ -84,12 +102,23 @@ class LpceREstimator : public card::CardinalityEstimator {
   /// Lazily computes/caches c_AB for an executed root.
   nn::Tensor EncodingFor(const qry::Query& query, qry::RelSet rels);
 
+  /// Fills round_cards_ with the refined card of every connected subset.
+  void RunRoundPass(const qry::Query& query);
+
   const LpceR* model_;
   const db::Database* db_;
-  // Maximal executed subtrees, keyed by their covered relation set.
-  // std::map: deterministic iteration order.
+  // Maximal executed subtrees, keyed by their covered relation set; pairwise
+  // disjoint. std::map: deterministic iteration order.
   std::map<qry::RelSet, std::unique_ptr<EstNode>> roots_;
   std::map<qry::RelSet, nn::Tensor> encoding_cache_;
+
+  // The round pass: refined card per RelSet (< 0: not a connected subset),
+  // valid while round_query_ is set and the query matches its shape.
+  const qry::Query* round_query_ = nullptr;
+  std::vector<int32_t> round_tables_;
+  size_t round_joins_ = 0;
+  size_t round_predicates_ = 0;
+  std::vector<double> round_cards_;
 };
 
 /// Deep copy of an estimation tree (no injection).

@@ -1,12 +1,9 @@
 #include "lpce/tree_model.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
-#include <string_view>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -82,7 +79,11 @@ double TreeModel::CardToY(double card) const {
   return std::clamp(y, 0.0, 1.0);
 }
 
-double TreeModel::YToCard(double y) const {
+// Out of line on purpose: inlined into a loop, expm1 may be vectorized
+// (libmvec), and vector and scalar libm can differ in the last ulp. One scalar
+// body makes every card conversion value-deterministic, like the lanewise
+// Sigmoid/Tanh kernels in nn/kernels.cc.
+__attribute__((noinline)) double TreeModel::YToCard(double y) const {
   return std::expm1(std::clamp(y, 0.0, 1.0) * config_.log_max_card);
 }
 
@@ -219,185 +220,26 @@ double TreeModel::PredictCard(const qry::Query& query, const EstNode* root) cons
   return YToCard(static_cast<double>(outputs.back().y->value().at(0, 0)));
 }
 
-namespace {
-
-struct FastState {
-  nn::Matrix c;
-  nn::Matrix h;
-  double est_card = -1.0;
-  bool injected = false;
-};
-
-}  // namespace
-
-// Shared inference walk: per-node estimates without building a graph.
-// `sink` (nullable) collects (rels, card) for every non-injected node.
-static FastState FastWalk(const TreeModel& model, const nn::Mlp2& embed,
-                          const nn::TreeSruCell& sru, const nn::TreeLstmCell& lstm,
-                          const FeatureEncoder& encoder,
-                          const TreeModelConfig& config, const qry::Query& query,
-                          const EstNode* node, bool dynamic_child_cards,
-                          std::vector<std::pair<qry::RelSet, double>>* sink) {
-  if (node->is_injected()) {
-    FastState state;
-    state.c = node->injected_c->value();
-    state.est_card = node->true_card;
-    state.injected = true;
-    return state;
-  }
-  FastState left_state, right_state;
-  if (node->left != nullptr) {
-    left_state = FastWalk(model, embed, sru, lstm, encoder, config, query,
-                          node->left.get(), dynamic_child_cards, sink);
-  }
-  if (node->right != nullptr) {
-    right_state = FastWalk(model, embed, sru, lstm, encoder, config, query,
-                           node->right.get(), dynamic_child_cards, sink);
-  }
-  LPCE_DCHECK(node->is_leaf() ? node->table_pos >= 0 : node->join_idx >= 0);
-  nn::Matrix features = node->is_leaf() ? encoder.EncodeScan(query, node->table_pos)
-                                        : encoder.EncodeJoin(query, node->join_idx);
-  if (config.with_child_cards) {
-    double card_left = std::max(0.0, node->child_card_left);
-    double card_right = std::max(0.0, node->child_card_right);
-    if (dynamic_child_cards && !node->is_leaf()) {
-      if (node->left->true_card < 0.0) card_left = std::max(0.0, left_state.est_card);
-      if (node->right->true_card < 0.0) {
-        card_right = std::max(0.0, right_state.est_card);
-      }
-    }
-    nn::Matrix with_cards(1, features.cols() + 2);
-    for (size_t j = 0; j < features.cols(); ++j) {
-      with_cards.at(0, j) = features.at(0, j);
-    }
-    with_cards.at(0, features.cols()) = static_cast<float>(model.CardToY(card_left));
-    with_cards.at(0, features.cols() + 1) =
-        static_cast<float>(model.CardToY(card_right));
-    features = std::move(with_cards);
-  }
-  nn::Matrix x = embed.Apply(features, nn::Mlp2::Activation::kRelu,
-                             nn::Mlp2::Activation::kRelu);
-  FastState out;
-  const nn::Matrix* cl = node->left != nullptr ? &left_state.c : nullptr;
-  const nn::Matrix* cr = node->right != nullptr ? &right_state.c : nullptr;
-  if (config.use_lstm) {
-    // Injected leaves carry no h; pass null (zero) in that case.
-    const nn::Matrix* hl =
-        (node->left != nullptr && !left_state.injected) ? &left_state.h : nullptr;
-    const nn::Matrix* hr =
-        (node->right != nullptr && !right_state.injected) ? &right_state.h
-                                                          : nullptr;
-    nn::CellMatrixOutput cell = lstm.Apply(x, cl, hl, cr, hr);
-    out.c = std::move(cell.c);
-    out.h = std::move(cell.h);
-  } else {
-    nn::CellMatrixOutput cell = sru.Apply(x, cl, cr);
-    out.c = std::move(cell.c);
-    out.h = std::move(cell.h);
-  }
-  nn::Matrix y = model.OutputFast(out.h);
-  out.est_card = model.YToCard(static_cast<double>(y.at(0, 0)));
-  if (sink != nullptr) sink->emplace_back(node->rels, out.est_card);
-  return out;
-}
-
-nn::Matrix TreeModel::OutputFast(const nn::Matrix& h) const {
-  return output_.Apply(h, nn::Mlp2::Activation::kRelu,
-                       nn::Mlp2::Activation::kSigmoid);
-}
-
-namespace {
-// -1 = follow the LPCE_INFER_BATCH environment knob; 0/1 = forced by
-// SetBatchedInferEnabled (bench/test path comparison).
-std::atomic<int> g_batched_infer_override{-1};
-}  // namespace
-
-bool TreeModel::BatchedInferEnabled() {
-  const int forced = g_batched_infer_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool enabled = [] {
-    const char* env = std::getenv("LPCE_INFER_BATCH");
-    return env == nullptr || std::string_view(env) != "0";
-  }();
-  return enabled;
-}
-
-void TreeModel::SetBatchedInferEnabled(bool enabled) {
-  g_batched_infer_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
 double TreeModel::PredictCardFast(const qry::Query& query, const EstNode* root,
                                   bool dynamic_child_cards) const {
   LPCE_PROFILE_SCOPE("lpce.predict_fast");
   LPCE_CHECK_MSG(!root->is_injected(), "cannot estimate a fully-injected tree");
-  if (BatchedInferEnabled()) {
-    return Infer(query, root, dynamic_child_cards).root_card;
-  }
-  FastState state = FastWalk(*this, embed_, sru_, lstm_, *encoder_, config_, query,
-                             root, dynamic_child_cards, nullptr);
-  return state.est_card;
+  return Infer(query, root, dynamic_child_cards).root_card;
 }
 
 void TreeModel::PredictAllFast(
     const qry::Query& query, const EstNode* root,
     std::vector<std::pair<qry::RelSet, double>>* out) const {
-  if (BatchedInferEnabled()) {
-    Infer(query, root, /*dynamic_child_cards=*/false, out);
-    return;
-  }
-  FastWalk(*this, embed_, sru_, lstm_, *encoder_, config_, query, root,
-           /*dynamic_child_cards=*/false, out);
-}
-
-TreeModel::FastNodeState TreeModel::LeafStateFast(const qry::Query& query,
-                                                  int table_pos) const {
-  LPCE_CHECK_MSG(!config_.with_child_cards,
-                 "batched states need a content-style model");
-  nn::Matrix features = encoder_->EncodeScan(query, table_pos);
-  nn::Matrix x = embed_.Apply(features, nn::Mlp2::Activation::kRelu,
-                              nn::Mlp2::Activation::kRelu);
-  nn::CellMatrixOutput cell = config_.use_lstm
-                                  ? lstm_.Apply(x, nullptr, nullptr, nullptr,
-                                                nullptr)
-                                  : sru_.Apply(x, nullptr, nullptr);
-  FastNodeState state;
-  state.card = YToCard(static_cast<double>(OutputFast(cell.h).at(0, 0)));
-  state.c = std::move(cell.c);
-  state.h = std::move(cell.h);
-  return state;
-}
-
-TreeModel::FastNodeState TreeModel::JoinStateFast(const qry::Query& query,
-                                                  int join_idx,
-                                                  const FastNodeState& left,
-                                                  const FastNodeState& right) const {
-  LPCE_CHECK_MSG(!config_.with_child_cards,
-                 "batched states need a content-style model");
-  nn::Matrix features = encoder_->EncodeJoin(query, join_idx);
-  nn::Matrix x = embed_.Apply(features, nn::Mlp2::Activation::kRelu,
-                              nn::Mlp2::Activation::kRelu);
-  nn::CellMatrixOutput cell =
-      config_.use_lstm
-          ? lstm_.Apply(x, &left.c, &left.h, &right.c, &right.h)
-          : sru_.Apply(x, &left.c, &right.c);
-  FastNodeState state;
-  state.card = YToCard(static_cast<double>(OutputFast(cell.h).at(0, 0)));
-  state.c = std::move(cell.c);
-  state.h = std::move(cell.h);
-  return state;
+  Infer(query, root, /*dynamic_child_cards=*/false, out);
 }
 
 nn::Matrix TreeModel::EncodeRootFast(const qry::Query& query,
                                      const EstNode* root) const {
-  if (BatchedInferEnabled() && !root->is_injected()) {
-    InferResult res = Infer(query, root);
-    nn::Matrix c(1, static_cast<size_t>(config_.dim));
-    nn::kernels::Copy(res.root_c, c.data(), c.size());
-    return c;
-  }
-  FastState state = FastWalk(*this, embed_, sru_, lstm_, *encoder_, config_, query,
-                             root, /*dynamic_child_cards=*/false, nullptr);
-  return state.c;
+  LPCE_CHECK_MSG(!root->is_injected(), "cannot encode a fully-injected tree");
+  InferResult res = Infer(query, root);
+  nn::Matrix c(1, static_cast<size_t>(config_.dim));
+  nn::kernels::Copy(res.root_c, c.data(), c.size());
+  return c;
 }
 
 // ---------------------------------------------------------------------------
@@ -1273,51 +1115,33 @@ TrainStats TrainTreeModel(TreeModel* model, const db::Database& database,
     int count = 0;
     std::vector<double> qerrors;
     qerrors.reserve(validation.size());
-    if (TreeModel::BatchedInferEnabled()) {
-      // All validation trees run as one multi-tree level-batched pass; the
-      // per-node ys (and hence losses and q-errors) are bit-equal to the
-      // taped Forward's.
-      std::vector<std::pair<const qry::Query*, const EstNode*>> vtrees;
-      std::vector<const nn::Matrix*> vcaches;
-      vtrees.reserve(validation.size());
-      vcaches.reserve(validation.size());
-      for (size_t idx : validation) {
-        vtrees.emplace_back(&train[idx].query, trees[idx].get());
-        vcaches.push_back(&fcaches[idx]);
-      }
-      std::vector<std::vector<TreeModel::InferNodeOutput>> vouts;
-      model->InferTrees(vtrees, &vouts, /*dynamic_child_cards=*/false,
-                        &vcaches);
-      for (size_t v = 0; v < validation.size(); ++v) {
-        bool has_loss = false;
-        const float loss =
-            TreeLossFast(*model, vouts[v], options.node_wise, &has_loss);
-        if (!has_loss) continue;
-        total += static_cast<double>(loss);
-        ++count;
-        const double est =
-            std::max(1.0, model->YToCard(
-                              static_cast<double>(vouts[v].back().y)));
-        const double act = std::max(
-            1.0, static_cast<double>(train[validation[v]].FinalCard()));
-        qerrors.push_back(est > act ? est / act : act / est);
-      }
-    } else {
-      for (size_t idx : validation) {
-        auto outputs = model->Forward(train[idx].query, trees[idx].get(),
-                                      /*dynamic_child_cards=*/false,
-                                      &fcaches[idx]);
-        nn::Tensor loss = TreeLoss(*model, outputs, options.node_wise);
-        if (loss == nullptr) continue;
-        total += loss->value().at(0, 0);
-        ++count;
-        const double est = std::max(
-            1.0, model->YToCard(
-                     static_cast<double>(outputs.back().y->value().at(0, 0))));
-        const double act =
-            std::max(1.0, static_cast<double>(train[idx].FinalCard()));
-        qerrors.push_back(est > act ? est / act : act / est);
-      }
+    // All validation trees run as one multi-tree level-batched pass; the
+    // per-node ys (and hence losses and q-errors) are bit-equal to the
+    // taped Forward's.
+    std::vector<std::pair<const qry::Query*, const EstNode*>> vtrees;
+    std::vector<const nn::Matrix*> vcaches;
+    vtrees.reserve(validation.size());
+    vcaches.reserve(validation.size());
+    for (size_t idx : validation) {
+      vtrees.emplace_back(&train[idx].query, trees[idx].get());
+      vcaches.push_back(&fcaches[idx]);
+    }
+    std::vector<std::vector<TreeModel::InferNodeOutput>> vouts;
+    model->InferTrees(vtrees, &vouts, /*dynamic_child_cards=*/false,
+                      &vcaches);
+    for (size_t v = 0; v < validation.size(); ++v) {
+      bool has_loss = false;
+      const float loss =
+          TreeLossFast(*model, vouts[v], options.node_wise, &has_loss);
+      if (!has_loss) continue;
+      total += static_cast<double>(loss);
+      ++count;
+      const double est =
+          std::max(1.0, model->YToCard(
+                            static_cast<double>(vouts[v].back().y)));
+      const double act = std::max(
+          1.0, static_cast<double>(train[validation[v]].FinalCard()));
+      qerrors.push_back(est > act ? est / act : act / est);
     }
     val.loss = count > 0 ? total / count : 0.0;
     if (!qerrors.empty()) {

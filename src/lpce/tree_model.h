@@ -149,9 +149,14 @@ class TreeModel {
       bool dynamic_child_cards = false,
       const std::vector<const nn::Matrix*>* caches = nullptr) const;
 
-  /// Arena-backed incremental state for the batched PrepareQuery path
-  /// (paper Sec. 6.1). Pointers live in the thread arena: valid until the
-  /// thread's next Infer/arena reset.
+  /// Arena-backed incremental state for the batched sub-plan passes (paper
+  /// Sec. 6.1): the recurrent (c, h) pair plus the node's cardinality
+  /// estimate. A subset's canonical chain extends the chain of the subset
+  /// minus its last-added unit, so each subset costs one cell step
+  /// (TreeModelEstimator::PrepareQuery, LpceREstimator's round pass). An
+  /// injected executed sub-plan is {c_AB, nullptr, true card}. Pointers live
+  /// in the thread arena: valid until the thread's next Infer/arena reset.
+  /// Only content-style models (no child-cardinality inputs) support this.
   struct RawState {
     const float* c = nullptr;
     const float* h = nullptr;
@@ -164,26 +169,18 @@ class TreeModel {
     const RawState* right = nullptr;
   };
 
-  /// Batched LeafStateFast: one state per entry of `positions`, computed as
-  /// a single [N x d] pass. Caller owns the arena lifecycle (reset before
-  /// the first batch of a query, keep alive across popcount levels).
+  /// Base-table leaf states, one per entry of `positions`, computed as a
+  /// single [N x d] pass. Caller owns the arena lifecycle (reset before the
+  /// first batch of a query, keep alive across levels).
   void LeafStatesFastBatch(const qry::Query& query,
                            const std::vector<int>& positions,
                            std::vector<RawState>* out) const;
 
-  /// Batched JoinStateFast: request i joins `left[i]` and `right[i]` over
-  /// join edge `join_idx[i]`; all requests run as one [N x d] pass.
+  /// Join states: request i joins `left[i]` and `right[i]` over join edge
+  /// `join_idx[i]`; all requests run as one [N x d] pass.
   void JoinStatesFastBatch(const qry::Query& query,
                            const std::vector<JoinStateRequest>& requests,
                            std::vector<RawState>* out) const;
-
-  /// True when the batched tape-free path is enabled (env LPCE_INFER_BATCH,
-  /// default on; "0" falls back to the legacy recursive fast walk).
-  static bool BatchedInferEnabled();
-
-  /// Process-wide override of the LPCE_INFER_BATCH knob, for benches and
-  /// tests that compare the batched and legacy paths in one process.
-  static void SetBatchedInferEnabled(bool enabled);
 
   /// Cardinality estimate for the root of the tree.
   double PredictCard(const qry::Query& query, const EstNode* root) const;
@@ -201,26 +198,9 @@ class TreeModel {
   /// feature extraction).
   nn::Matrix EncodeRootFast(const qry::Query& query, const EstNode* root) const;
 
-  /// Output module on a representation h (inference fast path, internal).
-  nn::Matrix OutputFast(const nn::Matrix& h) const;
-
-  /// Incremental inference states for batched sub-plan estimation (paper
-  /// Sec. 6.1: all same-level sub-query inferences share work). A state is
-  /// the recurrent (c, h) pair plus the node's cardinality estimate; the
-  /// canonical chain of a subset extends the chain of the subset minus its
-  /// last-added table, so each connected subset costs one additional step.
-  /// Only content-style models (no child-cardinality inputs) support this.
-  struct FastNodeState {
-    nn::Matrix c;
-    nn::Matrix h;
-    double card = 0.0;
-  };
-  FastNodeState LeafStateFast(const qry::Query& query, int table_pos) const;
-  FastNodeState JoinStateFast(const qry::Query& query, int join_idx,
-                              const FastNodeState& left,
-                              const FastNodeState& right) const;
-
-  /// Normalized log-cardinality <-> raw cardinality.
+  /// Normalized log-cardinality <-> raw cardinality. YToCard is one scalar
+  /// out-of-line body, so every inference path converts a y to the same
+  /// card bits.
   double CardToY(double card) const;
   double YToCard(double y) const;
 

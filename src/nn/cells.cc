@@ -1,7 +1,5 @@
 #include "nn/cells.h"
 
-#include <cmath>
-
 namespace lpce::nn {
 
 namespace {
@@ -39,30 +37,6 @@ CellOutput TreeSruCell::Step(const Tensor& x, const Tensor& c_left,
   return {c, h};
 }
 
-CellMatrixOutput TreeSruCell::Apply(const Matrix& x, const Matrix* c_left,
-                                    const Matrix* c_right) const {
-  LPCE_DCHECK(x.cols() == dim_);
-  Matrix x_tilde = wx_.Apply(x);
-  Matrix f = wf_.Apply(x);
-  SigmoidInPlace(&f);
-  Matrix r = wr_.Apply(x);
-  SigmoidInPlace(&r);
-  CellMatrixOutput out;
-  out.c = Matrix(1, dim_);
-  out.h = Matrix(1, dim_);
-  for (size_t j = 0; j < dim_; ++j) {
-    float child = 0.0f;
-    if (c_left != nullptr) child += c_left->at(0, j);
-    if (c_right != nullptr) child += c_right->at(0, j);
-    const float fj = f.at(0, j);
-    const float cj = fj * child + (1.0f - fj) * x_tilde.at(0, j);
-    out.c.at(0, j) = cj;
-    const float rj = r.at(0, j);
-    out.h.at(0, j) = rj * std::tanh(cj) + (1.0f - rj) * x.at(0, j);
-  }
-  return out;
-}
-
 TreeLstmCell::TreeLstmCell(ParamStore* store, const std::string& prefix, size_t dim,
                            Rng* rng)
     : wi_(store, prefix + ".wi", dim, dim, rng),
@@ -96,50 +70,6 @@ CellOutput TreeLstmCell::Step(const Tensor& x, const Tensor& c_left,
   }
   Tensor h = Mul(o, Tanh(c));
   return {c, h};
-}
-
-CellMatrixOutput TreeLstmCell::Apply(const Matrix& x, const Matrix* c_left,
-                                     const Matrix* h_left, const Matrix* c_right,
-                                     const Matrix* h_right) const {
-  LPCE_DCHECK(x.cols() == dim_);
-  Matrix h_sum(1, dim_, 0.0f);
-  if (h_left != nullptr) h_sum.AddInPlace(*h_left);
-  if (h_right != nullptr) h_sum.AddInPlace(*h_right);
-
-  Matrix i = wi_.Apply(x);
-  i.AddInPlace(ui_.Apply(h_sum));
-  SigmoidInPlace(&i);
-  Matrix o = wo_.Apply(x);
-  o.AddInPlace(uo_.Apply(h_sum));
-  SigmoidInPlace(&o);
-  Matrix g = wg_.Apply(x);
-  g.AddInPlace(ug_.Apply(h_sum));
-  TanhInPlace(&g);
-
-  CellMatrixOutput out;
-  out.c = Matrix(1, dim_);
-  for (size_t j = 0; j < dim_; ++j) out.c.at(0, j) = i.at(0, j) * g.at(0, j);
-
-  const Matrix wf_x = wf_.Apply(x);
-  auto add_child = [&](const Matrix* child_c, const Matrix* child_h) {
-    if (child_c == nullptr) return;
-    Matrix hk(1, dim_, 0.0f);
-    if (child_h != nullptr) hk = *child_h;
-    Matrix fk = wf_x;
-    fk.AddInPlace(uf_.Apply(hk));
-    SigmoidInPlace(&fk);
-    for (size_t j = 0; j < dim_; ++j) {
-      out.c.at(0, j) += fk.at(0, j) * child_c->at(0, j);
-    }
-  };
-  add_child(c_left, h_left);
-  add_child(c_right, h_right);
-
-  out.h = Matrix(1, dim_);
-  for (size_t j = 0; j < dim_; ++j) {
-    out.h.at(0, j) = o.at(0, j) * std::tanh(out.c.at(0, j));
-  }
-  return out;
 }
 
 }  // namespace lpce::nn

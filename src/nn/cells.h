@@ -24,12 +24,6 @@ struct CellOutput {
   Tensor h;
 };
 
-/// Inference fast-path equivalent of CellOutput (plain matrices).
-struct CellMatrixOutput {
-  Matrix c;
-  Matrix h;
-};
-
 /// Tree SRU (paper Eq. 1):
 ///   x~ = W_x x
 ///   f  = sigmoid(W_f x + b_f)
@@ -46,10 +40,6 @@ class TreeSruCell {
   /// children contribute a zero encoding.
   CellOutput Step(const Tensor& x, const Tensor& c_left,
                   const Tensor& c_right) const;
-
-  /// Inference fast path; null child pointers contribute zero encodings.
-  CellMatrixOutput Apply(const Matrix& x, const Matrix* c_left,
-                         const Matrix* c_right) const;
 
   size_t dim() const { return dim_; }
 
@@ -80,11 +70,6 @@ class TreeLstmCell {
   /// One step; children pass both their c and h. Null children are zeros.
   CellOutput Step(const Tensor& x, const Tensor& c_left, const Tensor& h_left,
                   const Tensor& c_right, const Tensor& h_right) const;
-
-  /// Inference fast path; null child pointers contribute zero states.
-  CellMatrixOutput Apply(const Matrix& x, const Matrix* c_left,
-                         const Matrix* h_left, const Matrix* c_right,
-                         const Matrix* h_right) const;
 
   size_t dim() const { return dim_; }
 

@@ -1,10 +1,14 @@
 // Tests for the LPCE estimator adapters: the LpceREstimator's executed-tree
 // reconstruction from bottom-up observations, its unit-tree assembly for
-// mixed subsets, and TreeModelEstimator consistency.
+// mixed subsets, its round pass (bit-identical to the per-subset chain), and
+// TreeModelEstimator consistency.
 #include <cmath>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
+#include "common/rng.h"
 #include "lpce/estimators.h"
 #include "workload/workload.h"
 
@@ -27,14 +31,13 @@ class EstimatorsTest : public ::testing::Test {
     train_ = generator.GenerateLabeled(30, 4, 6);
     labeled_ = train_.back();
 
-    TreeModelConfig config;
-    config.feature_dim = encoder_->dim();
-    config.dim = 16;
-    config.embed_hidden = 16;
-    config.out_hidden = 32;
-    config.log_max_card =
+    config_.feature_dim = encoder_->dim();
+    config_.dim = 16;
+    config_.embed_hidden = 16;
+    config_.out_hidden = 32;
+    config_.log_max_card =
         std::log1p(static_cast<double>(wk::MaxCardinality(train_)));
-    lpce_r_ = std::make_unique<LpceR>(encoder_.get(), config);
+    lpce_r_ = std::make_unique<LpceR>(encoder_.get(), config_);
     LpceRTrainOptions options;
     options.pretrain.epochs = 3;
     options.refine_epochs = 2;
@@ -47,6 +50,7 @@ class EstimatorsTest : public ::testing::Test {
   std::unique_ptr<FeatureEncoder> encoder_;
   std::vector<wk::LabeledQuery> train_;
   wk::LabeledQuery labeled_;
+  TreeModelConfig config_;
   std::unique_ptr<LpceR> lpce_r_;
 };
 
@@ -185,6 +189,211 @@ TEST_F(EstimatorsTest, TreeModelEstimatorIsDeterministic) {
   const double b =
       estimator.EstimateSubset(labeled_.query, labeled_.query.AllRels());
   EXPECT_DOUBLE_EQ(a, b);
+}
+
+// ---- LPCE-R round pass vs the per-subset chain ----
+
+/// The refiner's executed roots as the engine drives them: the newest
+/// observation replaces every root it intersects.
+void TrackObservation(qry::RelSet rels, std::set<qry::RelSet>* roots) {
+  for (auto it = roots->begin(); it != roots->end();) {
+    it = (*it & rels) != 0 ? roots->erase(it) : std::next(it);
+  }
+  roots->insert(rels);
+}
+
+/// An engine-like observation sequence: each step finishes a base table not
+/// yet observed or joins two current roots that share an edge, until `steps`
+/// observations were made or one root covers the query. Starts from no
+/// roots, as the engine's plan does after a restart.
+std::vector<qry::RelSet> RandomPlanObservations(const qry::Query& query,
+                                                Rng* rng, int steps) {
+  std::vector<qry::RelSet> observations;
+  std::vector<qry::RelSet> roots;
+  qry::RelSet scanned = 0;
+  while (static_cast<int>(observations.size()) < steps &&
+         !(roots.size() == 1 && roots[0] == query.AllRels())) {
+    std::vector<qry::RelSet> moves;
+    for (int pos = 0; pos < query.num_tables(); ++pos) {
+      if (!qry::Contains(scanned, pos)) moves.push_back(qry::Bit(pos));
+    }
+    for (size_t i = 0; i < roots.size(); ++i) {
+      for (size_t j = i + 1; j < roots.size(); ++j) {
+        if (!query.JoinsBetween(roots[i], roots[j]).empty()) {
+          moves.push_back(roots[i] | roots[j]);
+        }
+      }
+    }
+    const qry::RelSet move = moves[rng->Uniform(moves.size())];
+    if (qry::PopCount(move) == 1) scanned |= move;
+    std::erase_if(roots, [&](qry::RelSet r) { return (r & move) != 0; });
+    roots.push_back(move);
+    observations.push_back(move);
+  }
+  return observations;
+}
+
+/// Every estimable subset (connected, not an executed root, which the
+/// engine's overlay answers) must carry the same bits from the round pass as
+/// from the per-subset chain.
+void ExpectRoundPassMatchesChain(LpceREstimator* pass, LpceREstimator* chain,
+                                 const qry::Query& query,
+                                 const std::set<qry::RelSet>& roots,
+                                 const std::string& context) {
+  for (qry::RelSet rels = 1; rels <= query.AllRels(); ++rels) {
+    if (!query.IsConnected(rels) || roots.count(rels) > 0) continue;
+    EXPECT_EQ(pass->EstimateSubset(query, rels),
+              chain->EstimateSubsetChain(query, rels))
+        << context << " rels=" << rels;
+  }
+}
+
+class RoundPassTest : public EstimatorsTest {
+ protected:
+  void SetUp() override {
+    EstimatorsTest::SetUp();
+    wk::GeneratorOptions gen;
+    gen.seed = 16;
+    gen.require_nonempty = true;
+    wide_ = wk::QueryGenerator(database_.get(), gen).GenerateLabeled(5, 3, 7);
+    two_ = std::make_unique<LpceR>(encoder_.get(), config_, RefinerMode::kTwo);
+    LpceRTrainOptions options;
+    options.pretrain.epochs = 1;
+    options.refine_epochs = 1;
+    options.prefixes_per_query = 1;
+    TrainLpceR(two_.get(), *database_, train_, options);
+  }
+
+  std::vector<const LpceR*> Models() const {
+    return {lpce_r_.get(), two_.get()};
+  }
+
+  /// Feeds `observations` to both estimators, checking every estimable
+  /// subset after each one (interleaved observe/estimate rounds).
+  void ObserveAndCheck(const wk::LabeledQuery& labeled,
+                       const std::vector<qry::RelSet>& observations,
+                       LpceREstimator* pass, LpceREstimator* chain,
+                       std::set<qry::RelSet>* roots,
+                       const std::string& context) {
+    for (qry::RelSet rels : observations) {
+      // Labels cover the canonical plan; other sets get a stand-in count.
+      const auto it = labeled.true_cards.find(rels);
+      const double actual = it != labeled.true_cards.end()
+                                ? static_cast<double>(it->second)
+                                : 100.0 + rels;
+      pass->ObserveActual(labeled.query, rels, actual);
+      chain->ObserveActual(labeled.query, rels, actual);
+      TrackObservation(rels, roots);
+      ExpectRoundPassMatchesChain(pass, chain, labeled.query, *roots,
+                                  context + " after " + std::to_string(rels));
+    }
+  }
+
+  std::vector<wk::LabeledQuery> wide_;
+  std::unique_ptr<LpceR> two_;
+};
+
+TEST_F(RoundPassTest, EveryEstimateMatchesChainBitForBit) {
+  Rng rng(2024);
+  for (const LpceR* model : Models()) {
+    for (size_t qi = 0; qi < wide_.size(); ++qi) {
+      const wk::LabeledQuery& labeled = wide_[qi];
+      ASSERT_GE(labeled.query.num_tables(), 4);
+      ASSERT_LE(labeled.query.num_tables(), 8);
+      LpceREstimator pass(model, database_.get());
+      LpceREstimator chain(model, database_.get());
+      std::set<qry::RelSet> roots;
+      const std::string context = "mode " +
+                                  std::to_string(static_cast<int>(model->mode())) +
+                                  " query " + std::to_string(qi);
+      ExpectRoundPassMatchesChain(&pass, &chain, labeled.query, roots,
+                                  context + " cold");
+      ObserveAndCheck(labeled,
+                      RandomPlanObservations(labeled.query, &rng, 1 << 30),
+                      &pass, &chain, &roots, context);
+    }
+  }
+}
+
+TEST_F(RoundPassTest, RestartSequenceMatchesChainBitForBit) {
+  Rng rng(77);
+  for (const LpceR* model : Models()) {
+    for (size_t qi = 0; qi < wide_.size(); ++qi) {
+      const wk::LabeledQuery& labeled = wide_[qi];
+      LpceREstimator pass(model, database_.get());
+      LpceREstimator chain(model, database_.get());
+      std::set<qry::RelSet> roots;
+      const std::string context = "mode " +
+                                  std::to_string(static_cast<int>(model->mode())) +
+                                  " query " + std::to_string(qi);
+      const int tables = labeled.query.num_tables();
+      // A partial plan, then a fresh plan that re-executes its tables.
+      ObserveAndCheck(labeled,
+                      RandomPlanObservations(labeled.query, &rng, tables),
+                      &pass, &chain, &roots, context + " first plan");
+      ObserveAndCheck(labeled,
+                      RandomPlanObservations(labeled.query, &rng, 2 * tables - 2),
+                      &pass, &chain, &roots, context + " restart");
+    }
+  }
+}
+
+TEST_F(EstimatorsTest, RestartEvictsTheRootsItReexecutes) {
+  // A restart re-executes the canonical plan further than the first round
+  // did. Before the newest observation evicted intersecting roots, the
+  // re-observed leaves stayed next to the old root they belong to, and the
+  // old root's own re-observation was dropped as a duplicate: estimates then
+  // injected the same tables twice.
+  const qry::Query& query = labeled_.query;
+  auto logical = qry::BuildCanonicalTree(query, query.AllRels());
+  std::vector<const qry::LogicalNode*> nodes;
+  qry::PostOrder(logical.get(), &nodes);
+  ASSERT_GE(nodes.size(), 6u);
+  auto observe = [&](LpceREstimator* estimator, size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      estimator->ObserveActual(
+          query, nodes[i]->rels,
+          static_cast<double>(labeled_.true_cards.at(nodes[i]->rels)));
+    }
+  };
+  LpceREstimator restarted(lpce_r_.get(), database_.get());
+  observe(&restarted, 3);  // first round: leaf, leaf, join
+  observe(&restarted, 5);  // restart: the same join, then one more table
+  LpceREstimator fresh(lpce_r_.get(), database_.get());
+  observe(&fresh, 5);
+  const qry::RelSet executed = nodes[4]->rels;
+  for (qry::RelSet rels = 1; rels <= query.AllRels(); ++rels) {
+    if (!query.IsConnected(rels) || rels == executed) continue;
+    EXPECT_EQ(restarted.EstimateSubset(query, rels),
+              fresh.EstimateSubset(query, rels))
+        << "rels=" << rels;
+    EXPECT_EQ(restarted.EstimateSubsetChain(query, rels),
+              fresh.EstimateSubsetChain(query, rels))
+        << "rels=" << rels;
+  }
+}
+
+TEST_F(EstimatorsTest, OneRoundPassServesTheWholeRound) {
+  common::Counter* passes =
+      common::MetricsRegistry::Global().counter("lpce.refiner.round_passes_total");
+  const qry::Query& query = labeled_.query;
+  LpceREstimator estimator(lpce_r_.get(), database_.get());
+  estimator.PrepareQuery(query);
+  auto estimate_all = [&] {
+    for (qry::RelSet rels = 1; rels <= query.AllRels(); ++rels) {
+      if (query.IsConnected(rels)) estimator.EstimateSubset(query, rels);
+    }
+  };
+  const uint64_t before = passes->value();
+  estimate_all();  // a continue search...
+  estimate_all();  // ...and a restart search in the same round
+  EXPECT_EQ(passes->value(), before + 1);
+  estimator.ObserveActual(query, 1, static_cast<double>(labeled_.true_cards.at(1)));
+  estimate_all();
+  EXPECT_EQ(passes->value(), before + 2);
+  estimator.ResetObservations();
+  estimate_all();
+  EXPECT_EQ(passes->value(), before + 3);
 }
 
 }  // namespace

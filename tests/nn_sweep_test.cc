@@ -47,53 +47,6 @@ Tensor ChainLoss(bool lstm, const TreeSruCell& sru, const TreeLstmCell& lstm_cel
   return Sum(h);
 }
 
-TEST_P(CellSweepTest, FastApplyMatchesGraphThroughChains) {
-  const SweepParam param = GetParam();
-  Rng rng(static_cast<uint64_t>(param.dim * 131 + param.depth));
-  ParamStore store;
-  TreeSruCell sru;
-  TreeLstmCell lstm;
-  if (param.lstm) {
-    lstm = TreeLstmCell(&store, "cell", param.dim, &rng);
-  } else {
-    sru = TreeSruCell(&store, "cell", param.dim, &rng);
-  }
-  std::vector<Tensor> inputs;
-  for (int i = 0; i < param.depth; ++i) {
-    inputs.push_back(RandomVec(&rng, param.dim));
-  }
-
-  // Graph path.
-  Tensor gc, gh;
-  // Fast path.
-  Matrix fc, fh;
-  bool first = true;
-  for (const Tensor& x : inputs) {
-    if (param.lstm) {
-      CellOutput out = lstm.Step(x, gc, gh, nullptr, nullptr);
-      CellMatrixOutput fast = lstm.Apply(x->value(), first ? nullptr : &fc,
-                                         first ? nullptr : &fh, nullptr, nullptr);
-      gc = out.c;
-      gh = out.h;
-      fc = std::move(fast.c);
-      fh = std::move(fast.h);
-    } else {
-      CellOutput out = sru.Step(x, gc, nullptr);
-      CellMatrixOutput fast =
-          sru.Apply(x->value(), first ? nullptr : &fc, nullptr);
-      gc = out.c;
-      gh = out.h;
-      fc = std::move(fast.c);
-      fh = std::move(fast.h);
-    }
-    first = false;
-  }
-  for (size_t j = 0; j < static_cast<size_t>(param.dim); ++j) {
-    EXPECT_NEAR(fc.at(0, j), gc->value().at(0, j), 5e-4);
-    EXPECT_NEAR(fh.at(0, j), gh->value().at(0, j), 5e-4);
-  }
-}
-
 TEST_P(CellSweepTest, GradientsFlowThroughDeepChains) {
   const SweepParam param = GetParam();
   Rng rng(static_cast<uint64_t>(param.dim * 7 + param.depth));

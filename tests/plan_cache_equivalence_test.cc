@@ -15,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include "card/histogram_estimator.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "engine/server.h"
 #include "engine/trace.h"
+#include "lpce/estimators.h"
 #include "optimizer/plan_cache.h"
 #include "storage/database.h"
 #include "testing/row_executor.h"
@@ -401,6 +403,68 @@ INSTANTIATE_TEST_SUITE_P(Baseline, PlanCacheEquivalenceTest,
                            return std::string(info.param ? "RowOracle"
                                                          : "Production");
                          });
+
+TEST(PlanCacheDeferredPrepareTest, HitThenTripPreparesOnlyTheRefiner) {
+  // A hit that trips prepares only the estimator the re-planning overlay
+  // wraps. With LPCE-R refining, LPCE-I's prepared cards would never be read,
+  // so LPCE-I is not prepared — and the run still equals the uncached one.
+  db::SynthImdbOptions opts;
+  opts.scale = 0.02;
+  auto database = db::BuildSynthImdb(opts);
+  stats::DatabaseStats stats;
+  stats.Build(*database);
+  model::FeatureEncoder encoder(&database->catalog(), &stats);
+  wk::GeneratorOptions gen;
+  gen.seed = 515;
+  wk::QueryGenerator generator(database.get(), gen);
+  const auto train = generator.GenerateLabeled(20, 2, 5);
+  const auto queries = generator.GenerateLabeled(10, 3, 5);
+  model::TreeModelConfig config;
+  config.feature_dim = encoder.dim();
+  config.dim = 16;
+  config.embed_hidden = 16;
+  config.out_hidden = 32;
+  config.log_max_card =
+      std::log1p(static_cast<double>(wk::MaxCardinality(train)));
+  model::TreeModel lpce_i(&encoder, config);
+  model::TrainOptions train_options;
+  train_options.epochs = 2;
+  model::TrainTreeModel(&lpce_i, *database, train, train_options);
+  model::LpceR lpce_r(&encoder, config);
+  model::LpceRTrainOptions refine_options;
+  refine_options.pretrain.epochs = 1;
+  refine_options.refine_epochs = 1;
+  refine_options.pretrained_content = &lpce_i;
+  model::TrainLpceR(&lpce_r, *database, train, refine_options);
+
+  common::Counter* prepared = common::MetricsRegistry::Global().counter(
+      "lpce.tree_model.prepared_queries_total");
+  model::TreeModelEstimator initial("LPCE-I", &lpce_i, database.get());
+  model::LpceREstimator refiner(&lpce_r, database.get());
+  RunConfig run_config;
+  run_config.enable_reopt = true;
+  run_config.qerror_threshold = 2.0;  // trip often
+  Engine uncached(database.get(), opt::CostModel{});
+  opt::PlanCache cache(64);
+  Engine cached(database.get(), opt::CostModel{});
+  cached.set_plan_cache(&cache);
+  int tripped_hits = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const qry::Query& query = queries[q].query;
+    const Outcome off =
+        Summarize(uncached.RunQuery(query, &initial, &refiner, run_config));
+    cached.RunQuery(query, &initial, &refiner, run_config);  // miss: insert
+    const uint64_t before = prepared->value();
+    const Outcome on =
+        Summarize(cached.RunQuery(query, &initial, &refiner, run_config));
+    ASSERT_EQ(CacheDecision(on), "hit") << "query " << q;
+    EXPECT_EQ(prepared->value(), before) << "query " << q;
+    EXPECT_EQ(on.result_count, queries[q].FinalCard()) << "query " << q;
+    ExpectEquivalentModuloCache(off, on, "query " + std::to_string(q));
+    if (on.num_reopts > 0) ++tripped_hits;
+  }
+  EXPECT_GT(tripped_hits, 0);
+}
 
 TEST(PlanCacheEnvTest, CapacityResolvesFromEnvKnobs) {
   // The deployment path: LPCE_PLAN_CACHE turns the shared cache on (default
