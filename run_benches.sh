@@ -3,6 +3,7 @@
 # first binary will build it). The glob picks up all of build/bench/bench_*,
 # including bench_exec_batch (production executor vs the row-at-a-time
 # oracle: T_E, peak intermediate bytes, bit-identity at pools 1/2/4),
+# bench_planner_dp (DP search us per plan vs the reference DP, bit-identity),
 # bench_plancache, and bench_serving.
 # Usage: ./run_benches.sh [output-file]
 out="${1:-bench_output.txt}"

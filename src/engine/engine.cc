@@ -123,7 +123,7 @@ RunStats Engine::RunQuery(const qry::Query& query,
     // Publish right after planning so concurrent workers benefit before this
     // query even executes; the epoch guard drops the insert if statistics
     // were invalidated since the lookup.
-    plan_cache_->Insert(fingerprint, lookup_epoch, *plan, planned.pool);
+    plan_cache_->Insert(fingerprint, lookup_epoch, *plan);
   }
 
   // The overlay pins executed subsets to their exact cardinalities; the

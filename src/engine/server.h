@@ -54,7 +54,7 @@ struct ServerOptions {
   /// Default per-query engine configuration (Submit can override per query).
   /// exec_threads reaches every worker's Executor unchanged.
   RunConfig run_config;
-  /// Template-keyed plan & estimate cache shared by all workers (see
+  /// Template-keyed plan cache shared by all workers (see
   /// optimizer/plan_cache.h): maximum resident templates, 0 = disabled.
   size_t plan_cache_capacity = 0;
   /// Model registry for versioned serving (not owned; required by the

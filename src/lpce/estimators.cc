@@ -5,6 +5,7 @@
 
 #include "common/metrics.h"
 #include "common/profiler.h"
+#include "query/join_graph.h"
 
 namespace lpce::model {
 
@@ -23,56 +24,6 @@ std::unique_ptr<EstNode> CloneEstTree(const EstNode* node) {
 }
 
 namespace {
-
-/// Join-graph adjacency by table position: connectivity tests between
-/// relation sets are a few bit operations instead of a scan of the joins.
-class JoinGraph {
- public:
-  explicit JoinGraph(const qry::Query& query)
-      : adjacent_(static_cast<size_t>(query.num_tables()), 0) {
-    edges_.reserve(query.joins.size());
-    for (const qry::Join& join : query.joins) {
-      const int lp = query.PositionOf(join.left.table);
-      const int rp = query.PositionOf(join.right.table);
-      edges_.emplace_back(qry::Bit(lp), qry::Bit(rp));
-      adjacent_[lp] |= qry::Bit(rp);
-      adjacent_[rp] |= qry::Bit(lp);
-    }
-  }
-
-  /// Tables joined to some table of `s`.
-  qry::RelSet Neighbors(qry::RelSet s) const {
-    qry::RelSet out = 0;
-    for (; s != 0; s &= s - 1) out |= adjacent_[__builtin_ctz(s)];
-    return out;
-  }
-
-  /// Same as Query::IsConnected.
-  bool Connected(qry::RelSet s) const {
-    if (s == 0) return false;
-    qry::RelSet reached = qry::Bit(__builtin_ctz(s));
-    while (true) {
-      const qry::RelSet next = reached | (Neighbors(reached) & s);
-      if (next == reached) return reached == s;
-      reached = next;
-    }
-  }
-
-  /// Same as Query::JoinsBetween(a, b)[0]; -1 when no edge crosses.
-  int FirstJoinBetween(qry::RelSet a, qry::RelSet b) const {
-    for (size_t i = 0; i < edges_.size(); ++i) {
-      const auto [l, r] = edges_[i];
-      if (((l & a) != 0 && (r & b) != 0) || ((r & a) != 0 && (l & b) != 0)) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-
- private:
-  std::vector<std::pair<qry::RelSet, qry::RelSet>> edges_;
-  std::vector<qry::RelSet> adjacent_;
-};
 
 /// An executed sub-plan entering the chain pass as one unit.
 struct InjectedUnit {
@@ -102,7 +53,7 @@ void UnitsOf(const std::vector<InjectedUnit>& injected, qry::RelSet rels,
 /// units[0] and repeatedly attaches the first unused unit (RelSet order)
 /// joined to what it holds — the order of qry::BuildCanonicalTree when every
 /// unit is one table.
-size_t LastAttached(const JoinGraph& graph,
+size_t LastAttached(const qry::JoinGraph& graph,
                     const std::vector<qry::RelSet>& units) {
   qry::RelSet reach = graph.Neighbors(units[0]);
   uint64_t used = 1;
@@ -150,7 +101,7 @@ void RunChainPass(const TreeModel& model, const qry::Query& query,
   thread_local std::vector<TreeModel::RawState> level_states;
   thread_local std::vector<TreeModel::JoinStateRequest> requests;
 
-  const JoinGraph graph(query);
+  const qry::JoinGraph graph(query);
   const size_t num_sets = size_t{1} << query.num_tables();
   nn::InferArena::ThreadLocal().Reset();
   positions.resize(static_cast<size_t>(query.num_tables()));
@@ -168,7 +119,7 @@ void RunChainPass(const TreeModel& model, const qry::Query& query,
 
   for (auto& level : levels) level.clear();
   for (qry::RelSet rels = 1; rels < num_sets; ++rels) {
-    if (!graph.Connected(rels)) continue;
+    if (!graph.IsConnected(rels)) continue;
     UnitsOf(injected, rels, &units);
     if (units.size() == 1) {
       (*cards)[rels] = states[rels].card;

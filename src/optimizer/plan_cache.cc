@@ -83,7 +83,6 @@ PlanCache::LookupOutcome PlanCache::Lookup(const qry::TemplateFingerprint& fp,
       ++counters_.hits;
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       outcome.plan = it->second.plan->Clone();
-      outcome.pool = it->second.pool;
     }
   }
   if (outcome.plan != nullptr) {
@@ -96,8 +95,7 @@ PlanCache::LookupOutcome PlanCache::Lookup(const qry::TemplateFingerprint& fp,
 }
 
 void PlanCache::Insert(const qry::TemplateFingerprint& fp, uint64_t epoch,
-                       const exec::PlanNode& plan,
-                       const std::unordered_map<qry::RelSet, double>& pool) {
+                       const exec::PlanNode& plan) {
   LPCE_CHECK_MSG(!HasPseudoScan(plan),
                  "only initial plans are cacheable (no pseudo scans)");
   std::unique_ptr<exec::PlanNode> skeleton = plan.Clone();
@@ -121,7 +119,6 @@ void PlanCache::Insert(const qry::TemplateFingerprint& fp, uint64_t epoch,
       lru_.push_front(fp.canonical);
       Entry entry;
       entry.plan = std::move(skeleton);
-      entry.pool = pool;
       entry.fss_hash = fp.fss_hash;
       entry.lru_pos = lru_.begin();
       entries_.emplace(fp.canonical, std::move(entry));

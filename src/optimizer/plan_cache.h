@@ -1,12 +1,13 @@
-// Template-keyed plan & estimate cache (ROADMAP item 2; AQO's fss idea).
+// Template-keyed plan cache (ROADMAP item 2; AQO's fss idea).
 //
 // Serving workloads are dominated by parameterized variants of a small set
 // of query templates, yet every admitted query pays full DP enumeration
 // (T_P) and a fresh estimate pool (T_I). This cache keys the planner's
 // output on a template fingerprint (query/fingerprint.h): on a hit the
 // engine skips planning entirely, rebinding the cached plan skeleton's scan
-// filters to the new literals and adopting the cached estimation pool, so
-// T_P + T_I collapse to a lookup plus a clone.
+// filters to the new literals, so T_P + T_I collapse to a lookup plus a
+// clone. No estimates are cached: a hit that trips re-optimization prepares
+// the estimator then.
 //
 // Correctness rests on the fingerprint's bit-identity contract: equal
 // canonical keys guarantee the estimator would produce bitwise-identical
@@ -64,8 +65,6 @@ class PlanCache {
     /// Rebound plan skeleton on hit (scan filters already rebound to the
     /// query's literals), nullptr on miss.
     std::unique_ptr<exec::PlanNode> plan;
-    /// Copy of the cached estimation pool on hit.
-    std::unordered_map<qry::RelSet, double> pool;
     /// Epoch observed at lookup; pass to Insert after a miss so a
     /// concurrent Invalidate drops the stale insert.
     uint64_t epoch = 0;
@@ -74,19 +73,18 @@ class PlanCache {
   };
 
   /// On hit, returns a deep copy of the cached skeleton with every scan's
-  /// filters rebound to `query`'s predicates, plus the pool copy; bumps the
-  /// entry to most-recently-used. On miss, returns plan == nullptr and the
+  /// filters rebound to `query`'s predicates; bumps the entry to
+  /// most-recently-used. On miss, returns plan == nullptr and the
   /// current epoch.
   LookupOutcome Lookup(const qry::TemplateFingerprint& fp,
                        const qry::Query& query);
 
-  /// Stores a clone of `plan` (an initial plan: no pseudo scans) and `pool`
-  /// under `fp`, evicting the LRU entry if at capacity. Dropped silently if
-  /// `epoch` is stale (an Invalidate ran since the lookup) or the key is
-  /// already present (a concurrent worker won the race).
+  /// Stores a clone of `plan` (an initial plan: no pseudo scans) under `fp`,
+  /// evicting the LRU entry if at capacity. Dropped silently if `epoch` is
+  /// stale (an Invalidate ran since the lookup) or the key is already
+  /// present (a concurrent worker won the race).
   void Insert(const qry::TemplateFingerprint& fp, uint64_t epoch,
-              const exec::PlanNode& plan,
-              const std::unordered_map<qry::RelSet, double>& pool);
+              const exec::PlanNode& plan);
 
   /// Empties the cache and bumps the epoch — call on a statistics rebuild
   /// or model version bump; in-flight inserts against the old epoch are
@@ -99,7 +97,6 @@ class PlanCache {
  private:
   struct Entry {
     std::unique_ptr<exec::PlanNode> plan;  // skeleton (literal-free template)
-    std::unordered_map<qry::RelSet, double> pool;
     uint64_t fss_hash = 0;
     std::list<std::string>::iterator lru_pos;
   };

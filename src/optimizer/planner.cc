@@ -1,33 +1,35 @@
 #include "optimizer/planner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <limits>
-#include <unordered_map>
 
 #include "common/fpclass.h"
 #include "common/metrics.h"
 #include "common/profiler.h"
 #include "common/timer.h"
+#include "query/join_graph.h"
 
 namespace lpce::opt {
 
 namespace {
 
-/// DP table entry for one unit mask: best cost plus the decisions needed to
-/// reconstruct the plan (kept as masks, not trees, so losing candidates cost
-/// nothing to discard).
-struct Entry {
-  double cost = std::numeric_limits<double>::infinity();
+/// Search state of one unit mask. `covered` through `plannable` depend only
+/// on the units and the join graph; `card` is the mask's estimate; the rest
+/// is the cheapest join found so far (its inner side is `mask ^ outer`).
+struct MaskEntry {
+  qry::RelSet covered = 0;    // tables of the mask's units
+  qry::RelSet neighbors = 0;  // tables joined to some table of `covered`
+  int joins_within = 0;       // join edges with both ends in `covered`
+  bool plannable = false;     // one unit, or a connected set of units
   double card = 0.0;
-  bool feasible = false;
-  // Join decision (internal nodes).
+  double cost = std::numeric_limits<double>::infinity();
+  uint32_t outer = 0;
   exec::PhysOp op = exec::PhysOp::kHashJoin;
-  uint32_t outer_mask = 0;
-  uint32_t inner_mask = 0;
-  int join_idx = -1;
-  // Scan decision (leaves).
+};
+
+/// Scan decision of a base-table leaf.
+struct LeafScan {
   bool use_index = false;
   db::ColRef index_col;
 };
@@ -59,50 +61,73 @@ PlanResult Planner::PlanUnits(const qry::Query& query,
   const int n = static_cast<int>(units.size());
   LPCE_CHECK(n >= 1 && n <= 20);
   const uint32_t full = (uint32_t{1} << n) - 1;
+  const qry::JoinGraph graph(query);
 
-  std::vector<qry::RelSet> covered(uint64_t{1} << n, 0);
+  // Per-mask tables. Each mask extends the mask without its lowest unit.
+  std::vector<MaskEntry> dp(uint64_t{1} << n);
   for (uint32_t mask = 1; mask <= full; ++mask) {
+    MaskEntry& entry = dp[mask];
     const int low = __builtin_ctz(mask);
-    covered[mask] = covered[mask & (mask - 1)] | units[low].rels;
-  }
-  {
-    qry::RelSet all = covered[full];
-    LPCE_CHECK_MSG(all == query.AllRels(), "units must cover the whole query");
-  }
-
-  // Estimation pool: one inference per unique table subset (Sec. 6.1). Built
-  // into the result so the plan cache can reuse it on template hits.
-  std::unordered_map<qry::RelSet, double>& pool = result.pool;
-  auto estimate = [&](uint32_t mask) -> double {
-    // Exactly-one-pseudo-unit masks have exactly known cardinality.
     if ((mask & (mask - 1)) == 0) {
-      const PlanUnit& unit = units[__builtin_ctz(mask)];
-      if (unit.known_card >= 0.0) return unit.known_card;
+      const qry::RelSet rels = units[low].rels;
+      LPCE_CHECK_MSG(graph.IsConnected(rels),
+                     "a plan unit must cover a connected table set");
+      entry.covered = rels;
+      entry.neighbors = graph.Neighbors(rels);
+      entry.plannable = true;
+    } else {
+      const MaskEntry& rest = dp[mask & (mask - 1)];
+      const MaskEntry& unit = dp[uint32_t{1} << low];
+      LPCE_CHECK_MSG((rest.covered & unit.covered) == 0,
+                     "plan units must be disjoint");
+      entry.covered = rest.covered | unit.covered;
+      entry.neighbors = rest.neighbors | unit.neighbors;
+      // Units are disjoint and connected, so a set of units is connected
+      // exactly when its tables are; such a mask splits into two plannable
+      // halves joined by an edge.
+      entry.plannable = graph.IsConnected(entry.covered);
     }
-    const qry::RelSet rels = covered[mask];
-    auto it = pool.find(rels);
-    if (it != pool.end()) return it->second;
+    entry.joins_within = graph.CountJoinsWithin(entry.covered);
+  }
+  LPCE_CHECK_MSG(dp[full].covered == query.AllRels(),
+                 "units must cover the whole query");
+
+  // Every estimate, fetched in one block in the order a lazy search would
+  // first need them: the leaves, then the plannable masks ascending. Each
+  // unique table subset is estimated once into the pool (Sec. 6.1).
+  {
     LPCE_PROFILE_SCOPE("T_I.estimate");
     WallTimer timer;
-    double card = estimator->EstimateSubset(query, rels);
-    // Explicit degenerate-estimate guard: NaN and negative estimates clamp
-    // to 0 rows (the cost model additionally sanitizes on its side, so a
-    // 0-row input can never produce a NaN cost that corrupts DP comparison).
-    if (common::IsNan(card) || card < 0.0) card = 0.0;
-    result.inference_seconds += timer.ElapsedSeconds();
-    ++result.num_estimates;
-    pool.emplace(rels, card);
-    return card;
-  };
+    auto fetch = [&](uint32_t mask) {
+      const qry::RelSet rels = dp[mask].covered;
+      double card = estimator->EstimateSubset(query, rels);
+      // Explicit degenerate-estimate guard: NaN and negative estimates clamp
+      // to 0 rows (the cost model additionally sanitizes on its side, so a
+      // 0-row input can never produce a NaN cost that corrupts DP
+      // comparison).
+      if (common::IsNan(card) || card < 0.0) card = 0.0;
+      ++result.num_estimates;
+      result.pool.emplace(rels, card);
+      dp[mask].card = card;
+    };
+    for (int i = 0; i < n; ++i) {
+      // A single pseudo unit has an exactly known cardinality.
+      if (units[i].known_card >= 0.0) {
+        dp[uint32_t{1} << i].card = units[i].known_card;
+      } else {
+        fetch(uint32_t{1} << i);
+      }
+    }
+    for (uint32_t mask = 1; mask <= full; ++mask) {
+      if ((mask & (mask - 1)) != 0 && dp[mask].plannable) fetch(mask);
+    }
+    result.inference_seconds = timer.ElapsedSeconds();
+  }
 
-  std::vector<Entry> best(uint64_t{1} << n);
-
-  // Leaves.
+  // Leaves: pseudo scans, or the cheaper of a sequential and an index scan.
+  std::vector<LeafScan> scans(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const uint32_t mask = uint32_t{1} << i;
-    Entry& entry = best[mask];
-    entry.card = estimate(mask);
-    entry.feasible = true;
+    MaskEntry& entry = dp[uint32_t{1} << i];
     const PlanUnit& unit = units[i];
     if (unit.materialized != nullptr) {
       entry.cost = cost_model_.PseudoScanCost(entry.card);
@@ -112,77 +137,74 @@ PlanResult Planner::PlanUnits(const qry::Query& query,
     const auto preds = query.PredicatesOf(unit.table_pos);
     const double table_rows =
         static_cast<double>(db_->table(table_id).num_rows());
-    entry.cost = cost_model_.SeqScanCost(table_rows, static_cast<int>(preds.size()));
+    entry.cost =
+        cost_model_.SeqScanCost(table_rows, static_cast<int>(preds.size()));
     for (const auto& pred : preds) {
       if (pred.op == qry::CmpOp::kNe) continue;
       const double index_cost = cost_model_.IndexScanCost(
           entry.card, static_cast<int>(preds.size()) - 1);
       if (index_cost < entry.cost) {
         entry.cost = index_cost;
-        entry.use_index = true;
-        entry.index_col = pred.col;
+        scans[i].use_index = true;
+        scans[i].index_col = pred.col;
       }
     }
   }
 
-  // DPsize over connected unit subsets; iterating masks in increasing
-  // numeric order works because every strict submask is smaller.
+  // DPsize over plannable masks; iterating masks in increasing numeric order
+  // works because every strict submask is smaller. Ties keep the first
+  // (outer, op) found.
   for (uint32_t mask = 1; mask <= full; ++mask) {
-    if ((mask & (mask - 1)) == 0) continue;  // leaf
-    if (!query.IsConnected(covered[mask])) continue;
-    Entry& entry = best[mask];
-    double out_card = -1.0;
+    if ((mask & (mask - 1)) == 0 || !dp[mask].plannable) continue;
+    MaskEntry& entry = dp[mask];
     for (uint32_t sub = (mask - 1) & mask; sub != 0; sub = (sub - 1) & mask) {
       const uint32_t other = mask ^ sub;
-      if (!best[sub].feasible || !best[other].feasible) continue;
-      const auto joins = query.JoinsBetween(covered[sub], covered[other]);
-      if (joins.empty()) continue;
-      if (out_card < 0.0) out_card = estimate(mask);
-      const double outer_rows = best[sub].card;
-      const double inner_rows = best[other].card;
-      // Multigraph cuts: the first edge drives the join, the rest are
+      const MaskEntry& outer = dp[sub];
+      const MaskEntry& inner = dp[other];
+      if (!outer.plannable || !inner.plannable) continue;
+      if ((outer.neighbors & inner.covered) == 0) continue;
+      // Multigraph cuts: one crossing edge drives the join, the rest are
       // residual filters charged to the cost (and attached during build).
-      const int num_residual = static_cast<int>(joins.size()) - 1;
+      const int num_residual =
+          entry.joins_within - outer.joins_within - inner.joins_within - 1;
       for (exec::PhysOp op : {exec::PhysOp::kHashJoin, exec::PhysOp::kMergeJoin,
                               exec::PhysOp::kNestLoopJoin}) {
         const double cost =
-            best[sub].cost + best[other].cost +
-            cost_model_.JoinCost(op, outer_rows, inner_rows, out_card,
+            outer.cost + inner.cost +
+            cost_model_.JoinCost(op, outer.card, inner.card, entry.card,
                                  num_residual);
         if (cost < entry.cost) {
           entry.cost = cost;
-          entry.card = out_card;
-          entry.feasible = true;
           entry.op = op;
-          entry.outer_mask = sub;
-          entry.inner_mask = other;
-          entry.join_idx = joins[0];
+          entry.outer = sub;
         }
       }
     }
   }
 
-  LPCE_CHECK_MSG(best[full].feasible, "query join graph must be connected");
-
-  // Reconstruct the winning plan.
+  // Reconstruct the winning plan. The cut's edges are looked up only here,
+  // once per plan node: the first drives the join, the rest become residual
+  // filters so no equi-join predicate is silently dropped (multigraph
+  // queries).
   std::function<std::unique_ptr<exec::PlanNode>(uint32_t)> build =
       [&](uint32_t mask) -> std::unique_ptr<exec::PlanNode> {
-    const Entry& entry = best[mask];
+    const MaskEntry& entry = dp[mask];
     auto node = std::make_unique<exec::PlanNode>();
-    node->rels = covered[mask];
+    node->rels = entry.covered;
     node->est_card = entry.card;
     node->est_cost = entry.cost;
     if ((mask & (mask - 1)) == 0) {
-      const PlanUnit& unit = units[__builtin_ctz(mask)];
+      const int i = __builtin_ctz(mask);
+      const PlanUnit& unit = units[i];
       if (unit.materialized != nullptr) {
         node->op = exec::PhysOp::kPseudoScan;
         node->pseudo = unit.materialized;
       } else {
         node->table_pos = unit.table_pos;
         node->filters = query.PredicatesOf(unit.table_pos);
-        if (entry.use_index) {
+        if (scans[i].use_index) {
           node->op = exec::PhysOp::kIndexScan;
-          node->index_col = entry.index_col;
+          node->index_col = scans[i].index_col;
         } else {
           node->op = exec::PhysOp::kSeqScan;
         }
@@ -190,32 +212,26 @@ PlanResult Planner::PlanUnits(const qry::Query& query,
       return node;
     }
     node->op = entry.op;
-    node->outer = build(entry.outer_mask);
-    node->inner = build(entry.inner_mask);
-    const qry::Join& join = query.joins[entry.join_idx];
-    const int left_pos = query.PositionOf(join.left.table);
-    if (qry::Contains(node->outer->rels, left_pos)) {
-      node->outer_key = join.left;
-      node->inner_key = join.right;
-    } else {
-      node->outer_key = join.right;
-      node->inner_key = join.left;
-    }
-    // Every additional edge crossing this cut becomes a residual filter so
-    // no equi-join predicate is silently dropped (multigraph queries).
-    for (int join_idx :
-         query.JoinsBetween(node->outer->rels, node->inner->rels)) {
-      if (join_idx == entry.join_idx) continue;
-      const qry::Join& extra = query.joins[join_idx];
-      const int extra_left = query.PositionOf(extra.left.table);
-      if (qry::Contains(node->outer->rels, extra_left)) {
-        node->residual_keys.emplace_back(extra.left, extra.right);
+    node->outer = build(entry.outer);
+    node->inner = build(mask ^ entry.outer);
+    const std::vector<int> joins =
+        graph.JoinsBetween(node->outer->rels, node->inner->rels);
+    for (size_t k = 0; k < joins.size(); ++k) {
+      const qry::Join& join = query.joins[joins[k]];
+      const bool left_outer =
+          qry::Contains(node->outer->rels, query.PositionOf(join.left.table));
+      const db::ColRef& outer_key = left_outer ? join.left : join.right;
+      const db::ColRef& inner_key = left_outer ? join.right : join.left;
+      if (k == 0) {
+        node->outer_key = outer_key;
+        node->inner_key = inner_key;
       } else {
-        node->residual_keys.emplace_back(extra.right, extra.left);
+        node->residual_keys.emplace_back(outer_key, inner_key);
       }
     }
     return node;
   };
+  LPCE_CHECK_MSG(dp[full].plannable, "query join graph must be connected");
   result.plan = build(full);
   result.search_seconds =
       std::max(0.0, total_timer.ElapsedSeconds() - result.inference_seconds);

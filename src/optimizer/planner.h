@@ -34,9 +34,8 @@ struct PlanResult {
   double search_seconds = 0.0;     // T_P: DP enumeration time
   double inference_seconds = 0.0;  // T_I: estimator time (unique subsets)
   size_t num_estimates = 0;        // unique cardinality estimations performed
-  /// The estimation pool (subset -> estimate) built during enumeration. The
-  /// plan cache stores it alongside the skeleton so a hit can reuse every
-  /// estimate without touching the estimator.
+  /// The estimation pool: every estimator answer of this search, keyed by
+  /// table subset (card::OracleEstimator replays it without the model).
   std::unordered_map<qry::RelSet, double> pool;
 };
 

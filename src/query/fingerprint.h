@@ -1,4 +1,4 @@
-// Template fingerprinting for the plan & estimate cache (AQO-style fss).
+// Template fingerprinting for the plan cache (AQO-style fss).
 //
 // Millions of users mostly issue parameterized variants of a few hundred
 // query templates. Two fingerprints canonicalize a query for template-keyed

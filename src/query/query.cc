@@ -3,6 +3,8 @@
 #include <memory>
 #include <sstream>
 
+#include "query/join_graph.h"
+
 namespace lpce::qry {
 
 const char* CmpOpName(CmpOp op) {
@@ -58,20 +60,13 @@ std::vector<Predicate> Query::PredicatesOf(int pos) const {
 
 bool Query::IsConnected(RelSet s) const {
   if (s == 0) return false;
-  const int start = __builtin_ctz(s);
-  RelSet reached = Bit(start);
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (const auto& j : joins) {
-      const int lp = PositionOf(j.left.table);
-      const int rp = PositionOf(j.right.table);
-      if (!Contains(s, lp) || !Contains(s, rp)) continue;
-      const bool has_l = Contains(reached, lp);
-      const bool has_r = Contains(reached, rp);
-      if (has_l != has_r) {
-        reached |= Bit(lp) | Bit(rp);
-        grew = true;
+  RelSet reached = Bit(__builtin_ctz(s));
+  for (RelSet before = 0; before != reached;) {
+    before = reached;
+    for (const Join& join : joins) {
+      const JoinGraph::Edge edge = JoinGraph::Edge::Of(*this, join);
+      if (edge.Inside(s) && edge.Crosses(reached, s)) {
+        reached |= edge.left | edge.right;
       }
     }
   }
@@ -81,10 +76,7 @@ bool Query::IsConnected(RelSet s) const {
 std::vector<int> Query::JoinsBetween(RelSet a, RelSet b) const {
   std::vector<int> out;
   for (size_t i = 0; i < joins.size(); ++i) {
-    const int lp = PositionOf(joins[i].left.table);
-    const int rp = PositionOf(joins[i].right.table);
-    if ((Contains(a, lp) && Contains(b, rp)) ||
-        (Contains(a, rp) && Contains(b, lp))) {
+    if (JoinGraph::Edge::Of(*this, joins[i]).Crosses(a, b)) {
       out.push_back(static_cast<int>(i));
     }
   }
@@ -94,9 +86,9 @@ std::vector<int> Query::JoinsBetween(RelSet a, RelSet b) const {
 std::vector<int> Query::JoinsWithin(RelSet s) const {
   std::vector<int> out;
   for (size_t i = 0; i < joins.size(); ++i) {
-    const int lp = PositionOf(joins[i].left.table);
-    const int rp = PositionOf(joins[i].right.table);
-    if (Contains(s, lp) && Contains(s, rp)) out.push_back(static_cast<int>(i));
+    if (JoinGraph::Edge::Of(*this, joins[i]).Inside(s)) {
+      out.push_back(static_cast<int>(i));
+    }
   }
   return out;
 }
@@ -149,22 +141,22 @@ std::unique_ptr<LogicalNode> BuildJoinNode(const Query& query,
 }
 
 std::unique_ptr<LogicalNode> BuildCanonicalTree(const Query& query, RelSet s) {
-  LPCE_CHECK_MSG(query.IsConnected(s), "canonical tree needs a connected subset");
+  const JoinGraph graph(query);
+  LPCE_CHECK_MSG(graph.IsConnected(s), "canonical tree needs a connected subset");
   // Greedy left-deep: start at the lowest position, repeatedly attach the
   // lowest-position table connected to the current prefix.
   std::unique_ptr<LogicalNode> acc = BuildLeafNode(query, __builtin_ctz(s));
   RelSet remaining = s & ~acc->rels;
   while (remaining != 0) {
-    int next = -1;
-    for (int pos = 0; pos < query.num_tables(); ++pos) {
-      if (!Contains(remaining, pos)) continue;
-      if (!query.JoinsBetween(acc->rels, Bit(pos)).empty()) {
-        next = pos;
-        break;
-      }
-    }
-    LPCE_CHECK(next >= 0);
-    acc = BuildJoinNode(query, std::move(acc), BuildLeafNode(query, next));
+    const RelSet attachable = graph.Neighbors(acc->rels) & remaining;
+    LPCE_CHECK(attachable != 0);
+    const int next = __builtin_ctz(attachable);
+    auto node = std::make_unique<LogicalNode>();
+    node->rels = acc->rels | Bit(next);
+    node->join_idx = graph.FirstJoinBetween(acc->rels, Bit(next));
+    node->left = std::move(acc);
+    node->right = BuildLeafNode(query, next);
+    acc = std::move(node);
     remaining &= ~Bit(next);
   }
   return acc;

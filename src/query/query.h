@@ -60,6 +60,9 @@ struct Query {
   int PositionOf(int32_t table_id) const;
   /// Predicates that apply to the table at `pos` (0 or 1 of them).
   std::vector<Predicate> PredicatesOf(int pos) const;
+  /// The three questions below scan `joins` with qry::JoinGraph::Edge's
+  /// test (query/join_graph.h) and build no graph; code asking many of them
+  /// builds one qry::JoinGraph and asks it.
   /// True if the tables in `s` form a connected subgraph of the join tree.
   bool IsConnected(RelSet s) const;
   /// Join edges with one side in `a` and the other in `b`.

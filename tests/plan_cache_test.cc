@@ -1,5 +1,5 @@
 // Unit tests for the template fingerprint (query/fingerprint.h) and the
-// plan & estimate cache (optimizer/plan_cache.h): literal-insensitive
+// plan cache (optimizer/plan_cache.h): literal-insensitive
 // template collision, exact-key separation of distinct templates, LRU
 // eviction, the epoch guard that drops inserts staged before an
 // invalidation, rebinding, and the engine-level hit path's stats coherence
@@ -147,7 +147,7 @@ TEST_F(PlanCacheTest, HitServesBitIdenticalPlanWithReboundLiterals) {
   auto miss = cache.Lookup(fp_a, query_a);
   EXPECT_FALSE(miss.hit());
   opt::PlanResult planned = planner.Plan(query_a, &estimator);
-  cache.Insert(fp_a, miss.epoch, *planned.plan, planned.pool);
+  cache.Insert(fp_a, miss.epoch, *planned.plan);
 
   // The other literal hits and comes back rebound: bitwise the plan fresh
   // planning would build for query_b, literals included.
@@ -159,7 +159,6 @@ TEST_F(PlanCacheTest, HitServesBitIdenticalPlanWithReboundLiterals) {
   EXPECT_EQ(hit.plan->ToString(database_->catalog(), query_b),
             fresh.plan->ToString(database_->catalog(), query_b));
   EXPECT_EQ(hit.plan->est_cost, fresh.plan->est_cost);
-  EXPECT_EQ(hit.pool, fresh.pool);
 
   const auto counters = cache.counters();
   EXPECT_EQ(counters.hits, 1u);
@@ -185,7 +184,7 @@ TEST_F(PlanCacheTest, LruEvictsLeastRecentlyUsedAtCapacity) {
     const auto fp = opt::PlanCache::Fingerprint(query, estimator);
     auto outcome = cache.Lookup(fp, query);
     opt::PlanResult planned = planner.Plan(query, &estimator);
-    cache.Insert(fp, outcome.epoch, *planned.plan, planned.pool);
+    cache.Insert(fp, outcome.epoch, *planned.plan);
     fps.push_back(fp);
   }
   // Inserting the third evicted template 0 (LRU); 1 and 2 remain.
@@ -196,7 +195,7 @@ TEST_F(PlanCacheTest, LruEvictsLeastRecentlyUsedAtCapacity) {
   // Touching 1 made 2 the LRU: re-inserting 0 now evicts 2.
   auto outcome = cache.Lookup(fps[0], queries[0]);
   opt::PlanResult planned = planner.Plan(queries[0], &estimator);
-  cache.Insert(fps[0], outcome.epoch, *planned.plan, planned.pool);
+  cache.Insert(fps[0], outcome.epoch, *planned.plan);
   EXPECT_TRUE(cache.Lookup(fps[1], queries[1]).hit());
   EXPECT_FALSE(cache.Lookup(fps[2], queries[2]).hit());
 }
@@ -210,7 +209,7 @@ TEST_F(PlanCacheTest, InvalidationDropsEntriesAndStaleInserts) {
 
   auto before = cache.Lookup(fp, query);  // miss at epoch e
   opt::PlanResult planned = planner.Plan(query, &estimator);
-  cache.Insert(fp, before.epoch, *planned.plan, planned.pool);
+  cache.Insert(fp, before.epoch, *planned.plan);
   ASSERT_TRUE(cache.Lookup(fp, query).hit());
 
   cache.Invalidate();
@@ -221,10 +220,10 @@ TEST_F(PlanCacheTest, InvalidationDropsEntriesAndStaleInserts) {
   EXPECT_FALSE(after.hit());
   // ...and an insert staged against the pre-bump epoch is dropped: a worker
   // that planned against old statistics can never publish a stale skeleton.
-  cache.Insert(fp, before.epoch, *planned.plan, planned.pool);
+  cache.Insert(fp, before.epoch, *planned.plan);
   EXPECT_FALSE(cache.Lookup(fp, query).hit());
   // A fresh lookup/insert cycle at the new epoch works again.
-  cache.Insert(fp, after.epoch, *planned.plan, planned.pool);
+  cache.Insert(fp, after.epoch, *planned.plan);
   EXPECT_TRUE(cache.Lookup(fp, query).hit());
 }
 
@@ -290,7 +289,7 @@ TEST_F(PlanCacheTest, CacheOffTracesHaveNoCacheFields) {
 
 TEST_F(PlanCacheTest, ModelVersionPublishInvalidatesServerCache) {
   // Regression (the feedback loop's cache-coherence wire): a cached skeleton
-  // embeds the estimate pool of the model version that planned it, so a
+  // was chosen on the estimates of the model version that planned it, so a
   // registry publish must empty the server's cache and bump its epoch —
   // before this hook existed, post-swap queries could serve pre-swap
   // skeletons with stale estimates.
