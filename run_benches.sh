@@ -4,6 +4,8 @@
 # including bench_exec_batch (production executor vs the row-at-a-time
 # oracle: T_E, peak intermediate bytes, bit-identity at pools 1/2/4),
 # bench_planner_dp (DP search us per plan vs the reference DP, bit-identity),
+# bench_workload_label (validated generation ms per query vs the reference
+# validator, identical queries, decisions and labels),
 # bench_plancache, and bench_serving.
 # Usage: ./run_benches.sh [output-file]
 out="${1:-bench_output.txt}"

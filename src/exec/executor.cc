@@ -73,9 +73,10 @@ Executor::RunResult Executor::Run(PlanNode* root, const Options& options) {
   RunResult result;
   RowSetPtr out = ExecuteNode(root, {}, options, &result);
   if (result.tripped == nullptr) result.result = out;
-  common::MetricsRegistry::Global()
-      .gauge("executor.peak_intermediate_bytes")
-      ->Set(static_cast<double>(peak_bytes_));
+  static common::Gauge* peak_bytes =
+      common::MetricsRegistry::Global().gauge(
+          "executor.peak_intermediate_bytes");
+  peak_bytes->Set(static_cast<double>(peak_bytes_));
   return result;
 }
 

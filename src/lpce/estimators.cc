@@ -152,9 +152,7 @@ void RunChainPass(const TreeModel& model, const qry::Query& query,
 }  // namespace
 
 bool TreeModelEstimator::PreparedFor(const qry::Query& query) const {
-  return prepared_ && prepared_tables_ == query.tables &&
-         prepared_joins_ == query.joins.size() &&
-         prepared_predicates_ == query.predicates.size();
+  return prepared_ && prepared_query_ == query;
 }
 
 void TreeModelEstimator::PrepareQuery(const qry::Query& query) {
@@ -169,9 +167,7 @@ void TreeModelEstimator::PrepareQuery(const qry::Query& query) {
   // in the thread's inference arena, so a prepared query does zero heap
   // allocations after warmup.
   RunChainPass(*model_, query, {}, &prepared_cards_);
-  prepared_tables_ = query.tables;
-  prepared_joins_ = query.joins.size();
-  prepared_predicates_ = query.predicates.size();
+  prepared_query_ = query;
   prepared_ = true;
 }
 
@@ -188,13 +184,13 @@ double TreeModelEstimator::EstimateSubset(const qry::Query& query,
 
 void LpceREstimator::PrepareQuery(const qry::Query& query) {
   (void)query;
-  round_query_ = nullptr;
+  round_valid_ = false;
 }
 
 void LpceREstimator::ResetObservations() {
   roots_.clear();
   encoding_cache_.clear();
-  round_query_ = nullptr;
+  round_valid_ = false;
 }
 
 void LpceREstimator::ObserveActual(const qry::Query& query, qry::RelSet rels,
@@ -204,7 +200,7 @@ void LpceREstimator::ObserveActual(const qry::Query& query, qry::RelSet rels,
       common::MetricsRegistry::Global().counter(
           "lpce.refiner.observations_total");
   observations_total->Increment();
-  round_query_ = nullptr;
+  round_valid_ = false;
   auto node = std::make_unique<EstNode>();
   node->rels = rels;
   node->true_card = actual;
@@ -279,10 +275,8 @@ void LpceREstimator::RunRoundPass(const qry::Query& query) {
         {rels, EncodingFor(query, rels)->value().data(), tree->true_card});
   }
   RunChainPass(model_->refine(), query, injected, &round_cards_);
-  round_query_ = &query;
-  round_tables_ = query.tables;
-  round_joins_ = query.joins.size();
-  round_predicates_ = query.predicates.size();
+  round_query_ = query;
+  round_valid_ = true;
 }
 
 double LpceREstimator::EstimateSubset(const qry::Query& query, qry::RelSet rels) {
@@ -293,11 +287,7 @@ double LpceREstimator::EstimateSubset(const qry::Query& query, qry::RelSet rels)
   if (model_->mode() == RefinerMode::kSingle) {
     return EstimateSubsetChain(query, rels);
   }
-  const bool round_valid = round_query_ == &query &&
-                           round_tables_ == query.tables &&
-                           round_joins_ == query.joins.size() &&
-                           round_predicates_ == query.predicates.size();
-  if (!round_valid) RunRoundPass(query);
+  if (!round_valid_ || round_query_ != query) RunRoundPass(query);
   if (rels < round_cards_.size() && round_cards_[rels] >= 0.0) {
     return round_cards_[rels];
   }

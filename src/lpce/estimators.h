@@ -40,12 +40,11 @@ class TreeModelEstimator : public card::CardinalityEstimator {
   const TreeModel* model_;
   const db::Database* db_;
 
-  // Batched-preparation cache (valid while the prepared query matches):
-  // card per RelSet, < 0 where the RelSet is not a connected subset.
+  // Batched-preparation cache (valid while the prepared query matches,
+  // literals included): card per RelSet, < 0 where the RelSet is not a
+  // connected subset.
   bool prepared_ = false;
-  std::vector<int32_t> prepared_tables_;
-  size_t prepared_joins_ = 0;
-  size_t prepared_predicates_ = 0;
+  qry::Query prepared_query_;
   std::vector<double> prepared_cards_;
 };
 
@@ -60,8 +59,10 @@ class TreeModelEstimator : public card::CardinalityEstimator {
 /// estimate of a round (after PrepareQuery, ObserveActual or
 /// ResetObservations) computes every connected subset of the query in one
 /// shared-prefix pass (DESIGN.md "LPCE-R round pass"); later estimates of the
-/// round are lookups. The round's cache belongs to one query: callers reset
-/// or prepare between queries, as Engine::RunQuery does.
+/// round are lookups. The round's cache is keyed on the whole query, so an
+/// estimate for a different query (even one of the same shape) runs a fresh
+/// pass; the executed roots still belong to one query, so callers reset or
+/// prepare between queries, as Engine::RunQuery does.
 class LpceREstimator : public card::CardinalityEstimator {
  public:
   LpceREstimator(const LpceR* model, const db::Database* database)
@@ -113,11 +114,10 @@ class LpceREstimator : public card::CardinalityEstimator {
   std::map<qry::RelSet, nn::Tensor> encoding_cache_;
 
   // The round pass: refined card per RelSet (< 0: not a connected subset),
-  // valid while round_query_ is set and the query matches its shape.
-  const qry::Query* round_query_ = nullptr;
-  std::vector<int32_t> round_tables_;
-  size_t round_joins_ = 0;
-  size_t round_predicates_ = 0;
+  // valid while round_valid_ is set and the query equals round_query_,
+  // literals included.
+  bool round_valid_ = false;
+  qry::Query round_query_;
   std::vector<double> round_cards_;
 };
 

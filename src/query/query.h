@@ -25,12 +25,16 @@ struct Predicate {
   ColRef col;
   CmpOp op = CmpOp::kEq;
   int64_t value = 0;
+
+  bool operator==(const Predicate& other) const = default;
 };
 
 /// One equi-join `left = right` between two tables of the query.
 struct Join {
   ColRef left;
   ColRef right;
+
+  bool operator==(const Join& other) const = default;
 };
 
 /// Set of query tables, as a bitmask over positions in Query::tables.
@@ -71,6 +75,9 @@ struct Query {
   std::vector<int> JoinsWithin(RelSet s) const;
 
   std::string ToString(const db::Catalog& catalog) const;
+
+  /// Same tables, joins and predicates (literals included), in order.
+  bool operator==(const Query& other) const = default;
 };
 
 /// A canonical logical plan tree for a table subset: relations are added in

@@ -3,9 +3,11 @@
 // Queries are random connected subtrees of the schema's FK join graph with a
 // target number of joins, plus per-table filter predicates whose operands
 // are drawn from the live data (paper Sec. 7.1, following Kipf et al.).
-// Labels are collected by executing the canonical plan and recording the
-// actual cardinality of every plan node — the supervision the node-wise
-// loss (Eq. 3) needs.
+// Each query is labelled with the true cardinality of every node of its
+// canonical plan — the supervision the node-wise loss (Eq. 3) needs. The
+// labels come from the pass that accepted the query: the canonical plan's
+// run, or, when every connected subset is validated, one hash join per
+// connected subset (CountConnectedSubsets; DESIGN.md "Workload labelling").
 #ifndef LPCE_WORKLOAD_WORKLOAD_H_
 #define LPCE_WORKLOAD_WORKLOAD_H_
 
@@ -42,18 +44,33 @@ struct GeneratorOptions {
   size_t max_node_rows = 4'000'000;
   /// Additionally verify EVERY connected subset stays under max_node_rows,
   /// so that any join order a (mis-)optimizer picks is executable. Used for
-  /// the end-to-end test workloads; more expensive to generate.
+  /// the end-to-end test workloads; costs one hash join per connected subset
+  /// of two or more tables instead of one per canonical-plan join.
   bool validate_all_subsets = false;
   int max_attempts = 400;
 };
 
+/// Decides whether a candidate query (`labeled->query`) is kept and, if so,
+/// fills `labeled->true_cards`. Draws nothing from the generator's RNG.
+using QueryValidator = bool (*)(const db::Database& database,
+                                const GeneratorOptions& options,
+                                LabeledQuery* labeled);
+
+/// The generator's validator: bounded canonical-plan nodes (every connected
+/// subset under validate_all_subsets) and, if required, a non-empty result.
+/// Labels come from the pass that decided.
+bool AcceptQuery(const db::Database& database, const GeneratorOptions& options,
+                 LabeledQuery* labeled);
+
 class QueryGenerator {
  public:
-  QueryGenerator(const db::Database* database, GeneratorOptions options)
-      : db_(database), options_(options), rng_(options.seed) {}
+  QueryGenerator(const db::Database* database, GeneratorOptions options,
+                 QueryValidator validator = AcceptQuery)
+      : db_(database), options_(options), validator_(validator),
+        rng_(options.seed) {}
 
   /// Generates one query with exactly `num_joins` joins (num_joins + 1
-  /// tables). Labels are NOT collected (see LabelQuery).
+  /// tables).
   qry::Query Generate(int num_joins);
 
   /// Generates and labels `count` queries with joins drawn uniformly from
@@ -61,10 +78,24 @@ class QueryGenerator {
   std::vector<LabeledQuery> GenerateLabeled(int count, int min_joins, int max_joins);
 
  private:
+  LabeledQuery GenerateOne(int num_joins);
+
   const db::Database* db_;
   GeneratorOptions options_;
+  QueryValidator validator_;
   Rng rng_;
 };
+
+/// Counts every connected subset of `query` in one depth-first pass: a
+/// subset of k >= 2 tables is its parent (k - 1 tables, materialized on the
+/// DFS path as row ids) hash-joined to one filtered base-table scan. Returns
+/// false at the first join that would emit more than `max_node_rows` rows
+/// (0 = unlimited; scans are never capped) and, under `require_nonempty`, at
+/// the first empty subset — an empty connected subset empties the query.
+/// `counts` receives every subset counted before the pass stopped.
+bool CountConnectedSubsets(const db::Database& database, const qry::Query& query,
+                           size_t max_node_rows, bool require_nonempty,
+                           std::unordered_map<qry::RelSet, uint64_t>* counts);
 
 /// Executes the canonical hash plan and records every node's actual
 /// cardinality into `out->true_cards`.

@@ -182,6 +182,63 @@ TEST_F(EstimatorsTest, BatchedPrepareInvalidatedByDifferentQuery) {
               fresh.EstimateSubset(other.query, other.query.AllRels()), 1e-6);
 }
 
+/// `query` with one predicate literal moved so that `differs` holds: the
+/// same tables, joins and predicate count — the shape the per-query caches
+/// used to key on. Fails the test if no nearby literal changes anything.
+template <typename Differs>
+void MoveOneLiteral(qry::Query* query, Differs differs) {
+  ASSERT_FALSE(query->predicates.empty());
+  const int64_t original = query->predicates[0].value;
+  for (int64_t delta : {1, -1, 10, -10, 100, -100, 1000, -1000, 100000}) {
+    query->predicates[0].value = original + delta;
+    if (differs()) return;
+  }
+  FAIL() << "no literal changes the estimates";
+}
+
+TEST_F(EstimatorsTest, PreparedCacheIsKeyedOnLiterals) {
+  // Q2 differs from the prepared Q1 only in a literal, in the same object:
+  // estimating it must run the unprepared path, exactly as an estimator
+  // that was never prepared does.
+  qry::Query query = labeled_.query;
+  TreeModelEstimator estimator("x", &lpce_r_->refine(), database_.get());
+  estimator.PrepareQuery(query);
+  TreeModelEstimator fresh("y", &lpce_r_->refine(), database_.get());
+  const double q1_card = fresh.EstimateSubset(query, query.AllRels());
+  MoveOneLiteral(&query, [&] {
+    return fresh.EstimateSubset(query, query.AllRels()) != q1_card;
+  });
+  for (qry::RelSet rels = 1; rels <= query.AllRels(); ++rels) {
+    if (!query.IsConnected(rels)) continue;
+    EXPECT_EQ(estimator.EstimateSubset(query, rels),
+              fresh.EstimateSubset(query, rels))
+        << "rels=" << rels;
+  }
+}
+
+TEST_F(EstimatorsTest, RoundCacheIsKeyedOnLiterals) {
+  // After a round on Q1, the same query object edited to Q2 (one literal
+  // moved) must read a fresh round pass, bit for bit a freshly prepared
+  // estimator's answer on Q2.
+  qry::Query query = labeled_.query;
+  LpceREstimator estimator(lpce_r_.get(), database_.get());
+  estimator.PrepareQuery(query);
+  const double q1_card = estimator.EstimateSubset(query, query.AllRels());
+  MoveOneLiteral(&query, [&] {
+    LpceREstimator probe(lpce_r_.get(), database_.get());
+    probe.PrepareQuery(query);
+    return probe.EstimateSubset(query, query.AllRels()) != q1_card;
+  });
+  LpceREstimator fresh(lpce_r_.get(), database_.get());
+  fresh.PrepareQuery(query);
+  for (qry::RelSet rels = 1; rels <= query.AllRels(); ++rels) {
+    if (!query.IsConnected(rels)) continue;
+    EXPECT_EQ(estimator.EstimateSubset(query, rels),
+              fresh.EstimateSubset(query, rels))
+        << "rels=" << rels;
+  }
+}
+
 TEST_F(EstimatorsTest, TreeModelEstimatorIsDeterministic) {
   TreeModelEstimator estimator("x", &lpce_r_->refine(), database_.get());
   const double a =
