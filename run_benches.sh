@@ -5,7 +5,9 @@
 # oracle: T_E, peak intermediate bytes, bit-identity at pools 1/2/4),
 # bench_planner_dp (DP search us per plan vs the reference DP, bit-identity),
 # bench_workload_label (validated generation ms per query vs the reference
-# validator, identical queries, decisions and labels),
+# validator, identical queries, decisions and labels), bench_train_level
+# (ms per epoch of the level-batched trainers vs the taped oracle, identical
+# parameter bits),
 # bench_plancache, and bench_serving.
 # Usage: ./run_benches.sh [output-file]
 out="${1:-bench_output.txt}"

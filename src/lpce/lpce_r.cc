@@ -45,36 +45,6 @@ nn::Tensor LpceR::Connect(const nn::Tensor& c_content,
   return nn::Relu(wab_.Forward(merged));
 }
 
-nn::Tensor LpceR::EncodeExecuted(const qry::Query& query,
-                                 const EstNode* executed) const {
-  // The executed modules are frozen during refinement training and pure
-  // feature extractors at inference: detach their outputs.
-  nn::Tensor c_card =
-      Detach(cardinality_->Forward(query, executed).back().c);
-  switch (mode_) {
-    case RefinerMode::kFull: {
-      nn::Tensor c_content = Detach(content_->Forward(query, executed).back().c);
-      return Connect(c_content, c_card);
-    }
-    case RefinerMode::kTwo:
-    case RefinerMode::kSingle:
-      return c_card;
-  }
-  return c_card;
-}
-
-double LpceR::EstimateTree(const qry::Query& query, const EstNode* tree) const {
-  if (mode_ == RefinerMode::kSingle) {
-    // One module does everything: executed nodes carry real cardinalities,
-    // the rest run on the model's own estimates.
-    auto outputs = cardinality_->Forward(query, tree, /*dynamic_child_cards=*/true);
-    LPCE_CHECK(!outputs.empty());
-    return cardinality_->YToCard(
-        static_cast<double>(outputs.back().y->value().at(0, 0)));
-  }
-  return refine_->PredictCard(query, tree);
-}
-
 nn::Matrix LpceR::ConnectFast(const nn::Matrix& c_content,
                               const nn::Matrix& c_card) const {
   // Kernel-for-kernel mirror of the taped Connect (Eq. 6): Mul / Mul / Add
@@ -144,32 +114,6 @@ Status LpceR::Load(const std::string& prefix) {
 
 namespace {
 
-/// Deep copy of an estimation tree; the subtree covering `inject_rels`
-/// (if non-zero) is replaced by an injected leaf carrying `injected_c`.
-std::unique_ptr<EstNode> CloneWithInjection(const EstNode* node,
-                                            qry::RelSet inject_rels,
-                                            const nn::Tensor& injected_c) {
-  auto copy = std::make_unique<EstNode>();
-  copy->rels = node->rels;
-  if (inject_rels != 0 && node->rels == inject_rels) {
-    copy->injected_c = injected_c;
-    copy->true_card = node->true_card;
-    return copy;
-  }
-  copy->table_pos = node->table_pos;
-  copy->join_idx = node->join_idx;
-  copy->child_card_left = node->child_card_left;
-  copy->child_card_right = node->child_card_right;
-  copy->true_card = node->true_card;
-  if (node->left != nullptr) {
-    copy->left = CloneWithInjection(node->left.get(), inject_rels, injected_c);
-  }
-  if (node->right != nullptr) {
-    copy->right = CloneWithInjection(node->right.get(), inject_rels, injected_c);
-  }
-  return copy;
-}
-
 void CollectSubtreeRoots(const EstNode* node, const EstNode* root,
                          std::vector<const EstNode*>* out) {
   if (node == nullptr) return;
@@ -184,6 +128,8 @@ TrainStats TrainLpceR(LpceR* model, const db::Database& database,
                       const std::vector<wk::LabeledQuery>& train,
                       const LpceRTrainOptions& options) {
   LPCE_PROFILE_SCOPE("train.lpce_r");
+  LPCE_CHECK_MSG(!model->cardinality().config().use_lstm,
+                 "LPCE-R trains SRU modules only");
   WallTimer total_timer;
   TrainStats stats;
   stats.model_tag = options.tag;
@@ -216,12 +162,20 @@ TrainStats TrainLpceR(LpceR* model, const db::Database& database,
   }
 
   // ---- Stage 2: freeze content/cardinality, fine-tune refine (+connect). --
+  // The frozen modules encode each executed sub-plan with the level forward
+  // (EncodeRootFast, bit-equal to the taped encoding). Each mini-batch of
+  // refine trees then runs as one level-batched pass; the gradient reaching
+  // each injected leaf goes back through the taped Connect (kFull).
   nn::Adam refine_adam(&model->refine().params(), {.lr = options.lr});
   std::unique_ptr<nn::Adam> connect_adam;
+  MiniBatchStep step{{{&model->refine().params(), &refine_adam}},
+                     options.grad_clip,
+                     options.after_step};
   if (model->mode() == RefinerMode::kFull) {
     connect_adam =
         std::make_unique<nn::Adam>(&model->connect_params(),
                                    nn::Adam::Options{.lr = options.lr});
+    step.stores.emplace_back(&model->connect_params(), connect_adam.get());
   }
 
   std::vector<std::unique_ptr<EstNode>> trees;
@@ -231,7 +185,20 @@ TrainStats TrainLpceR(LpceR* model, const db::Database& database,
     trees.push_back(MakeEstTree(labeled.query, logical.get(), database,
                                 &labeled.true_cards));
   }
+  std::vector<nn::Matrix> fcaches;
+  fcaches.reserve(trees.size());
+  for (size_t i = 0; i < trees.size(); ++i) {
+    fcaches.push_back(
+        model->refine().BuildFeatureCache(train[i].query, trees[i].get()));
+  }
 
+  LevelTrainer trainer(&model->refine());
+  std::vector<LevelTrainer::Sample> batch;
+  // Per batch sample: the executed encoding (kFull: the Connect output,
+  // with its tape; otherwise the detached cardinality encoding).
+  std::vector<nn::Tensor> injected;
+  std::vector<float> losses;
+  const size_t dim = static_cast<size_t>(model->refine().config().dim);
   Rng rng(options.seed);
   std::vector<size_t> order(train.size());
   std::iota(order.begin(), order.end(), 0);
@@ -239,11 +206,23 @@ TrainStats TrainLpceR(LpceR* model, const db::Database& database,
     LPCE_PROFILE_SCOPE("train.lpce_r_refine");
     WallTimer epoch_timer;
     rng.Shuffle(&order);
-    int batch_count = 0;
     double epoch_loss = 0.0;
     int samples = 0;
-    double grad_norm_sum = 0.0;
-    int grad_norm_steps = 0;
+    auto run_batch = [&]() {
+      trainer.Step(batch, /*node_wise=*/true, &losses);
+      if (model->mode() == RefinerMode::kFull) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          nn::Matrix seed(1, dim);
+          nn::kernels::Copy(trainer.InjectedGrad(i), seed.data(), dim);
+          nn::Backward(injected[i], seed);
+        }
+      }
+      for (const float loss : losses) epoch_loss += loss;
+      samples += static_cast<int>(batch.size());
+      step.Run(static_cast<int>(batch.size()));
+      batch.clear();
+      injected.clear();
+    };
     for (size_t idx : order) {
       const auto& labeled = train[idx];
       std::vector<const EstNode*> candidates;
@@ -251,53 +230,26 @@ TrainStats TrainLpceR(LpceR* model, const db::Database& database,
       if (candidates.empty()) continue;
       for (int k = 0; k < options.prefixes_per_query; ++k) {
         const EstNode* executed = candidates[rng.Uniform(candidates.size())];
-        nn::Tensor c_ab = model->EncodeExecuted(labeled.query, executed);
-        auto refine_tree = CloneWithInjection(trees[idx].get(), executed->rels, c_ab);
-        auto outputs = model->refine().Forward(labeled.query, refine_tree.get());
         // Node-wise loss over the remaining (labeled) operators.
-        nn::Tensor loss;
-        int terms = 0;
-        for (const auto& out : outputs) {
-          if (out.node->true_card < 0.0) continue;
-          nn::Matrix target(1, 1);
-          target.at(0, 0) =
-              static_cast<float>(model->CardToY(out.node->true_card));
-          nn::Tensor term = nn::Abs(nn::Sub(out.y, nn::MakeTensor(target)));
-          loss = loss == nullptr ? term : nn::Add(loss, term);
-          ++terms;
+        if (!LevelTrainer::HasLoss(trees[idx].get(), /*node_wise=*/true,
+                                   executed)) {
+          continue;
         }
-        if (loss == nullptr) continue;
-        if (terms > 1) loss = nn::Scale(loss, 1.0f / static_cast<float>(terms));
-        nn::Backward(loss);
-        epoch_loss += loss->value().at(0, 0);
-        ++samples;
-        if (++batch_count >= options.batch_size) {
-          const float scale = 1.0f / static_cast<float>(batch_count);
-          model->refine().params().ScaleGrads(scale);
-          grad_norm_sum +=
-              static_cast<double>(model->refine().params().GradNorm());
-          ++grad_norm_steps;
-          model->refine().params().ClipGradNorm(options.grad_clip);
-          refine_adam.Step();
-          if (connect_adam != nullptr) {
-            model->connect_params().ScaleGrads(scale);
-            model->connect_params().ClipGradNorm(options.grad_clip);
-            connect_adam->Step();
-          }
-          // The frozen modules accumulated nothing (their outputs are
-          // detached), but clear defensively.
-          model->cardinality().params().ZeroGrads();
-          if (model->mode() == RefinerMode::kFull) {
-            model->content().params().ZeroGrads();
-          }
-          batch_count = 0;
+        nn::Tensor c_card = nn::MakeTensor(
+            model->cardinality().EncodeRootFast(labeled.query, executed));
+        if (model->mode() == RefinerMode::kFull) {
+          nn::Tensor c_content = nn::MakeTensor(
+              model->content().EncodeRootFast(labeled.query, executed));
+          injected.push_back(model->Connect(c_content, c_card));
+        } else {
+          injected.push_back(c_card);
         }
+        batch.push_back({&labeled.query, trees[idx].get(), &fcaches[idx],
+                         executed, injected.back()->value().data()});
+        if (static_cast<int>(batch.size()) >= options.batch_size) run_batch();
       }
     }
-    if (batch_count > 0) {
-      refine_adam.Step();
-      if (connect_adam != nullptr) connect_adam->Step();
-    }
+    if (!batch.empty()) run_batch();
     EpochStats es;
     es.epoch = epoch;
     es.stage = "refine";
@@ -306,8 +258,7 @@ TrainStats TrainLpceR(LpceR* model, const db::Database& database,
     es.wall_seconds = epoch_timer.ElapsedSeconds();
     es.examples_per_sec =
         es.wall_seconds > 0.0 ? samples / es.wall_seconds : 0.0;
-    es.grad_norm =
-        grad_norm_steps > 0 ? grad_norm_sum / grad_norm_steps : 0.0;
+    es.grad_norm = step.TakeEpochGradNorm();
     stats.epochs.push_back(std::move(es));
     LPCE_LOG(Debug) << "lpce-r refine epoch " << epoch << " loss "
                     << es.train_loss;

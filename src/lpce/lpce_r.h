@@ -48,22 +48,16 @@ class LpceR {
   nn::ParamStore& connect_params() { return connect_params_; }
   const nn::ParamStore& connect_params() const { return connect_params_; }
 
-  /// c_AB for an executed sub-plan tree whose child_card_* fields carry the
-  /// real cardinalities. The executed modules' outputs are detached unless
-  /// `keep_graph` (stage-2 training never backprops into frozen modules, but
-  /// the connect layer needs the graph from c_A/c_B onward).
-  nn::Tensor EncodeExecuted(const qry::Query& query, const EstNode* executed) const;
-
-  /// Estimates the cardinality of the subtree root of `tree`, which may
-  /// contain injected leaves produced by EncodeExecuted.
-  double EstimateTree(const qry::Query& query, const EstNode* tree) const;
-
-  /// Connect layer (Eq. 6).
+  /// Connect layer (Eq. 6) on the autograd tape: stage-2 training
+  /// backpropagates the injected leaf's gradient through it.
   nn::Tensor Connect(const nn::Tensor& c_content, const nn::Tensor& c_card) const;
 
-  /// Inference fast paths (no autograd graph).
+  /// c_AB for an executed sub-plan tree whose child_card_* fields carry the
+  /// real cardinalities (no autograd graph).
   nn::Matrix EncodeExecutedFast(const qry::Query& query,
                                 const EstNode* executed) const;
+  /// Estimates the cardinality of the subtree root of `tree`, which may
+  /// contain injected leaves carrying EncodeExecutedFast encodings.
   double EstimateTreeFast(const qry::Query& query, const EstNode* tree) const;
   nn::Matrix ConnectFast(const nn::Matrix& c_content,
                          const nn::Matrix& c_card) const;
@@ -103,11 +97,15 @@ struct LpceRTrainOptions {
   /// Model tag stamped into the stage-2 TrainStats / LPCE_TRAIN_LOG JSONL.
   /// Stage-1 pre-training reports separately under `pretrain.tag`.
   std::string tag = "lpce_r";
+  /// Called after every stage-2 Adam step (stage 1 uses pretrain's).
+  std::function<void()> after_step;
 };
 
 /// Runs the full two-stage training procedure of Fig. 9. Returns per-epoch
 /// telemetry for the stage-2 refine loop (stage "refine"); the stage-1
-/// pre-training runs report their own TrainStats via TrainTreeModel.
+/// pre-training runs report their own TrainStats via TrainTreeModel. Stage 2
+/// trains each mini-batch of refine trees as one level-batched pass
+/// (LevelTrainer). SRU configurations only.
 TrainStats TrainLpceR(LpceR* model, const db::Database& database,
                       const std::vector<wk::LabeledQuery>& train,
                       const LpceRTrainOptions& options);

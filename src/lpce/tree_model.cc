@@ -13,8 +13,6 @@
 
 namespace lpce::model {
 
-nn::Tensor Detach(const nn::Tensor& t) { return nn::MakeTensor(t->value()); }
-
 namespace {
 
 /// Applies a training config's matmul thread cap for the duration of a
@@ -153,42 +151,22 @@ std::vector<TreeModel::NodeOutput> TreeModel::Forward(
     if (node->right != nullptr) right_state = walk(node->right.get());
 
     LPCE_DCHECK(node->is_leaf() ? node->table_pos >= 0 : node->join_idx >= 0);
-    nn::Matrix features(1, static_cast<size_t>(config_.feature_dim));
-    if (feature_cache != nullptr) {
-      // Cached rows are the encoder's exact stores: no arithmetic, so the
-      // cached and uncached passes are bit-identical.
-      LPCE_DCHECK(cache_row < feature_cache->rows());
-      std::memcpy(features.data(),
-                  feature_cache->data() + cache_row * feature_cache->cols(),
-                  feature_cache->cols() * sizeof(float));
-      ++cache_row;
-    } else if (node->is_leaf()) {
-      encoder_->EncodeScanInto(query, node->table_pos, features.data());
-    } else {
-      encoder_->EncodeJoinInto(query, node->join_idx, features.data());
-    }
-    if (config_.with_child_cards) {
-      double card_left = std::max(0.0, node->child_card_left);
-      double card_right = std::max(0.0, node->child_card_right);
-      if (dynamic_child_cards && !node->is_leaf()) {
-        // Executed children keep their real cardinalities (true_card >= 0);
-        // unexecuted ones fall back to the model's own running estimates.
-        if (node->left->true_card < 0.0) {
-          card_left = std::max(0.0, left_state.est_card);
-        }
-        if (node->right->true_card < 0.0) {
-          card_right = std::max(0.0, right_state.est_card);
-        }
+    double card_left = std::max(0.0, node->child_card_left);
+    double card_right = std::max(0.0, node->child_card_right);
+    if (config_.with_child_cards && dynamic_child_cards && !node->is_leaf()) {
+      // Executed children keep their real cardinalities (true_card >= 0);
+      // unexecuted ones fall back to the model's own running estimates.
+      if (node->left->true_card < 0.0) {
+        card_left = std::max(0.0, left_state.est_card);
       }
-      nn::Matrix with_cards(1, features.cols() + 2);
-      for (size_t j = 0; j < features.cols(); ++j) {
-        with_cards.at(0, j) = features.at(0, j);
+      if (node->right->true_card < 0.0) {
+        card_right = std::max(0.0, right_state.est_card);
       }
-      with_cards.at(0, features.cols()) = static_cast<float>(CardToY(card_left));
-      with_cards.at(0, features.cols() + 1) =
-          static_cast<float>(CardToY(card_right));
-      features = std::move(with_cards);
     }
+    nn::Matrix features(1, static_cast<size_t>(input_dim()));
+    FillInputRow(query, node, feature_cache,
+                 feature_cache != nullptr ? static_cast<int>(cache_row++) : -1,
+                 card_left, card_right, features.data());
     nn::Tensor x = embed_.Forward(nn::MakeTensor(std::move(features)),
                                   nn::Mlp2::Activation::kRelu,
                                   nn::Mlp2::Activation::kRelu);
@@ -212,12 +190,6 @@ std::vector<TreeModel::NodeOutput> TreeModel::Forward(
   };
   walk(root);
   return outputs;
-}
-
-double TreeModel::PredictCard(const qry::Query& query, const EstNode* root) const {
-  std::vector<NodeOutput> outputs = Forward(query, root);
-  LPCE_CHECK(!outputs.empty());
-  return YToCard(static_cast<double>(outputs.back().y->value().at(0, 0)));
 }
 
 double TreeModel::PredictCardFast(const qry::Query& query, const EstNode* root,
@@ -327,6 +299,7 @@ InferWorkspace& TlsInferWorkspace() {
 /// through cache a single time — at the typical 1-2 rows per level of a
 /// left-deep plan, weight traffic, not arithmetic, dominates.
 struct TreeModel::CellPre {
+  float* h1 = nullptr;  // [n x embed_hidden] embed hidden layer, post-relu
   float* x = nullptr;  // [n x d] embedded features, post-relu
   // SRU: x~, and the f/r gates (already sigmoided — elementwise, so the
   // activation is batch-composition-invariant).
@@ -374,6 +347,7 @@ TreeModel::CellPre TreeModel::RunCellPre(const float* x_in, size_t n,
     k::GemmZeroSkip(x_in, n, in_dim, embed_.l1().weight().data(), eh, h1);
     k::AddBiasRows(h1, n, eh, embed_.l1().bias().data());
     k::Relu(h1, n * eh);
+    pre.h1 = h1;
     pre.x = LinearRows(embed_.l2(), h1, n, eh, d, arena);
     k::Relu(pre.x, n * d);
   }
@@ -401,7 +375,8 @@ void TreeModel::RunCellLevel(const CellPre& pre, size_t row0, size_t n,
                              const float* const* c_right,
                              const float* const* h_left,
                              const float* const* h_right, float* c, float* h,
-                             nn::InferArena* arena) const {
+                             nn::InferArena* arena, float* keep_cs,
+                             float* keep_tc) const {
   namespace k = nn::kernels;
   const size_t d = static_cast<size_t>(config_.dim);
   LPCE_PROFILE_SCOPE("nn.infer.cell");
@@ -415,7 +390,7 @@ void TreeModel::RunCellLevel(const CellPre& pre, size_t row0, size_t n,
     // child_sum rows: Add for two children (one rounding, as SumChildren's
     // Add), plain copy for one (Step reuses the child tensor unrounded),
     // zero for none.
-    float* cs = arena->Alloc(n * d);
+    float* cs = keep_cs != nullptr ? keep_cs : arena->Alloc(n * d);
     for (size_t row = 0; row < n; ++row) {
       const float* l = c_left[row];
       const float* rgt = c_right[row];
@@ -440,7 +415,7 @@ void TreeModel::RunCellLevel(const CellPre& pre, size_t row0, size_t n,
     k::Mul(om, xt, t2, n * d);
     k::Add(t1, t2, c, n * d);
     // h = r (.) tanh(c) + (1 - r) (.) x
-    float* tc = arena->Alloc(n * d);
+    float* tc = keep_tc != nullptr ? keep_tc : arena->Alloc(n * d);
     k::Tanh(c, tc, n * d);
     float* t3 = arena->Alloc(n * d);
     k::Mul(r, tc, t3, n * d);
@@ -560,7 +535,8 @@ void TreeModel::RunCellLevel(const CellPre& pre, size_t row0, size_t n,
 }
 
 float* TreeModel::RunOutputHead(const float* h, size_t n,
-                                nn::InferArena* arena) const {
+                                nn::InferArena* arena,
+                                OutputActs* keep) const {
   namespace k = nn::kernels;
   const size_t d = static_cast<size_t>(config_.dim);
   const size_t oh = static_cast<size_t>(config_.out_hidden);
@@ -570,8 +546,106 @@ float* TreeModel::RunOutputHead(const float* h, size_t n,
   float* o1 = LinearRows(output_.l1(), h, n, d, oh, arena);
   k::Relu(o1, n * oh);
   float* logit = LinearRows(output_.l2(), o1, n, oh, 1, arena);
+  if (keep != nullptr) {
+    keep->o1 = o1;
+    keep->logit = arena->Alloc(n);
+    k::Copy(logit, keep->logit, n);
+  }
   k::Sigmoid(logit, n);
   return logit;
+}
+
+// ---- Backward level kernels (training on level kernels). ----------------
+//
+// Each kernel replays the tape's backward closures (nn/tensor.cc) for its
+// part of the forward, row-parallel: the same shared kernels, the same
+// accumulation order into every gradient an activation gathers from several
+// consumers. Comments name the taped op whose closure each line mirrors.
+
+void TreeModel::RunOutputHeadBackward(const float* dlogit, const float* o1,
+                                      size_t n, float* d_o1, float* dh,
+                                      nn::InferArena* arena) const {
+  namespace k = nn::kernels;
+  const size_t d = static_cast<size_t>(config_.dim);
+  const size_t oh = static_cast<size_t>(config_.out_hidden);
+  LPCE_PROFILE_SCOPE("nn.train.output_bwd");
+  float* d_o1r = arena->Alloc(n * oh);
+  k::GemmNT(dlogit, n, 1, output_.l2().weight().data(), oh, d_o1r);  // MatMul
+  k::Zero(d_o1, n * oh);
+  k::ReluBackwardAccumulate(d_o1, d_o1r, o1, n * oh);  // Relu
+  k::GemmNT(d_o1, n, oh, output_.l1().weight().data(), d, dh);  // MatMul
+}
+
+void TreeModel::RunCellLevelBackward(const float* dh, const float* r,
+                                     const float* tc, const float* f, size_t n,
+                                     float* dc, float* child_dc,
+                                     nn::InferArena* arena) const {
+  namespace k = nn::kernels;
+  const size_t nd = n * static_cast<size_t>(config_.dim);
+  LPCE_PROFILE_SCOPE("nn.train.cell_bwd");
+  // h = r (.) tanh(c) + ...: d(tanh c) = dh (.) r, then c's tanh term lands
+  // after the parent's contribution already in dc (the parent's ops run
+  // first on the tape).
+  float* d_tc = arena->AllocZeroed(nd);
+  k::MulAccumulate(d_tc, dh, r, nd);  // Mul(r, tanh c)
+  k::TanhBackwardAccumulate(dc, d_tc, tc, nd);  // Tanh
+  // c = f (.) child_sum + ...: both children receive d(child_sum).
+  k::Zero(child_dc, nd);
+  k::MulAccumulate(child_dc, dc, f, nd);  // Mul(f, child_sum)
+}
+
+TreeModel::CellGrads TreeModel::RunCellPreBackward(
+    const CellPre& pre, const float* cs, const float* tc, const float* dh,
+    const float* dc, const float* extra_dx, size_t n,
+    nn::InferArena* arena) const {
+  namespace k = nn::kernels;
+  const size_t d = static_cast<size_t>(config_.dim);
+  const size_t eh = static_cast<size_t>(config_.embed_hidden);
+  const size_t nd = n * d;
+  LPCE_PROFILE_SCOPE("nn.train.cell_pre_bwd");
+  CellGrads g;
+  float* one_minus_r = arena->Alloc(nd);
+  k::OneMinus(pre.r, one_minus_r, nd);
+  float* one_minus_f = arena->Alloc(nd);
+  k::OneMinus(pre.f, one_minus_f, nd);
+  // h = r (.) tanh(c) + (1 - r) (.) x. x's first gradient term is this
+  // Mul's; the three W.x products add theirs below, in the tape's order.
+  float* d_omr = arena->AllocZeroed(nd);
+  k::MulAccumulate(d_omr, dh, pre.x, nd);  // Mul(1 - r, x)
+  float* dx = arena->AllocZeroed(nd);
+  k::MulAccumulate(dx, dh, one_minus_r, nd);
+  float* d_r = arena->AllocZeroed(nd);
+  k::AddScaledInPlace(d_r, d_omr, -1.0f, nd);  // Scale(r, -1)
+  k::MulAccumulate(d_r, dh, tc, nd);  // Mul(r, tanh c)
+  // c = f (.) child_sum + (1 - f) (.) x~.
+  float* d_omf = arena->AllocZeroed(nd);
+  k::MulAccumulate(d_omf, dc, pre.xt, nd);  // Mul(1 - f, x~)
+  g.d_xt = arena->AllocZeroed(nd);
+  k::MulAccumulate(g.d_xt, dc, one_minus_f, nd);
+  float* d_f = arena->AllocZeroed(nd);
+  k::AddScaledInPlace(d_f, d_omf, -1.0f, nd);  // Scale(f, -1)
+  k::MulAccumulate(d_f, dc, cs, nd);  // Mul(f, child_sum)
+  g.d_f1 = arena->AllocZeroed(nd);
+  k::SigmoidBackwardAccumulate(g.d_f1, d_f, pre.f, nd);
+  g.d_r1 = arena->AllocZeroed(nd);
+  k::SigmoidBackwardAccumulate(g.d_r1, d_r, pre.r, nd);
+  // x feeds W_x, W_f, W_r (and, in distillation's hint stage, p_e last).
+  float* tmp = arena->Alloc(nd);
+  k::GemmNT(g.d_xt, n, d, sru_.wx().weight().data(), d, tmp);
+  k::AddInPlace(dx, tmp, nd);
+  k::GemmNT(g.d_f1, n, d, sru_.wf().weight().data(), d, tmp);
+  k::AddInPlace(dx, tmp, nd);
+  k::GemmNT(g.d_r1, n, d, sru_.wr().weight().data(), d, tmp);
+  k::AddInPlace(dx, tmp, nd);
+  if (extra_dx != nullptr) k::AddInPlace(dx, extra_dx, nd);
+  // Embed: x = relu(relu(x_in W1 + b1) W2 + b2).
+  g.d_e2 = arena->AllocZeroed(nd);
+  k::ReluBackwardAccumulate(g.d_e2, dx, pre.x, nd);
+  float* d_h1 = arena->Alloc(n * eh);
+  k::GemmNT(g.d_e2, n, d, embed_.l2().weight().data(), eh, d_h1);
+  g.d_e1 = arena->AllocZeroed(n * eh);
+  k::ReluBackwardAccumulate(g.d_e1, d_h1, pre.h1, n * eh);
+  return g;
 }
 
 void TreeModel::RunLevelBatch(LevelBatch* b, nn::InferArena* arena) const {
@@ -584,6 +658,28 @@ void TreeModel::RunLevelBatch(LevelBatch* b, nn::InferArena* arena) const {
   b->y = RunOutputHead(h, b->n, arena);
   b->c = c;
   b->h = h;
+}
+
+void TreeModel::FillInputRow(const qry::Query& query, const EstNode* node,
+                             const nn::Matrix* cache, int cache_row,
+                             double card_left, double card_right,
+                             float* dst) const {
+  if (cache != nullptr) {
+    // Cached rows are the encoder's exact stores: no arithmetic, so cached
+    // and encoded rows are bit-identical.
+    LPCE_DCHECK(static_cast<size_t>(cache_row) < cache->rows());
+    nn::kernels::Copy(cache->data() + static_cast<size_t>(cache_row) * cache->cols(),
+                      dst, cache->cols());
+  } else if (node->is_leaf()) {
+    encoder_->EncodeScanInto(query, node->table_pos, dst);
+  } else {
+    encoder_->EncodeJoinInto(query, node->join_idx, dst);
+  }
+  if (config_.with_child_cards) {
+    const size_t in_dim = static_cast<size_t>(input_dim());
+    dst[in_dim - 2] = static_cast<float>(CardToY(card_left));
+    dst[in_dim - 1] = static_cast<float>(CardToY(card_right));
+  }
 }
 
 void TreeModel::InferManyImpl(
@@ -725,33 +821,21 @@ void TreeModel::InferManyImpl(
       const int flat = row_idx[r];
       const InferWorkspace::FlatNode& fn = ws.nodes[flat];
       const EstNode* node = fn.node;
-      const qry::Query& query = *queries[fn.tree];
-      float* dst = dst_base + r * in_dim;
       const int crow = cache_row_of[flat];
-      if (crow >= 0) {
-        const nn::Matrix& cache = *caches[fn.tree];
-        std::memcpy(dst, cache.data() + static_cast<size_t>(crow) * cache.cols(),
-                    cache.cols() * sizeof(float));
-      } else if (node->is_leaf()) {
-        encoder_->EncodeScanInto(query, node->table_pos, dst);
-      } else {
-        encoder_->EncodeJoinInto(query, node->join_idx, dst);
-      }
-      if (config_.with_child_cards) {
-        double card_left = std::max(0.0, node->child_card_left);
-        double card_right = std::max(0.0, node->child_card_right);
-        if (dynamic_child_cards && !node->is_leaf()) {
-          // Children live one level deeper: already computed.
-          if (node->left->true_card < 0.0) {
-            card_left = std::max(0.0, ws.card_of[fn.left]);
-          }
-          if (node->right->true_card < 0.0) {
-            card_right = std::max(0.0, ws.card_of[fn.right]);
-          }
+      double card_left = std::max(0.0, node->child_card_left);
+      double card_right = std::max(0.0, node->child_card_right);
+      if (config_.with_child_cards && dynamic_child_cards && !node->is_leaf()) {
+        // Children live one level deeper: already computed.
+        if (node->left->true_card < 0.0) {
+          card_left = std::max(0.0, ws.card_of[fn.left]);
         }
-        dst[in_dim - 2] = static_cast<float>(CardToY(card_left));
-        dst[in_dim - 1] = static_cast<float>(CardToY(card_right));
+        if (node->right->true_card < 0.0) {
+          card_right = std::max(0.0, ws.card_of[fn.right]);
+        }
       }
+      FillInputRow(*queries[fn.tree], node,
+                   crow >= 0 ? caches[fn.tree] : nullptr, crow, card_left,
+                   card_right, dst_base + r * in_dim);
     }
   };
 
@@ -1066,6 +1150,514 @@ std::vector<nn::Matrix> BuildFeatureCaches(
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// Training on level kernels.
+//
+// A mini-batch of trees runs as one forward and one backward pass, level by
+// level, instead of one taped Forward + nn::Backward per tree. The trained
+// parameters stay bit-identical to the tape's:
+//  - activation gradients come from the backward level kernels above, which
+//    replay the tape's closures through the same shared kernels, and sum an
+//    activation's gradient terms in the tape's order;
+//  - each parameter gradient adds one rounded per-row product
+//    (kernels::AccumulateOuterRows) in the order the per-sample tapes would
+//    add them. That order is derived here from the tape's traversal:
+//    nn::Backward runs ops in reverse post-order of a DFS from the loss, and
+//    the loss chains its terms in post-order, so the nodes with a loss term
+//    ("heads") run root side first, and a head's c reaches the unlabelled
+//    nodes below it (its "region") between its x~ and its f gate products.
+//    Per tree:
+//      output head, W_r: heads in reverse post-order;
+//      W_x:   per head, the head, then its region in right-first pre-order;
+//      W_f, embed: per head, its region in right-first post-order, then
+//             the head.
+//    Trees follow each other in sample order.
+// See DESIGN.md "Training on level kernels".
+// ---------------------------------------------------------------------------
+
+namespace internal {
+
+/// Trees per level pass. A mini-batch runs as consecutive passes over this
+/// many of its trees; the parameter gradients still accumulate in sample
+/// order, so the split is invisible in the bits. It bounds the pass's
+/// workspace (a dim-96 teacher keeps ~15 KB of activations and gradients
+/// per node) while leaving each product ~90 rows.
+constexpr size_t kTreesPerPass = 8;
+
+struct LevelPass {
+  enum class Heads { kNodeWise, kQueryWise, kAll };
+
+  explicit LevelPass(const TreeModel* m) : model(m) {
+    LPCE_CHECK_MSG(!m->config().use_lstm,
+                   "level-batched training needs an SRU model");
+  }
+
+  /// Flattens `count` samples; the pass's buffers are valid until the next
+  /// Build.
+  void Build(const LevelTrainer::Sample* batch, size_t count, Heads heads);
+  void Forward();
+  /// Needs `dlogit` (output_head) or `dh` set; `extra_dx` (may be null) is
+  /// x's last gradient term.
+  void Backward(bool output_head, const float* extra_dx);
+  /// Adds the model's parameter gradients, in the tapes' order.
+  void Accumulate(bool output_head) const;
+  /// Adds a_r^T g_r and g_r over `order` to a linear layer's gradients.
+  static void AccumulateLinear(const nn::Linear& l, const float* a, size_t k,
+                               const float* g, size_t n,
+                               const std::vector<int>& order);
+
+  size_t num_rows() const { return rows.size(); }
+  int row_of(int flat) const { return nodes[flat].row; }
+
+  const TreeModel* model;
+  nn::InferArena arena;
+  const LevelTrainer::Sample* samples = nullptr;
+  size_t num_samples = 0;
+
+  struct Node {
+    const EstNode* est = nullptr;
+    int left = -1;
+    int right = -1;
+    int sample = 0;
+    int depth = 0;
+    int row = -1;        // compute row; -1 for the injected leaf
+    int cache_row = -1;  // feature-cache row (post-order in the sample tree)
+    bool injected = false;
+    bool head = false;   // has a term in the loss
+  };
+  std::vector<Node> nodes;
+  std::vector<int> roots;         // flat root per sample
+  std::vector<int> post;          // per sample, Forward's output order
+  std::vector<size_t> post_begin;
+  std::vector<int> rows;          // flat node per compute row
+  std::vector<size_t> level_begin;  // compute-row bounds, deepest level first
+  std::vector<int> order_head;    // compute rows in the tapes' order
+  std::vector<int> order_xt;
+  std::vector<int> order_f;
+
+  // Forward activations, one row per compute row (arena-owned until the
+  // next Build).
+  float* x_in = nullptr;
+  TreeModel::CellPre pre;
+  float* c = nullptr;
+  float* h = nullptr;
+  float* cs = nullptr;
+  float* tc = nullptr;
+  TreeModel::OutputActs out;
+  float* y = nullptr;
+  // Backward. The loss sets dlogit (output head in the loss) or dh.
+  float* dlogit = nullptr;  // [rows]
+  float* dh = nullptr;      // [rows x dim]
+  float* d_o1 = nullptr;
+  float* dc = nullptr;      // [rows x dim]
+  float* d_injected = nullptr;  // [samples x dim]
+  TreeModel::CellGrads grads;
+
+ private:
+  struct StackEntry {
+    const EstNode* est;
+    int parent;
+    bool is_right;
+    int depth;
+  };
+  std::vector<StackEntry> dfs;
+  std::vector<std::pair<int, int>> post_stack;
+  std::vector<int> stack;
+  std::vector<int> scratch;
+  std::vector<const float*> c_of;
+  std::vector<const float*> cl, cr;
+
+  /// A child below a head that the head's loss term reaches first.
+  bool InRegion(int flat) const {
+    return flat >= 0 && !nodes[flat].injected && !nodes[flat].head;
+  }
+};
+
+namespace {
+
+size_t CountNodes(const EstNode* node) {
+  if (node == nullptr) return 0;
+  return 1 + CountNodes(node->left.get()) + CountNodes(node->right.get());
+}
+
+}  // namespace
+
+void LevelPass::Build(const LevelTrainer::Sample* batch, size_t count,
+                      Heads heads) {
+  samples = batch;
+  num_samples = count;
+  arena.Reset();
+  dlogit = nullptr;
+  dh = nullptr;
+  nodes.clear();
+  roots.clear();
+  post.clear();
+  post_begin.clear();
+  rows.clear();
+  level_begin.clear();
+  order_head.clear();
+  order_xt.clear();
+  order_f.clear();
+  int max_depth = 0;
+  for (size_t s = 0; s < count; ++s) {
+    const LevelTrainer::Sample& sample = batch[s];
+    const int root = static_cast<int>(nodes.size());
+    roots.push_back(root);
+    // Pre-order, parents before children.
+    dfs.clear();
+    dfs.push_back({sample.root, -1, false, 0});
+    while (!dfs.empty()) {
+      const StackEntry e = dfs.back();
+      dfs.pop_back();
+      const int idx = static_cast<int>(nodes.size());
+      Node node;
+      node.est = e.est;
+      node.sample = static_cast<int>(s);
+      node.depth = e.depth;
+      nodes.push_back(node);
+      if (e.parent >= 0) {
+        (e.is_right ? nodes[e.parent].right : nodes[e.parent].left) = idx;
+      }
+      max_depth = std::max(max_depth, e.depth);
+      LPCE_CHECK_MSG(!e.est->is_injected(),
+                     "training trees carry no injected nodes");
+      if (e.est == sample.injected_at) {
+        nodes[idx].injected = true;
+        continue;
+      }
+      if (e.est->right != nullptr) {
+        dfs.push_back({e.est->right.get(), idx, true, e.depth + 1});
+      }
+      if (e.est->left != nullptr) {
+        dfs.push_back({e.est->left.get(), idx, false, e.depth + 1});
+      }
+    }
+    // Post-order: Forward's output order and the feature-cache rows (the
+    // cache covers the injected subtree too).
+    post_begin.push_back(post.size());
+    int cache_row = 0;
+    post_stack.clear();
+    post_stack.emplace_back(root, 0);
+    while (!post_stack.empty()) {
+      auto& [idx, stage] = post_stack.back();
+      Node& node = nodes[idx];
+      if (node.injected) {
+        cache_row += static_cast<int>(CountNodes(node.est));
+        post_stack.pop_back();
+      } else if (stage == 0) {
+        stage = 1;
+        if (node.left >= 0) post_stack.emplace_back(node.left, 0);
+      } else if (stage == 1) {
+        stage = 2;
+        if (node.right >= 0) post_stack.emplace_back(node.right, 0);
+      } else {
+        node.cache_row = cache_row++;
+        post.push_back(idx);
+        post_stack.pop_back();
+      }
+    }
+    for (size_t p = post_begin.back(); p < post.size(); ++p) {
+      Node& node = nodes[post[p]];
+      switch (heads) {
+        case Heads::kNodeWise:
+          node.head = node.est->true_card >= 0.0;
+          break;
+        case Heads::kQueryWise:
+          node.head = post[p] == root && node.est->true_card >= 0.0;
+          break;
+        case Heads::kAll:
+          node.head = true;
+          break;
+      }
+    }
+  }
+  post_begin.push_back(post.size());
+
+  // Compute rows, grouped by depth, deepest level first.
+  for (int depth = max_depth; depth >= 0; --depth) {
+    const size_t begin = rows.size();
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      Node& node = nodes[i];
+      if (node.depth != depth || node.injected) continue;
+      node.row = static_cast<int>(rows.size());
+      rows.push_back(static_cast<int>(i));
+    }
+    if (rows.size() > begin) level_begin.push_back(begin);
+  }
+  level_begin.push_back(rows.size());
+
+  // The tapes' parameter-gradient orders.
+  for (size_t s = 0; s < count; ++s) {
+    stack.clear();
+    stack.push_back(roots[s]);
+    while (!stack.empty()) {  // reverse post-order: node, right, left
+      const int v = stack.back();
+      stack.pop_back();
+      const Node& node = nodes[v];
+      if (node.injected) continue;
+      if (node.left >= 0) stack.push_back(node.left);
+      if (node.right >= 0) stack.push_back(node.right);
+      if (!node.head) continue;
+      order_head.push_back(node.row);
+      // W_x: the head, then its region in right-first pre-order.
+      scratch.clear();
+      scratch.push_back(v);
+      while (!scratch.empty()) {
+        const int u = scratch.back();
+        scratch.pop_back();
+        order_xt.push_back(nodes[u].row);
+        if (InRegion(nodes[u].left)) scratch.push_back(nodes[u].left);
+        if (InRegion(nodes[u].right)) scratch.push_back(nodes[u].right);
+      }
+      // W_f / embed: the region in right-first post-order, then the head —
+      // the reverse of a left-first pre-order.
+      const size_t begin = order_f.size();
+      scratch.push_back(v);
+      while (!scratch.empty()) {
+        const int u = scratch.back();
+        scratch.pop_back();
+        order_f.push_back(nodes[u].row);
+        if (InRegion(nodes[u].right)) scratch.push_back(nodes[u].right);
+        if (InRegion(nodes[u].left)) scratch.push_back(nodes[u].left);
+      }
+      std::reverse(order_f.begin() + static_cast<long>(begin), order_f.end());
+    }
+  }
+}
+
+void LevelPass::Forward() {
+  LPCE_PROFILE_SCOPE("nn.train.forward");
+  namespace k = nn::kernels;
+  const TreeModelConfig& config = model->config();
+  const size_t n = rows.size();
+  const size_t in_dim = static_cast<size_t>(model->input_dim());
+  const size_t d = static_cast<size_t>(config.dim);
+  x_in = arena.Alloc(n * in_dim);
+  for (size_t r = 0; r < n; ++r) {
+    const Node& node = nodes[rows[r]];
+    const LevelTrainer::Sample& sample = samples[node.sample];
+    model->FillInputRow(*sample.query, node.est, sample.feature_cache,
+                        node.cache_row,
+                        std::max(0.0, node.est->child_card_left),
+                        std::max(0.0, node.est->child_card_right),
+                        x_in + r * in_dim);
+  }
+  pre = model->RunCellPre(x_in, n, &arena);
+  c = arena.Alloc(n * d);
+  h = arena.Alloc(n * d);
+  cs = arena.Alloc(n * d);
+  tc = arena.Alloc(n * d);
+  c_of.assign(nodes.size(), nullptr);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i].injected) c_of[i] = samples[nodes[i].sample].injected_c;
+  }
+  for (size_t lvl = 0; lvl + 1 < level_begin.size(); ++lvl) {
+    const size_t row0 = level_begin[lvl];
+    const size_t cnt = level_begin[lvl + 1] - row0;
+    cl.clear();
+    cr.clear();
+    for (size_t r = row0; r < row0 + cnt; ++r) {
+      const Node& node = nodes[rows[r]];
+      cl.push_back(node.left >= 0 ? c_of[node.left] : nullptr);
+      cr.push_back(node.right >= 0 ? c_of[node.right] : nullptr);
+    }
+    model->RunCellLevel(pre, row0, cnt, cl.data(), cr.data(), nullptr, nullptr,
+                        c + row0 * d, h + row0 * d, &arena, cs + row0 * d,
+                        tc + row0 * d);
+    for (size_t r = row0; r < row0 + cnt; ++r) c_of[rows[r]] = c + r * d;
+  }
+  y = model->RunOutputHead(h, n, &arena, &out);
+}
+
+void LevelPass::Backward(bool output_head, const float* extra_dx) {
+  LPCE_PROFILE_SCOPE("nn.train.backward");
+  namespace k = nn::kernels;
+  const size_t n = rows.size();
+  const size_t d = static_cast<size_t>(model->config().dim);
+  if (output_head) {
+    d_o1 = arena.Alloc(n * static_cast<size_t>(model->config().out_hidden));
+    dh = arena.Alloc(n * d);
+    model->RunOutputHeadBackward(dlogit, out.o1, n, d_o1, dh, &arena);
+  }
+  LPCE_CHECK(dh != nullptr);
+  dc = arena.AllocZeroed(n * d);
+  d_injected = arena.AllocZeroed(num_samples * d);
+  // Root level first: a node's c gradient starts with its parent's
+  // contribution.
+  for (size_t lvl = level_begin.size() - 1; lvl-- > 0;) {
+    const size_t row0 = level_begin[lvl];
+    const size_t cnt = level_begin[lvl + 1] - row0;
+    float* child_dc = arena.Alloc(cnt * d);
+    model->RunCellLevelBackward(dh + row0 * d, pre.r + row0 * d,
+                                tc + row0 * d, pre.f + row0 * d, cnt,
+                                dc + row0 * d, child_dc, &arena);
+    for (size_t i = 0; i < cnt; ++i) {
+      const Node& node = nodes[rows[row0 + i]];
+      for (const int child : {node.left, node.right}) {
+        if (child < 0) continue;
+        const Node& ch = nodes[child];
+        float* dst = ch.injected
+                         ? d_injected + static_cast<size_t>(ch.sample) * d
+                         : dc + static_cast<size_t>(ch.row) * d;
+        k::Copy(child_dc + i * d, dst, d);
+      }
+    }
+  }
+  grads = model->RunCellPreBackward(pre, cs, tc, dh, dc, extra_dx, n, &arena);
+}
+
+void LevelPass::AccumulateLinear(const nn::Linear& l, const float* a, size_t k,
+                                 const float* g, size_t n,
+                                 const std::vector<int>& order) {
+  if (order.empty()) return;
+  nn::kernels::AccumulateOuterRows(a, k, g, n, order.data(), order.size(),
+                                   l.weight_grad().data());
+  float* bias_grad = l.bias_grad().data();
+  for (const int row : order) {
+    nn::kernels::AddInPlace(bias_grad, g + static_cast<size_t>(row) * n, n);
+  }
+}
+
+void LevelPass::Accumulate(bool output_head) const {
+  LPCE_PROFILE_SCOPE("nn.train.param_grads");
+  const TreeModelConfig& config = model->config();
+  const size_t in_dim = static_cast<size_t>(model->input_dim());
+  const size_t d = static_cast<size_t>(config.dim);
+  const size_t eh = static_cast<size_t>(config.embed_hidden);
+  const size_t oh = static_cast<size_t>(config.out_hidden);
+  if (output_head) {
+    AccumulateLinear(model->output_.l2(), out.o1, oh, dlogit, 1, order_head);
+    AccumulateLinear(model->output_.l1(), h, d, d_o1, oh, order_head);
+  }
+  AccumulateLinear(model->sru_.wr(), pre.x, d, grads.d_r1, d, order_head);
+  AccumulateLinear(model->sru_.wx(), pre.x, d, grads.d_xt, d, order_xt);
+  AccumulateLinear(model->sru_.wf(), pre.x, d, grads.d_f1, d, order_f);
+  AccumulateLinear(model->embed_.l2(), pre.h1, eh, grads.d_e2, d, order_f);
+  AccumulateLinear(model->embed_.l1(), x_in, in_dim, grads.d_e1, eh, order_f);
+}
+
+}  // namespace internal
+
+namespace {
+
+using internal::kTreesPerPass;
+using internal::LevelPass;
+
+/// The node- or query-wise loss (Eq. 2/3) of every sample in the pass —
+/// bit-equal to TreeLoss's value, appended to `losses` — and its gradient at
+/// each head's logit, as the tape's Scale/Add/Abs/Sub/Sigmoid closures
+/// produce it.
+void LevelNodeLoss(LevelPass* pass, std::vector<float>* losses) {
+  namespace k = nn::kernels;
+  const TreeModel& model = *pass->model;
+  pass->dlogit = pass->arena.AllocZeroed(pass->num_rows());
+  for (size_t s = 0; s + 1 < pass->post_begin.size(); ++s) {
+    int terms = 0;
+    for (size_t p = pass->post_begin[s]; p < pass->post_begin[s + 1]; ++p) {
+      terms += pass->nodes[pass->post[p]].head ? 1 : 0;
+    }
+    LPCE_CHECK_MSG(terms > 0, "a training sample has no loss term");
+    // Each term's gradient: 1, or Scale(1/terms)'s backward of 1.
+    const float one = 1.0f;
+    float g = 0.0f;
+    if (terms > 1) {
+      k::AddScaledInPlace(&g, &one, 1.0f / static_cast<float>(terms), 1);
+    } else {
+      g = one;
+    }
+    float loss = 0.0f;
+    bool first = true;
+    for (size_t p = pass->post_begin[s]; p < pass->post_begin[s + 1]; ++p) {
+      const LevelPass::Node& node = pass->nodes[pass->post[p]];
+      if (!node.head) continue;
+      const size_t row = static_cast<size_t>(node.row);
+      float diff = pass->y[row];
+      const float target =
+          static_cast<float>(model.CardToY(node.est->true_card));
+      k::AddScaledInPlace(&diff, &target, -1.0f, 1);  // Sub
+      float term = std::fabs(diff);
+      if (first) {
+        loss = term;
+        first = false;
+      } else {
+        k::AddInPlace(&loss, &term, 1);
+      }
+      float d_diff = 0.0f;
+      k::AbsBackwardAccumulate(&d_diff, &g, &diff, 1);
+      float d_y = 0.0f;
+      k::AddInPlace(&d_y, &d_diff, 1);  // Sub's backward into y
+      k::SigmoidBackwardAccumulate(pass->dlogit + row, &d_y, pass->y + row, 1);
+    }
+    if (terms > 1) k::ScaleInPlace(&loss, 1.0f / static_cast<float>(terms), 1);
+    losses->push_back(loss);
+  }
+}
+
+}  // namespace
+
+LevelTrainer::LevelTrainer(TreeModel* model)
+    : pass_(std::make_unique<internal::LevelPass>(model)) {}
+
+LevelTrainer::~LevelTrainer() = default;
+
+bool LevelTrainer::HasLoss(const EstNode* root, bool node_wise,
+                           const EstNode* injected_at) {
+  if (!node_wise) return root->true_card >= 0.0;
+  if (root == injected_at || root->is_injected()) return false;
+  return root->true_card >= 0.0 ||
+         (root->left != nullptr &&
+          HasLoss(root->left.get(), node_wise, injected_at)) ||
+         (root->right != nullptr &&
+          HasLoss(root->right.get(), node_wise, injected_at));
+}
+
+void LevelTrainer::Step(const std::vector<Sample>& samples, bool node_wise,
+                        std::vector<float>* losses) {
+  LPCE_PROFILE_SCOPE("train.level_step");
+  const size_t d = static_cast<size_t>(pass_->model->config().dim);
+  losses->clear();
+  injected_grads_.resize(samples.size() * d);
+  for (size_t begin = 0; begin < samples.size(); begin += kTreesPerPass) {
+    const size_t count = std::min(kTreesPerPass, samples.size() - begin);
+    pass_->Build(samples.data() + begin, count,
+                 node_wise ? LevelPass::Heads::kNodeWise
+                           : LevelPass::Heads::kQueryWise);
+    pass_->Forward();
+    LevelNodeLoss(pass_.get(), losses);
+    pass_->Backward(/*output_head=*/true, nullptr);
+    pass_->Accumulate(/*output_head=*/true);
+    nn::kernels::Copy(pass_->d_injected, injected_grads_.data() + begin * d,
+                      count * d);
+  }
+}
+
+const float* LevelTrainer::InjectedGrad(size_t i) const {
+  return injected_grads_.data() +
+         i * static_cast<size_t>(pass_->model->config().dim);
+}
+
+void MiniBatchStep::Run(int batch_count) {
+  const float scale = 1.0f / static_cast<float>(batch_count);
+  for (size_t i = 0; i < stores.size(); ++i) {
+    nn::ParamStore* store = stores[i].first;
+    store->ScaleGrads(scale);
+    if (i == 0) {
+      grad_norm_sum += static_cast<double>(store->GradNorm());
+      ++steps;
+    }
+    store->ClipGradNorm(grad_clip);
+  }
+  for (auto& [store, adam] : stores) adam->Step();
+  if (after_step) after_step();
+}
+
+double MiniBatchStep::TakeEpochGradNorm() {
+  const double mean = steps > 0 ? grad_norm_sum / steps : 0.0;
+  grad_norm_sum = 0.0;
+  steps = 0;
+  return mean;
+}
+
 TrainStats TrainTreeModel(TreeModel* model, const db::Database& database,
                           const std::vector<wk::LabeledQuery>& train,
                           const TrainOptions& options) {
@@ -1075,6 +1667,8 @@ TrainStats TrainTreeModel(TreeModel* model, const db::Database& database,
   stats.model_tag = options.tag;
   ScopedMatMulThreads thread_cap(options.num_threads);
   nn::Adam adam(&model->params(), {.lr = options.lr});
+  MiniBatchStep step{{{&model->params(), &adam}}, options.grad_clip,
+                     options.after_step};
   Rng rng(options.seed);
 
   // Pre-build estimation trees once (they are immutable during training).
@@ -1088,6 +1682,10 @@ TrainStats TrainTreeModel(TreeModel* model, const db::Database& database,
   // Encode every node once; epochs (and the validation passes) reuse the
   // rows instead of re-featurizing the same immutable trees.
   const std::vector<nn::Matrix> fcaches = BuildFeatureCaches(*model, train, trees);
+  // SRU models train each mini-batch as one level-batched pass; LSTM models
+  // (TLSTM, LPCE-T) stay on the tape, one tree at a time.
+  std::unique_ptr<LevelTrainer> level;
+  if (!model->config().use_lstm) level = std::make_unique<LevelTrainer>(model);
 
   // Optional validation split: the tail of a seed-shuffled permutation.
   std::vector<size_t> order(train.size());
@@ -1161,41 +1759,39 @@ TrainStats TrainTreeModel(TreeModel* model, const db::Database& database,
   int epochs_since_best = 0;
   std::unordered_map<std::string, nn::Matrix> best_params;
 
+  std::vector<LevelTrainer::Sample> batch;
+  std::vector<float> losses;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     LPCE_PROFILE_SCOPE("train.epoch");
     WallTimer epoch_timer;
     rng.Shuffle(&order);
     double epoch_loss = 0.0;
-    int batch_count = 0;
     int samples = 0;
-    double grad_norm_sum = 0.0;
-    int grad_norm_steps = 0;
-    for (size_t idx : order) {
-      const auto& labeled = train[idx];
-      auto outputs = model->Forward(labeled.query, trees[idx].get(),
-                                    /*dynamic_child_cards=*/false,
-                                    &fcaches[idx]);
-      nn::Tensor loss = TreeLoss(*model, outputs, options.node_wise);
-      if (loss == nullptr) continue;
-      nn::Backward(loss);
-      epoch_loss += loss->value().at(0, 0);
-      ++samples;
-      if (++batch_count >= options.batch_size) {
-        model->params().ScaleGrads(1.0f / static_cast<float>(batch_count));
-        grad_norm_sum += static_cast<double>(model->params().GradNorm());
-        ++grad_norm_steps;
-        model->params().ClipGradNorm(options.grad_clip);
-        adam.Step();
-        batch_count = 0;
+    auto run_batch = [&]() {
+      if (level != nullptr) {
+        level->Step(batch, options.node_wise, &losses);
+      } else {
+        losses.clear();
+        for (const LevelTrainer::Sample& sample : batch) {
+          auto outputs = model->Forward(*sample.query, sample.root,
+                                        /*dynamic_child_cards=*/false,
+                                        sample.feature_cache);
+          nn::Tensor loss = TreeLoss(*model, outputs, options.node_wise);
+          nn::Backward(loss);
+          losses.push_back(loss->value().at(0, 0));
+        }
       }
+      for (const float loss : losses) epoch_loss += loss;
+      samples += static_cast<int>(batch.size());
+      step.Run(static_cast<int>(batch.size()));
+      batch.clear();
+    };
+    for (size_t idx : order) {
+      if (!LevelTrainer::HasLoss(trees[idx].get(), options.node_wise)) continue;
+      batch.push_back({&train[idx].query, trees[idx].get(), &fcaches[idx]});
+      if (static_cast<int>(batch.size()) >= options.batch_size) run_batch();
     }
-    if (batch_count > 0) {
-      model->params().ScaleGrads(1.0f / static_cast<float>(batch_count));
-      grad_norm_sum += static_cast<double>(model->params().GradNorm());
-      ++grad_norm_steps;
-      model->params().ClipGradNorm(options.grad_clip);
-      adam.Step();
-    }
+    if (!batch.empty()) run_batch();
 
     EpochStats es;
     es.epoch = epoch;
@@ -1205,8 +1801,7 @@ TrainStats TrainTreeModel(TreeModel* model, const db::Database& database,
     es.wall_seconds = epoch_timer.ElapsedSeconds();
     es.examples_per_sec =
         es.wall_seconds > 0.0 ? samples / es.wall_seconds : 0.0;
-    es.grad_norm =
-        grad_norm_steps > 0 ? grad_norm_sum / grad_norm_steps : 0.0;
+    es.grad_norm = step.TakeEpochGradNorm();
     LPCE_LOG(Debug) << "tree-model epoch " << epoch << " loss "
                     << es.train_loss;
 
@@ -1254,6 +1849,138 @@ TrainStats TrainTreeModel(TreeModel* model, const db::Database& database,
   return stats;
 }
 
+
+namespace {
+
+/// Hint loss (Eq. 4) over every node: |t_x - p_e(s_x)| and
+/// |t_h - p_s(s_h)|, summed. Appends each sample's loss, sets the student's
+/// d(h) and d(x) terms, and adds p_e / p_s's gradients.
+void HintLoss(LevelPass* student, const LevelPass& teacher,
+              const nn::Linear& pe, const nn::Linear& ps,
+              std::vector<float>* losses, float** extra_dx) {
+  namespace k = nn::kernels;
+  nn::InferArena& arena = student->arena;
+  const size_t n = student->num_rows();
+  const size_t sd = pe.in_dim();
+  const size_t td = pe.out_dim();
+  // Sub(t, p(s)) per row: the (constant) teacher row minus the projection.
+  float* ex = arena.Alloc(n * td);
+  k::Copy(teacher.pre.x, ex, n * td);
+  k::AddScaledInPlace(ex, LinearRows(pe, student->pre.x, n, sd, td, &arena),
+                      -1.0f, n * td);
+  float* eh = arena.Alloc(n * td);
+  k::Copy(teacher.h, eh, n * td);
+  k::AddScaledInPlace(eh, LinearRows(ps, student->h, n, sd, td, &arena),
+                      -1.0f, n * td);
+  float* abs_row = arena.Alloc(td);
+  float* g_row = arena.AllocZeroed(n * td);  // each term's gradient, per row
+  for (size_t s = 0; s + 1 < student->post_begin.size(); ++s) {
+    const size_t begin = student->post_begin[s];
+    const size_t end = student->post_begin[s + 1];
+    const float inv = 1.0f / static_cast<float>(end - begin);
+    const float one = 1.0f;
+    float g = 0.0f;
+    k::AddScaledInPlace(&g, &one, inv, 1);  // Scale(loss, 1/n)'s backward
+    float loss = 0.0f;
+    for (size_t p = begin; p < end; ++p) {
+      const size_t row = static_cast<size_t>(student->row_of(student->post[p]));
+      float sums[2];
+      const float* diffs[2] = {ex + row * td, eh + row * td};
+      for (int t = 0; t < 2; ++t) {
+        for (size_t j = 0; j < td; ++j) abs_row[j] = std::fabs(diffs[t][j]);
+        sums[t] = k::Sum(abs_row, td);
+      }
+      float term = sums[0];
+      k::AddInPlace(&term, &sums[1], 1);
+      if (p == begin) {
+        loss = term;
+      } else {
+        k::AddInPlace(&loss, &term, 1);
+      }
+      for (size_t j = 0; j < td; ++j) g_row[row * td + j] = g;
+    }
+    k::ScaleInPlace(&loss, inv, 1);
+    losses->push_back(loss);
+  }
+  // Sum -> Abs -> Sub's backward into the projection, for both terms.
+  float* d_pe = arena.AllocZeroed(n * td);
+  float* d_ps = arena.AllocZeroed(n * td);
+  for (auto [diff, d_proj] : {std::pair{ex, d_pe}, std::pair{eh, d_ps}}) {
+    float* d_diff = arena.AllocZeroed(n * td);
+    k::AbsBackwardAccumulate(d_diff, g_row, diff, n * td);
+    k::AddScaledInPlace(d_proj, d_diff, -1.0f, n * td);
+  }
+  LevelPass::AccumulateLinear(ps, student->h, sd, d_ps, td,
+                              student->order_head);
+  LevelPass::AccumulateLinear(pe, student->pre.x, sd, d_pe, td,
+                              student->order_head);
+  student->dh = arena.Alloc(n * sd);
+  k::GemmNT(d_ps, n, td, ps.weight().data(), sd, student->dh);
+  *extra_dx = arena.Alloc(n * sd);
+  k::GemmNT(d_pe, n, td, pe.weight().data(), sd, *extra_dx);
+}
+
+/// Prediction loss (Eq. 5) over every node: (1 - alpha) |t_logit - s_logit|
+/// plus, where labelled, alpha |y - y*|. Appends each sample's loss and sets
+/// the student's d(logit).
+void PredictionLoss(LevelPass* student, const LevelPass& teacher, float alpha,
+                    std::vector<float>* losses) {
+  namespace k = nn::kernels;
+  const TreeModel& model = *student->model;
+  student->dlogit = student->arena.AllocZeroed(student->num_rows());
+  const float one = 1.0f;
+  const float logit_weight = 1.0f - alpha;
+  for (size_t s = 0; s + 1 < student->post_begin.size(); ++s) {
+    const size_t begin = student->post_begin[s];
+    const size_t end = student->post_begin[s + 1];
+    const float inv = 1.0f / static_cast<float>(end - begin);
+    float g = 0.0f;
+    k::AddScaledInPlace(&g, &one, inv, 1);  // Scale(loss, 1/n)'s backward
+    float loss = 0.0f;
+    for (size_t p = begin; p < end; ++p) {
+      const int flat = student->post[p];
+      const size_t row = static_cast<size_t>(student->row_of(flat));
+      float logit_diff = teacher.out.logit[row];
+      k::AddScaledInPlace(&logit_diff, student->out.logit + row, -1.0f, 1);
+      float term = std::fabs(logit_diff);
+      k::ScaleInPlace(&term, logit_weight, 1);
+      float* dlogit = student->dlogit + row;
+      const double true_card = student->nodes[flat].est->true_card;
+      if (true_card >= 0.0) {
+        float diff = student->y[row];
+        const float target = static_cast<float>(model.CardToY(true_card));
+        k::AddScaledInPlace(&diff, &target, -1.0f, 1);
+        float q = std::fabs(diff);
+        k::ScaleInPlace(&q, alpha, 1);
+        k::AddInPlace(&term, &q, 1);
+        // Scale(q, alpha) -> Abs -> Sub -> Sigmoid, before the logit term's
+        // Sub reaches the same logit.
+        float g_q = 0.0f;
+        k::AddScaledInPlace(&g_q, &g, alpha, 1);
+        float d_diff = 0.0f;
+        k::AbsBackwardAccumulate(&d_diff, &g_q, &diff, 1);
+        float d_y = 0.0f;
+        k::AddInPlace(&d_y, &d_diff, 1);
+        k::SigmoidBackwardAccumulate(dlogit, &d_y, student->y + row, 1);
+      }
+      float g_l = 0.0f;
+      k::AddScaledInPlace(&g_l, &g, logit_weight, 1);
+      float d_logit_diff = 0.0f;
+      k::AbsBackwardAccumulate(&d_logit_diff, &g_l, &logit_diff, 1);
+      k::AddScaledInPlace(dlogit, &d_logit_diff, -1.0f, 1);
+      if (p == begin) {
+        loss = term;
+      } else {
+        k::AddInPlace(&loss, &term, 1);
+      }
+    }
+    k::ScaleInPlace(&loss, inv, 1);
+    losses->push_back(loss);
+  }
+}
+
+}  // namespace
+
 TrainStats DistillTreeModel(TreeModel* student, const TreeModel& teacher,
                             const db::Database& database,
                             const std::vector<wk::LabeledQuery>& train,
@@ -1274,6 +2001,10 @@ TrainStats DistillTreeModel(TreeModel* student, const TreeModel& teacher,
 
   nn::Adam student_adam(&student->params(), {.lr = options.lr});
   nn::Adam proj_adam(&proj_store, {.lr = options.lr});
+  MiniBatchStep step{{{&student->params(), &student_adam},
+                      {&proj_store, &proj_adam}},
+                     options.grad_clip,
+                     options.after_step};
   Rng order_rng(options.seed + 17);
   std::vector<size_t> order(train.size());
   std::iota(order.begin(), order.end(), 0);
@@ -1295,73 +2026,58 @@ TrainStats DistillTreeModel(TreeModel* student, const TreeModel& teacher,
       shared_encoder ? std::vector<nn::Matrix>()
                      : BuildFeatureCaches(teacher, train, trees);
 
+  // Both models run the same trees through the same flattening, so a row
+  // index names the same node in either pass. The teacher's pass is
+  // inference only; it keeps x, h and the logit.
+  LevelPass student_pass(student);
+  LevelPass teacher_pass(&teacher);
+  std::vector<LevelTrainer::Sample> student_batch, teacher_batch;
+  std::vector<float> losses;
   const int total_epochs = options.hint_epochs + options.predict_epochs;
   for (int epoch = 0; epoch < total_epochs; ++epoch) {
     LPCE_PROFILE_SCOPE("train.epoch");
     WallTimer epoch_timer;
     const bool hint_stage = epoch < options.hint_epochs;
     order_rng.Shuffle(&order);
-    int batch_count = 0;
     double epoch_loss = 0.0;
     int samples = 0;
-    double grad_norm_sum = 0.0;
-    int grad_norm_steps = 0;
-    for (size_t idx : order) {
-      const auto& labeled = train[idx];
-      auto teacher_out = teacher.Forward(
-          labeled.query, trees[idx].get(), /*dynamic_child_cards=*/false,
-          shared_encoder ? &scaches[idx] : &tcaches[idx]);
-      auto student_out = student->Forward(labeled.query, trees[idx].get(),
-                                          /*dynamic_child_cards=*/false,
-                                          &scaches[idx]);
-      LPCE_CHECK(teacher_out.size() == student_out.size());
-      nn::Tensor loss;
-      for (size_t i = 0; i < student_out.size(); ++i) {
-        nn::Tensor term;
+    auto run_batch = [&]() {
+      losses.clear();
+      for (size_t begin = 0; begin < student_batch.size();
+           begin += kTreesPerPass) {
+        const size_t count =
+            std::min(kTreesPerPass, student_batch.size() - begin);
+        student_pass.Build(student_batch.data() + begin, count,
+                           LevelPass::Heads::kAll);
+        student_pass.Forward();
+        teacher_pass.Build(teacher_batch.data() + begin, count,
+                           LevelPass::Heads::kAll);
+        teacher_pass.Forward();
+        float* extra_dx = nullptr;
         if (hint_stage) {
-          // Hint loss: match embed and representation through projections.
-          nn::Tensor ex = nn::Abs(
-              nn::Sub(Detach(teacher_out[i].x), pe.Forward(student_out[i].x)));
-          nn::Tensor eh = nn::Abs(
-              nn::Sub(Detach(teacher_out[i].h), ps.Forward(student_out[i].h)));
-          term = nn::Add(nn::Sum(ex), nn::Sum(eh));
+          HintLoss(&student_pass, teacher_pass, pe, ps, &losses, &extra_dx);
         } else {
-          // Prediction loss: alpha * q + (1 - alpha) * |logit_t - logit_s|.
-          const double true_card = student_out[i].node->true_card;
-          nn::Tensor logit_term = nn::Abs(
-              nn::Sub(Detach(teacher_out[i].logit), student_out[i].logit));
-          term = nn::Scale(logit_term, 1.0f - options.alpha);
-          if (true_card >= 0.0) {
-            nn::Matrix target(1, 1);
-            target.at(0, 0) = static_cast<float>(student->CardToY(true_card));
-            nn::Tensor q = nn::Abs(nn::Sub(student_out[i].y, nn::MakeTensor(target)));
-            term = nn::Add(term, nn::Scale(q, options.alpha));
-          }
+          PredictionLoss(&student_pass, teacher_pass, options.alpha, &losses);
         }
-        loss = loss == nullptr ? term : nn::Add(loss, term);
+        student_pass.Backward(/*output_head=*/!hint_stage, extra_dx);
+        student_pass.Accumulate(/*output_head=*/!hint_stage);
       }
-      if (loss == nullptr) continue;
-      loss = nn::Scale(loss, 1.0f / static_cast<float>(student_out.size()));
-      nn::Backward(loss);
-      epoch_loss += loss->value().at(0, 0);
-      ++samples;
-      if (++batch_count >= options.batch_size) {
-        const float scale = 1.0f / static_cast<float>(batch_count);
-        student->params().ScaleGrads(scale);
-        grad_norm_sum += static_cast<double>(student->params().GradNorm());
-        ++grad_norm_steps;
-        student->params().ClipGradNorm(options.grad_clip);
-        proj_store.ScaleGrads(scale);
-        proj_store.ClipGradNorm(options.grad_clip);
-        student_adam.Step();
-        proj_adam.Step();
-        batch_count = 0;
+      for (const float loss : losses) epoch_loss += loss;
+      samples += static_cast<int>(student_batch.size());
+      step.Run(static_cast<int>(student_batch.size()));
+      student_batch.clear();
+      teacher_batch.clear();
+    };
+    for (size_t idx : order) {
+      student_batch.push_back(
+          {&train[idx].query, trees[idx].get(), &scaches[idx]});
+      teacher_batch.push_back({&train[idx].query, trees[idx].get(),
+                               shared_encoder ? &scaches[idx] : &tcaches[idx]});
+      if (static_cast<int>(student_batch.size()) >= options.batch_size) {
+        run_batch();
       }
     }
-    if (batch_count > 0) {
-      student_adam.Step();
-      proj_adam.Step();
-    }
+    if (!student_batch.empty()) run_batch();
     EpochStats es;
     es.epoch = epoch;
     es.stage = hint_stage ? "hint" : "predict";
@@ -1370,8 +2086,7 @@ TrainStats DistillTreeModel(TreeModel* student, const TreeModel& teacher,
     es.wall_seconds = epoch_timer.ElapsedSeconds();
     es.examples_per_sec =
         es.wall_seconds > 0.0 ? samples / es.wall_seconds : 0.0;
-    es.grad_norm =
-        grad_norm_steps > 0 ? grad_norm_sum / grad_norm_steps : 0.0;
+    es.grad_norm = step.TakeEpochGradNorm();
     stats.epochs.push_back(std::move(es));
     LPCE_LOG(Debug) << "distill epoch " << epoch
                     << (hint_stage ? " (hint)" : " (predict)");
@@ -1383,20 +2098,26 @@ TrainStats DistillTreeModel(TreeModel* student, const TreeModel& teacher,
 
 double EvaluateRootQError(const TreeModel& model, const db::Database& database,
                           const std::vector<wk::LabeledQuery>& test) {
-  double total = 0.0;
-  int count = 0;
+  std::vector<std::unique_ptr<EstNode>> trees;
+  std::vector<std::pair<const qry::Query*, const EstNode*>> batch;
+  trees.reserve(test.size());
   for (const auto& labeled : test) {
     auto logical = qry::BuildCanonicalTree(labeled.query, labeled.query.AllRels());
-    auto tree = MakeEstTree(labeled.query, logical.get(), database,
-                            &labeled.true_cards);
-    const double est = model.PredictCard(labeled.query, tree.get());
-    const double act = static_cast<double>(labeled.FinalCard());
+    trees.push_back(MakeEstTree(labeled.query, logical.get(), database,
+                                &labeled.true_cards));
+    batch.emplace_back(&labeled.query, trees.back().get());
+  }
+  std::vector<std::vector<TreeModel::InferNodeOutput>> outputs;
+  model.InferTrees(batch, &outputs);
+  double total = 0.0;
+  for (size_t i = 0; i < test.size(); ++i) {
+    const double est = outputs[i].back().card;
+    const double act = static_cast<double>(test[i].FinalCard());
     const double q = std::max(std::max(est, 1.0), std::max(act, 1.0)) /
                      std::min(std::max(est, 1.0), std::max(act, 1.0));
     total += q;
-    ++count;
   }
-  return count > 0 ? total / count : 0.0;
+  return test.empty() ? 0.0 : total / static_cast<double>(test.size());
 }
 
 }  // namespace lpce::model

@@ -8,6 +8,7 @@
 #ifndef LPCE_LPCE_TREE_MODEL_H_
 #define LPCE_LPCE_TREE_MODEL_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -63,6 +64,10 @@ struct TreeModelConfig {
   uint64_t seed = 1;
 };
 
+namespace internal {
+struct LevelPass;  // the level-batched training pass (tree_model.cc)
+}  // namespace internal
+
 /// Thread-safety: weights are mutated only by the training procedures
 /// (TrainTreeModel/DistillTreeModel/TrainLpceR) and Load(); once those
 /// return, the parameters are read-only — every inference entry point
@@ -86,8 +91,10 @@ class TreeModel {
   TreeModel(const TreeModel&) = delete;
   TreeModel& operator=(const TreeModel&) = delete;
 
-  /// Runs the model over the tree; returns one output per non-injected node
-  /// in post-order (the root is last).
+  /// Runs the model over the tree on the autograd tape; returns one output
+  /// per non-injected node in post-order (the root is last). Training of
+  /// LSTM models backpropagates through it; everything else uses the level
+  /// kernels below, and the tests keep it as their oracle.
   ///
   /// When `dynamic_child_cards` is set (LPCE-R-Single inference, Table 3),
   /// internal nodes whose children lack a true_card label take the model's
@@ -182,9 +189,6 @@ class TreeModel {
                            const std::vector<JoinStateRequest>& requests,
                            std::vector<RawState>* out) const;
 
-  /// Cardinality estimate for the root of the tree.
-  double PredictCard(const qry::Query& query, const EstNode* root) const;
-
   /// Inference fast path (no autograd graph): root cardinality estimate.
   /// Supports injected leaves and the dynamic-child-cards mode.
   double PredictCardFast(const qry::Query& query, const EstNode* root,
@@ -214,11 +218,18 @@ class TreeModel {
   void CopyParamsFrom(const TreeModel& other);
 
  private:
-  friend class TreeModelTrainer;
+  friend struct internal::LevelPass;
 
   int input_dim() const {
     return config_.feature_dim + (config_.with_child_cards ? 2 : 0);
   }
+
+  /// Writes one input row: the node's encoder features (row `cache_row` of
+  /// `cache` when given), then, for child-cardinality models, the children's
+  /// normalized cards.
+  void FillInputRow(const qry::Query& query, const EstNode* node,
+                    const nn::Matrix* cache, int cache_row, double card_left,
+                    double card_right, float* dst) const;
 
   /// One level's worth of batched embed + cell + output work; defined in
   /// tree_model.cc.
@@ -230,13 +241,54 @@ class TreeModel {
   /// child-independent products — embed plus every W.x linear — which the
   /// hoisted path computes once for all levels so each weight matrix streams
   /// through cache once per batch instead of once per level.
+  ///
+  /// Training keeps what the backward pass reads: the embed hidden layer
+  /// (CellPre::h1), the SRU's child sums and tanh(c) (`keep_cs`/`keep_tc`,
+  /// [n x dim] each, else arena scratch), and the output head's hidden layer
+  /// and logit (`keep`).
   struct CellPre;
+  struct OutputActs {
+    float* o1 = nullptr;     // [n x out_hidden], post-relu
+    float* logit = nullptr;  // [n], pre-sigmoid
+  };
   CellPre RunCellPre(const float* x_in, size_t n, nn::InferArena* arena) const;
   void RunCellLevel(const CellPre& pre, size_t row0, size_t n,
                     const float* const* c_left, const float* const* c_right,
                     const float* const* h_left, const float* const* h_right,
-                    float* c, float* h, nn::InferArena* arena) const;
-  float* RunOutputHead(const float* h, size_t n, nn::InferArena* arena) const;
+                    float* c, float* h, nn::InferArena* arena,
+                    float* keep_cs = nullptr, float* keep_tc = nullptr) const;
+  float* RunOutputHead(const float* h, size_t n, nn::InferArena* arena,
+                       OutputActs* keep = nullptr) const;
+
+  /// The backward level kernels (training on level kernels, DESIGN.md). Each
+  /// mirrors the tape's backward closures for its part of the forward, with
+  /// the same rounded operations in the same order; parameter gradients are
+  /// accumulated separately by internal::LevelPass, in the tape's row order.
+  /// Output head: d(logit) -> d(h) over n rows; keeps the hidden layer's
+  /// gradient in `d_o1` ([n x out_hidden]).
+  void RunOutputHeadBackward(const float* dlogit, const float* o1, size_t n,
+                             float* d_o1, float* dh,
+                             nn::InferArena* arena) const;
+  /// SRU cell, one level: the gradient of c (the parent's contribution,
+  /// already in `dc`) gains the tanh(c) term of h; `child_dc` receives
+  /// d(c_left) == d(c_right), the gradient each child's c gets back.
+  void RunCellLevelBackward(const float* dh, const float* r, const float* tc,
+                            const float* f, size_t n, float* dc,
+                            float* child_dc, nn::InferArena* arena) const;
+  /// SRU gates and embed, all rows at once (no cross-row dependency left
+  /// once every level's dc is known). Writes the pre-activation gradients
+  /// the parameter accumulation reads.
+  struct CellGrads {
+    float* d_xt = nullptr;  // d(x~) = d(W_x x + b_x)          [n x dim]
+    float* d_f1 = nullptr;  // d(W_f x + b_f)                  [n x dim]
+    float* d_r1 = nullptr;  // d(W_r x + b_r)                  [n x dim]
+    float* d_e2 = nullptr;  // d(embed layer 2, pre-relu)      [n x dim]
+    float* d_e1 = nullptr;  // d(embed layer 1, pre-relu)      [n x embed_hidden]
+  };
+  CellGrads RunCellPreBackward(const CellPre& pre, const float* cs,
+                               const float* tc, const float* dh,
+                               const float* dc, const float* extra_dx,
+                               size_t n, nn::InferArena* arena) const;
 
   /// Shared driver behind Infer/InferTrees: flattens the trees, groups nodes
   /// by depth, and runs one LevelBatch per depth (deepest first). Any of
@@ -276,10 +328,14 @@ struct TrainOptions {
   int num_threads = 0;
   /// Model tag stamped into TrainStats / the LPCE_TRAIN_LOG JSONL.
   std::string tag = "tree_model";
+  /// Called after every Adam step (tests compare trainers step by step).
+  std::function<void()> after_step;
 };
 
 /// Trains with the (node- or query-wise) q-error surrogate |y - y*| and
-/// returns per-epoch telemetry. Contract: the returned
+/// returns per-epoch telemetry. SRU models train each mini-batch as one
+/// level-batched pass (LevelTrainer); LSTM models run each tree through the
+/// taped Forward and nn::Backward. Contract: the returned
 /// TrainStats::final_train_loss() is the training loss of the parameters the
 /// model is left with — the best-validation epoch when early stopping
 /// restored a snapshot (best_epoch >= 0), else the last epoch.
@@ -299,12 +355,14 @@ struct DistillOptions {
   int num_threads = 0;
   /// Model tag stamped into TrainStats / the LPCE_TRAIN_LOG JSONL.
   std::string tag = "distill";
+  /// Called after every Adam step.
+  std::function<void()> after_step;
 };
 
 /// Knowledge distillation: trains `student` to match `teacher` through
 /// learned projections p_e / p_s, then calibrates with the prediction loss.
 /// Epochs carry stage "hint" then "predict"; there is no validation split,
-/// so best_epoch stays -1.
+/// so best_epoch stays -1. Both models must be SRU models.
 TrainStats DistillTreeModel(TreeModel* student, const TreeModel& teacher,
                             const db::Database& database,
                             const std::vector<wk::LabeledQuery>& train,
@@ -314,8 +372,67 @@ TrainStats DistillTreeModel(TreeModel* student, const TreeModel& teacher,
 double EvaluateRootQError(const TreeModel& model, const db::Database& database,
                           const std::vector<wk::LabeledQuery>& test);
 
-/// Detaches a tensor from the autograd graph (constant copy of its value).
-nn::Tensor Detach(const nn::Tensor& t);
+/// The end-of-mini-batch update of every trainer, for full and trailing
+/// partial batches alike: each store's gradients are averaged over the
+/// `batch_count` samples and clipped to `grad_clip`, the first store's
+/// pre-clip global norm is added to the epoch tally, and each Adam steps.
+/// `after_step` (may be empty) runs last.
+struct MiniBatchStep {
+  std::vector<std::pair<nn::ParamStore*, nn::Adam*>> stores;
+  float grad_clip = 5.0f;
+  std::function<void()> after_step;
+  // Epoch tally of pre-clip norms.
+  double grad_norm_sum = 0.0;
+  int steps = 0;
+
+  void Run(int batch_count);
+  /// Mean pre-clip norm since the last call; resets the tally.
+  double TakeEpochGradNorm();
+};
+
+/// A mini-batch of trees trained as one level-batched forward and backward
+/// pass (DESIGN.md "Training on level kernels"). All trees' nodes at the same
+/// depth share each product, and the parameter gradients come out
+/// bit-identical to running the trees one after another through the taped
+/// Forward and nn::Backward. SRU models only. The workspace lives in the
+/// object and is freed with it.
+class LevelTrainer {
+ public:
+  struct Sample {
+    const qry::Query* query = nullptr;
+    const EstNode* root = nullptr;
+    /// BuildFeatureCache rows of `root`'s tree (null: run the encoder).
+    const nn::Matrix* feature_cache = nullptr;
+    /// LPCE-R stage 2: this subtree of `root` is replaced by an injected
+    /// leaf with encoding `injected_c` (dim floats, alive until Step
+    /// returns).
+    const EstNode* injected_at = nullptr;
+    const float* injected_c = nullptr;
+  };
+
+  explicit LevelTrainer(TreeModel* model);
+  ~LevelTrainer();
+  LevelTrainer(const LevelTrainer&) = delete;
+  LevelTrainer& operator=(const LevelTrainer&) = delete;
+
+  /// True when the tree contributes a term to the node-wise (or query-wise)
+  /// loss; trainers count and batch only such trees.
+  static bool HasLoss(const EstNode* root, bool node_wise,
+                      const EstNode* injected_at = nullptr);
+
+  /// Forward, loss (Eq. 2/3) and backward over `samples`, each of which must
+  /// have HasLoss. Adds the parameter gradients to the model's, in the order
+  /// per-sample taped passes would, and writes each sample's loss.
+  void Step(const std::vector<Sample>& samples, bool node_wise,
+            std::vector<float>* losses);
+
+  /// d(loss)/d(injected_c) of sample i of the last Step (dim floats).
+  const float* InjectedGrad(size_t i) const;
+
+ private:
+  std::unique_ptr<internal::LevelPass> pass_;
+  std::vector<float> injected_grads_;
+};
 
 }  // namespace lpce::model
 

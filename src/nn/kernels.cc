@@ -309,4 +309,87 @@ void Copy(const float* src, float* dst, size_t n) {
 
 void Zero(float* x, size_t n) { std::memset(x, 0, n * sizeof(float)); }
 
+float Sum(const float* x, size_t n) {
+  float acc = 0.0f;
+  for (size_t i = 0; i < n; ++i) acc += x[i];
+  return acc;
+}
+
+void MulAccumulate(float* dst, const float* g, const float* b, size_t n) {
+  for (size_t i = 0; i < n; ++i) dst[i] += g[i] * b[i];
+}
+
+void SigmoidBackwardAccumulate(float* dst, const float* g, const float* y,
+                               size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const float yi = y[i];
+    dst[i] += g[i] * yi * (1.0f - yi);
+  }
+}
+
+void TanhBackwardAccumulate(float* dst, const float* g, const float* y,
+                            size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const float yi = y[i];
+    dst[i] += g[i] * (1.0f - yi * yi);
+  }
+}
+
+void ReluBackwardAccumulate(float* dst, const float* g, const float* x,
+                            size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (x[i] > 0.0f) dst[i] += g[i];
+  }
+}
+
+void AbsBackwardAccumulate(float* dst, const float* g, const float* x,
+                           size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const float xi = x[i];
+    if (xi > 0.0f) {
+      dst[i] += g[i];
+    } else if (xi < 0.0f) {
+      dst[i] -= g[i];
+    }
+  }
+}
+
+void GemmNT(const float* a, size_t m, size_t k, const float* b, size_t n,
+            float* out) {
+  for (size_t i = 0; i < m; ++i) {
+    const float* a_row = a + i * k;
+    float* out_row = out + i * n;
+    for (size_t j = 0; j < n; ++j) {
+      const float* b_row = b + j * k;
+      float acc = 0.0f;
+      for (size_t kk = 0; kk < k; ++kk) acc += a_row[kk] * b_row[kk];
+      out_row[j] = acc;
+    }
+  }
+}
+
+// fp-contract=off: the build's -ffast-math would otherwise fuse the product
+// and the add into one FMA, which rounds once where m single-row backward
+// passes (TransposeMatMul, then AddInPlace) round twice.
+#if defined(__clang__)
+void AccumulateOuterRows(const float* a, size_t k, const float* g, size_t n,
+                         const int* rows, size_t m, float* grad) {
+#pragma clang fp contract(off)
+#else
+__attribute__((optimize("fp-contract=off"))) void AccumulateOuterRows(
+    const float* a, size_t k, const float* g, size_t n, const int* rows,
+    size_t m, float* grad) {
+#endif
+  for (size_t i = 0; i < k; ++i) {
+    float* grad_row = grad + i * n;
+    for (size_t r = 0; r < m; ++r) {
+      const size_t row = static_cast<size_t>(rows[r]);
+      const float av = a[row * k + i];
+      if (av == 0.0f) continue;
+      const float* g_row = g + row * n;
+      for (size_t j = 0; j < n; ++j) grad_row[j] += av * g_row[j];
+    }
+  }
+}
+
 }  // namespace lpce::nn::kernels

@@ -56,6 +56,46 @@ void Tanh(const float* a, float* out, size_t n);
 void Relu(float* x, size_t n);
 void Copy(const float* src, float* dst, size_t n);
 void Zero(float* x, size_t n);
+/// Sum of n floats in one fixed (vectorized) reduction order — the Sum op.
+float Sum(const float* x, size_t n);
+
+// Backward kernels. The autograd ops' backward closures (nn/tensor.cc) and
+// the level-batched trainer (lpce/tree_model.cc) both call these, so a
+// gradient computed either way goes through the same rounded operations.
+// Each accumulates into dst, as the tape's grad buffers do.
+
+/// dst[i] += g[i] * b[i] — Mul's backward into one operand.
+void MulAccumulate(float* dst, const float* g, const float* b, size_t n);
+/// dst[i] += g[i] * y[i] * (1 - y[i]) — Sigmoid's backward from its output.
+void SigmoidBackwardAccumulate(float* dst, const float* g, const float* y,
+                               size_t n);
+/// dst[i] += g[i] * (1 - y[i] * y[i]) — Tanh's backward from its output.
+void TanhBackwardAccumulate(float* dst, const float* g, const float* y,
+                            size_t n);
+/// dst[i] += g[i] where x[i] > 0 — Relu's backward from its input.
+void ReluBackwardAccumulate(float* dst, const float* g, const float* x,
+                            size_t n);
+/// dst[i] += g[i] where x[i] > 0, dst[i] -= g[i] where x[i] < 0 — Abs's
+/// backward from its input (subgradient 0 at 0).
+void AbsBackwardAccumulate(float* dst, const float* g, const float* x,
+                           size_t n);
+
+/// out (m x n) = a (m x k) * b^T, with b stored row-major as (n x k) — the
+/// input gradient G W^T of a linear layer. Each output element is one dot
+/// product over k in the kernel's fixed order, independent of m and of the
+/// row range a caller parallelizes over.
+void GemmNT(const float* a, size_t m, size_t k, const float* b, size_t n,
+            float* out);
+
+/// grad (k x n) += a_r^T g_r for r = rows[0], ..., rows[m-1] in that order,
+/// where a has row stride k and g row stride n: every element adds one
+/// rounded product per row, exactly as m single-row backward passes
+/// accumulate a weight gradient (TransposeMatMul, then AddInPlace). The
+/// product is never contracted into an FMA with the add. Rows whose a entry
+/// is zero are skipped: adding a zero product leaves a gradient that started
+/// at +0 unchanged.
+void AccumulateOuterRows(const float* a, size_t k, const float* g, size_t n,
+                         const int* rows, size_t m, float* grad);
 
 }  // namespace lpce::nn::kernels
 

@@ -73,6 +73,10 @@ class Linear {
   /// temporaries.
   const Matrix& weight() const { return w_->value(); }
   const Matrix& bias() const { return b_->value(); }
+  /// The parameters' gradient buffers, for the level-batched trainer
+  /// (lpce/tree_model.cc), which accumulates into them off the tape.
+  Matrix& weight_grad() const { return w_->grad(); }
+  Matrix& bias_grad() const { return b_->grad(); }
 
  private:
   Tensor w_;

@@ -93,16 +93,8 @@ Matrix Matrix::MatMulTranspose(const Matrix& other) const {
   LPCE_CHECK(cols_ == other.cols_);
   Matrix out(rows_, other.rows_, 0.0f);
   ParallelRows(rows_, rows_ * cols_ * other.rows_, [&](size_t r0, size_t r1) {
-    for (size_t i = r0; i < r1; ++i) {
-      const float* a_row = data() + i * cols_;
-      float* out_row = out.data() + i * other.rows_;
-      for (size_t j = 0; j < other.rows_; ++j) {
-        const float* b_row = other.data() + j * cols_;
-        float acc = 0.0f;
-        for (size_t k = 0; k < cols_; ++k) acc += a_row[k] * b_row[k];
-        out_row[j] = acc;
-      }
-    }
+    kernels::GemmNT(data() + r0 * cols_, r1 - r0, cols_, other.data(),
+                    other.rows_, out.data() + r0 * other.rows_);
   });
   return out;
 }

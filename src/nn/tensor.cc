@@ -105,16 +105,12 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
     Tensor a_in = self->inputs()[0];
     Tensor b_in = self->inputs()[1];
     if (a_in->requires_grad()) {
-      Matrix& ag = a_in->grad();
-      for (size_t i = 0; i < g.size(); ++i) {
-        ag.data()[i] += g.data()[i] * b_in->value().data()[i];
-      }
+      kernels::MulAccumulate(a_in->grad().data(), g.data(),
+                             b_in->value().data(), g.size());
     }
     if (b_in->requires_grad()) {
-      Matrix& bg = b_in->grad();
-      for (size_t i = 0; i < g.size(); ++i) {
-        bg.data()[i] += g.data()[i] * a_in->value().data()[i];
-      }
+      kernels::MulAccumulate(b_in->grad().data(), g.data(),
+                             a_in->value().data(), g.size());
     }
   });
 }
@@ -144,12 +140,8 @@ Tensor Sigmoid(const Tensor& a) {
     Tensor a_in = self->inputs()[0];
     if (!a_in->requires_grad()) return;
     const Matrix& g = self->grad();
-    const Matrix& y = self->value();
-    Matrix& ag = a_in->grad();
-    for (size_t i = 0; i < g.size(); ++i) {
-      const float yi = y.data()[i];
-      ag.data()[i] += g.data()[i] * yi * (1.0f - yi);
-    }
+    kernels::SigmoidBackwardAccumulate(a_in->grad().data(), g.data(),
+                                       self->value().data(), g.size());
   });
 }
 
@@ -160,12 +152,8 @@ Tensor Tanh(const Tensor& a) {
     Tensor a_in = self->inputs()[0];
     if (!a_in->requires_grad()) return;
     const Matrix& g = self->grad();
-    const Matrix& y = self->value();
-    Matrix& ag = a_in->grad();
-    for (size_t i = 0; i < g.size(); ++i) {
-      const float yi = y.data()[i];
-      ag.data()[i] += g.data()[i] * (1.0f - yi * yi);
-    }
+    kernels::TanhBackwardAccumulate(a_in->grad().data(), g.data(),
+                                    self->value().data(), g.size());
   });
 }
 
@@ -176,11 +164,8 @@ Tensor Relu(const Tensor& a) {
     Tensor a_in = self->inputs()[0];
     if (!a_in->requires_grad()) return;
     const Matrix& g = self->grad();
-    const Matrix& x = a_in->value();
-    Matrix& ag = a_in->grad();
-    for (size_t i = 0; i < g.size(); ++i) {
-      if (x.data()[i] > 0.0f) ag.data()[i] += g.data()[i];
-    }
+    kernels::ReluBackwardAccumulate(a_in->grad().data(), g.data(),
+                                    a_in->value().data(), g.size());
   });
 }
 
@@ -191,16 +176,8 @@ Tensor Abs(const Tensor& a) {
     Tensor a_in = self->inputs()[0];
     if (!a_in->requires_grad()) return;
     const Matrix& g = self->grad();
-    const Matrix& x = a_in->value();
-    Matrix& ag = a_in->grad();
-    for (size_t i = 0; i < g.size(); ++i) {
-      const float xi = x.data()[i];
-      if (xi > 0.0f) {
-        ag.data()[i] += g.data()[i];
-      } else if (xi < 0.0f) {
-        ag.data()[i] -= g.data()[i];
-      }
-    }
+    kernels::AbsBackwardAccumulate(a_in->grad().data(), g.data(),
+                                   a_in->value().data(), g.size());
   });
 }
 
@@ -234,10 +211,8 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Sum(const Tensor& a) {
-  float acc = 0.0f;
-  for (size_t i = 0; i < a->value().size(); ++i) acc += a->value().data()[i];
   Matrix out(1, 1);
-  out.at(0, 0) = acc;
+  out.at(0, 0) = kernels::Sum(a->value().data(), a->value().size());
   return MakeOp(std::move(out), {a}, [](TensorNode* self) {
     Tensor a_in = self->inputs()[0];
     if (!a_in->requires_grad()) return;
@@ -248,9 +223,15 @@ Tensor Sum(const Tensor& a) {
 }
 
 void Backward(const Tensor& root) {
-  LPCE_PROFILE_SCOPE("nn.backward");
   LPCE_CHECK_MSG(root->value().rows() == 1 && root->value().cols() == 1,
                  "Backward root must be a 1x1 scalar");
+  Backward(root, Matrix(1, 1, 1.0f));
+}
+
+void Backward(const Tensor& root, const Matrix& seed) {
+  LPCE_PROFILE_SCOPE("nn.backward");
+  LPCE_CHECK_MSG(root->value().SameShape(seed),
+                 "Backward seed must match the root's shape");
   // Iterative post-order DFS to get a reverse-topological order.
   std::vector<TensorNode*> order;
   std::unordered_set<TensorNode*> visited;
@@ -275,7 +256,7 @@ void Backward(const Tensor& root) {
   for (TensorNode* node : order) {
     if (node->has_backward()) node->ZeroGrad();
   }
-  root->grad().at(0, 0) = 1.0f;
+  root->grad() = seed;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     (*it)->RunBackward();
   }

@@ -87,6 +87,11 @@ Tensor Sum(const Tensor& a);
 /// Runs reverse-mode accumulation from a 1x1 root (seeds d(root)/d(root) = 1).
 void Backward(const Tensor& root);
 
+/// Reverse-mode accumulation from a root of any shape, seeded with the given
+/// gradient d(loss)/d(root) — for a sub-graph whose output gradient was
+/// computed off the tape (LPCE-R's Connect under the level-batched trainer).
+void Backward(const Tensor& root, const Matrix& seed);
+
 }  // namespace lpce::nn
 
 #endif  // LPCE_NN_TENSOR_H_

@@ -10,6 +10,7 @@
 #include "exec/executor.h"
 #include "lpce/estimators.h"
 #include "lpce/lpce_r.h"
+#include "testing/taped_trainer.h"
 #include "workload/workload.h"
 
 namespace lpce::model {
@@ -333,7 +334,8 @@ TEST_F(ModelTest, FastInferenceMatchesGraphForward) {
             qry::BuildCanonicalTree(labeled.query, labeled.query.AllRels());
         auto tree = MakeEstTree(labeled.query, logical.get(), *database_,
                                 &labeled.true_cards);
-        const double slow = tree_model.PredictCard(labeled.query, tree.get());
+        const double slow =
+            testing::TapedPredictCard(tree_model, labeled.query, tree.get());
         const double fast = tree_model.PredictCardFast(labeled.query, tree.get());
         EXPECT_NEAR(fast, slow, std::max(1.0, slow) * 1e-3)
             << "lstm=" << lstm << " cards=" << with_cards;
@@ -373,7 +375,7 @@ TEST_F(ModelTest, LpceRFastEncodingMatchesGraph) {
   // Encode the leftmost join subtree both ways.
   const EstNode* executed = tree->left.get();
   ASSERT_NE(executed, nullptr);
-  nn::Tensor slow = lpce_r.EncodeExecuted(labeled.query, executed);
+  nn::Tensor slow = testing::TapedEncodeExecuted(lpce_r, labeled.query, executed);
   nn::Matrix fast = lpce_r.EncodeExecutedFast(labeled.query, executed);
   ASSERT_EQ(slow->value().cols(), fast.cols());
   for (size_t j = 0; j < fast.cols(); ++j) {
@@ -397,8 +399,9 @@ TEST_F(ModelTest, ModelSaveLoadPreservesPredictions) {
   const auto& labeled = test_.front();
   auto logical = qry::BuildCanonicalTree(labeled.query, labeled.query.AllRels());
   auto tree = MakeEstTree(labeled.query, logical.get(), *database_, nullptr);
-  EXPECT_NEAR(model.PredictCard(labeled.query, tree.get()),
-              loaded.PredictCard(labeled.query, tree.get()), 1e-3);
+  EXPECT_NEAR(testing::TapedPredictCard(model, labeled.query, tree.get()),
+              testing::TapedPredictCard(loaded, labeled.query, tree.get()),
+              1e-3);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "nn/arena.h"
+#include "nn/matrix.h"
 
 namespace lpce::nn::kernels {
 namespace {
@@ -114,6 +115,52 @@ TEST(GemmTest, RowBlocksAreBitIdenticalToFullProduct) {
     EXPECT_EQ(std::memcmp(full.data(), pieced.data(), m * n * sizeof(float)), 0)
         << "rows_per_call=" << rows_per_call;
   }
+}
+
+TEST(BackwardTest, GemmNTRowsMatchSingleRowMatMulTranspose) {
+  // The level-batched trainer runs G W^T over all rows of a batch; each row
+  // must carry the bits of the tape's one-row MatMulTranspose.
+  Rng rng(13);
+  const size_t m = 11, k = 37, n = 9;
+  const auto g = RandomVec(m * k, &rng);
+  const auto w = RandomVec(n * k, &rng);
+  std::vector<float> batched(m * n);
+  GemmNT(g.data(), m, k, w.data(), n, batched.data());
+  const Matrix w_mat(n, k, w);
+  for (size_t r = 0; r < m; ++r) {
+    const Matrix row(1, k, std::vector<float>(g.begin() + r * k,
+                                              g.begin() + (r + 1) * k));
+    const Matrix taped = row.MatMulTranspose(w_mat);
+    EXPECT_EQ(std::memcmp(taped.data(), batched.data() + r * n,
+                          n * sizeof(float)),
+              0)
+        << "row " << r;
+  }
+}
+
+TEST(BackwardTest, OuterRowsMatchSingleRowGradientAdds) {
+  // grad += a_r^T g_r in a given row order must equal the tape's per-row
+  // TransposeMatMul + AddInPlace bit for bit: one rounded product, then the
+  // add (no FMA), and zero a entries skipped.
+  Rng rng(17);
+  const size_t m = 12, k = 19, n = 33;
+  auto a = RandomVec(m * k, &rng);
+  for (size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+  const auto g = RandomVec(m * n, &rng, -1e-2, 1e-2);
+  const std::vector<int> order = {5, 0, 11, 3, 3, 7, 1, 10, 2, 9, 4, 8, 6};
+  std::vector<float> grad(k * n, 0.0f);
+  AccumulateOuterRows(a.data(), k, g.data(), n, order.data(), order.size(),
+                      grad.data());
+  Matrix taped(k, n, 0.0f);
+  for (const int r : order) {
+    const size_t row = static_cast<size_t>(r);
+    const Matrix a_row(1, k, std::vector<float>(a.begin() + row * k,
+                                                a.begin() + (row + 1) * k));
+    const Matrix g_row(1, n, std::vector<float>(g.begin() + row * n,
+                                                g.begin() + (row + 1) * n));
+    taped.AddInPlace(a_row.TransposeMatMul(g_row));
+  }
+  EXPECT_EQ(std::memcmp(taped.data(), grad.data(), k * n * sizeof(float)), 0);
 }
 
 TEST(ElementwiseTest, OneMinusMatchesScaleThenAddScalarBitExactly) {
