@@ -222,13 +222,16 @@ RunStats Engine::RunQuery(const qry::Query& query,
     stats.num_estimates += cont.num_estimates;
     size_t reopt_estimates = cont.num_estimates;
     plan = std::move(cont.plan);
-    // ...or restart from scratch if that now looks cheaper (Sec. 6.2).
+    // ...or restart from scratch if that now looks cheaper (Sec. 6.2). The
+    // restart search is bounded by the continue plan's cost: it returns a
+    // plan only when one costs less, and then the unbounded search's plan.
     bool restarted = false;
     if (config.consider_restart) {
-      opt::PlanResult restart = planner_.Plan(query, &overlay);
+      opt::PlanResult restart =
+          planner_.Plan(query, &overlay, plan->est_cost);
       stats.num_estimates += restart.num_estimates;
       reopt_estimates += restart.num_estimates;
-      if (restart.plan->est_cost < plan->est_cost) {
+      if (restart.plan != nullptr) {
         plan = std::move(restart.plan);
         restarted = true;
       }

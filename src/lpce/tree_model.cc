@@ -275,6 +275,11 @@ struct InferWorkspace {
   // first, with per-level slice bounds.
   std::vector<int> comp_rows;
   std::vector<size_t> comp_begin;
+  // Subset-pass scratch: CellPre row per join edge, the distinct edges in
+  // first-use order, and each level row's CellPre row.
+  std::vector<uint32_t> edge_row;
+  std::vector<int> edges;
+  std::vector<uint32_t> pre_rows;
   // DFS scratch.
   struct StackEntry {
     const EstNode* node;
@@ -302,10 +307,13 @@ struct TreeModel::CellPre {
   float* h1 = nullptr;  // [n x embed_hidden] embed hidden layer, post-relu
   float* x = nullptr;  // [n x d] embedded features, post-relu
   // SRU: x~, and the f/r gates (already sigmoided — elementwise, so the
-  // activation is batch-composition-invariant).
+  // activation is batch-composition-invariant), and the cell's two
+  // child-independent products (1 - f) (.) x~ and (1 - r) (.) x.
   float* xt = nullptr;
   float* f = nullptr;
   float* r = nullptr;
+  float* omf_xt = nullptr;
+  float* omr_x = nullptr;
   // LSTM: pre-activation x-side products (the gate sums need U.h first).
   float* wi_x = nullptr;
   float* wo_x = nullptr;
@@ -360,6 +368,14 @@ TreeModel::CellPre TreeModel::RunCellPre(const float* x_in, size_t n,
       k::Sigmoid(pre.f, n * d);
       pre.r = LinearRows(sru_.wr(), pre.x, n, d, d, arena);
       k::Sigmoid(pre.r, n * d);
+      // The OneMinus/Mul pairs of TreeSruCell::Step that read no child.
+      float* om = arena->Alloc(n * d);
+      k::OneMinus(pre.f, om, n * d);
+      pre.omf_xt = arena->Alloc(n * d);
+      k::Mul(om, pre.xt, pre.omf_xt, n * d);
+      k::OneMinus(pre.r, om, n * d);
+      pre.omr_x = arena->Alloc(n * d);
+      k::Mul(om, pre.x, pre.omr_x, n * d);
     } else {
       pre.wi_x = LinearRows(lstm_.wi(), pre.x, n, d, d, arena);
       pre.wo_x = LinearRows(lstm_.wo(), pre.x, n, d, d, arena);
@@ -371,6 +387,7 @@ TreeModel::CellPre TreeModel::RunCellPre(const float* x_in, size_t n,
 }
 
 void TreeModel::RunCellLevel(const CellPre& pre, size_t row0, size_t n,
+                             const uint32_t* pre_rows,
                              const float* const* c_left,
                              const float* const* c_right,
                              const float* const* h_left,
@@ -380,13 +397,26 @@ void TreeModel::RunCellLevel(const CellPre& pre, size_t row0, size_t n,
   namespace k = nn::kernels;
   const size_t d = static_cast<size_t>(config_.dim);
   LPCE_PROFILE_SCOPE("nn.infer.cell");
-  const float* x = pre.x + row0 * d;
+  auto pre_row = [&](size_t row) {
+    return pre_rows != nullptr ? static_cast<size_t>(pre_rows[row]) : row0 + row;
+  };
+  // Calls fn(row, pre row, count) once per run of rows whose CellPre rows
+  // are consecutive: one run for a contiguous level, so the elementwise
+  // kernels see the same [count x d] spans either way (they are
+  // value-deterministic per element, so the split never changes a bit).
+  auto for_runs = [&](auto&& fn) {
+    for (size_t row = 0; row < n;) {
+      const size_t p = pre_row(row);
+      size_t count = 1;
+      while (row + count < n && pre_row(row + count) == p + count) ++count;
+      fn(row, p, count);
+      row += count;
+    }
+  };
   if (!config_.use_lstm) {
     // Tree SRU (paper Eq. 1), mirroring TreeSruCell::Step op by op. All the
-    // linears live in CellPre; only elementwise work remains per level.
-    const float* xt = pre.xt + row0 * d;
-    const float* f = pre.f + row0 * d;
-    const float* r = pre.r + row0 * d;
+    // linears and the child-independent products live in CellPre; only the
+    // child-dependent elementwise work remains per level.
     // child_sum rows: Add for two children (one rounding, as SumChildren's
     // Add), plain copy for one (Step reuses the child tensor unrounded),
     // zero for none.
@@ -405,23 +435,20 @@ void TreeModel::RunCellLevel(const CellPre& pre, size_t row0, size_t n,
         k::Zero(dst, d);
       }
     }
-    // c = f (.) child_sum + (1 - f) (.) x~  — four kernel calls matching
-    // Mul/OneMinus/Mul/Add on the taped path (no FMA fusion across ops).
-    float* t1 = arena->Alloc(n * d);
-    k::Mul(f, cs, t1, n * d);
-    float* om = arena->Alloc(n * d);
-    k::OneMinus(f, om, n * d);
-    float* t2 = arena->Alloc(n * d);
-    k::Mul(om, xt, t2, n * d);
-    k::Add(t1, t2, c, n * d);
-    // h = r (.) tanh(c) + (1 - r) (.) x
+    // c = f (.) child_sum + (1 - f) (.) x~ and h = r (.) tanh(c) + (1 - r)
+    // (.) x: one kernel per taped Mul/Add (no FMA fusion across ops).
+    float* t = arena->Alloc(n * d);
     float* tc = keep_tc != nullptr ? keep_tc : arena->Alloc(n * d);
-    k::Tanh(c, tc, n * d);
-    float* t3 = arena->Alloc(n * d);
-    k::Mul(r, tc, t3, n * d);
-    k::OneMinus(r, om, n * d);
-    k::Mul(om, x, t2, n * d);
-    k::Add(t3, t2, h, n * d);
+    for_runs([&](size_t row, size_t p, size_t count) {
+      const size_t at = row * d;
+      const size_t from = p * d;
+      const size_t len = count * d;
+      k::Mul(pre.f + from, cs + at, t + at, len);
+      k::Add(t + at, pre.omf_xt + from, c + at, len);
+      k::Tanh(c + at, tc + at, len);
+      k::Mul(pre.r + from, tc + at, t + at, len);
+      k::Add(t + at, pre.omr_x + from, h + at, len);
+    });
   } else {
     // Binary child-sum tree LSTM, mirroring TreeLstmCell::Step.
     InferWorkspace& ws = TlsInferWorkspace();
@@ -468,17 +495,20 @@ void TreeModel::RunCellLevel(const CellPre& pre, size_t row0, size_t n,
       }
       return full;
     };
-    float* ui_h = u_linear(lstm_.ui());
-    float* gi = arena->Alloc(n * d);
-    k::Add(pre.wi_x + row0 * d, ui_h, gi, n * d);
+    // Gate sums W.x + U.h, the W.x rows read from CellPre run by run.
+    auto gate = [&](const nn::Linear& u, const float* w_x) {
+      const float* u_h = u_linear(u);
+      float* g = arena->Alloc(n * d);
+      for_runs([&](size_t row, size_t p, size_t count) {
+        k::Add(w_x + p * d, u_h + row * d, g + row * d, count * d);
+      });
+      return g;
+    };
+    float* gi = gate(lstm_.ui(), pre.wi_x);
     k::Sigmoid(gi, n * d);
-    float* uo_h = u_linear(lstm_.uo());
-    float* go = arena->Alloc(n * d);
-    k::Add(pre.wo_x + row0 * d, uo_h, go, n * d);
+    float* go = gate(lstm_.uo(), pre.wo_x);
     k::Sigmoid(go, n * d);
-    float* ug_h = u_linear(lstm_.ug());
-    float* gg = arena->Alloc(n * d);
-    k::Add(pre.wg_x + row0 * d, ug_h, gg, n * d);
+    float* gg = gate(lstm_.ug(), pre.wg_x);
     k::TanhInPlace(gg, n * d);
     k::Mul(gi, gg, c, n * d);
     // Forget-gate child terms. Both children's uf products run as ONE
@@ -488,7 +518,6 @@ void TreeModel::RunCellLevel(const CellPre& pre, size_t row0, size_t n,
     // is exactly Step's left-then-right addition order, and Gemm row
     // partitioning is bitwise-invariant, so the merge is bit-identical to
     // two separate passes.
-    const float* wf_x = pre.wf_x + row0 * d;
     ws.gather.clear();  // encodes (row << 1) | is_right
     for (size_t row = 0; row < n; ++row) {
       if (c_left[row] != nullptr) {
@@ -517,7 +546,7 @@ void TreeModel::RunCellLevel(const CellPre& pre, size_t row0, size_t n,
       float* fk = arena->Alloc(m * d);
       for (size_t g = 0; g < m; ++g) {
         const size_t row = static_cast<size_t>(ws.gather[g]) >> 1;
-        k::Add(wf_x + row * d, uf_h + g * d, fk + g * d, d);
+        k::Add(pre.wf_x + pre_row(row) * d, uf_h + g * d, fk + g * d, d);
       }
       k::Sigmoid(fk, m * d);
       float* tmp = arena->Alloc(m * d);
@@ -653,8 +682,8 @@ void TreeModel::RunLevelBatch(LevelBatch* b, nn::InferArena* arena) const {
   const CellPre pre = RunCellPre(b->x_in, b->n, arena);
   float* c = arena->Alloc(b->n * d);
   float* h = arena->Alloc(b->n * d);
-  RunCellLevel(pre, 0, b->n, b->c_left, b->c_right, b->h_left, b->h_right, c,
-               h, arena);
+  RunCellLevel(pre, 0, b->n, nullptr, b->c_left, b->c_right, b->h_left,
+               b->h_right, c, h, arena);
   b->y = RunOutputHead(h, b->n, arena);
   b->c = c;
   b->h = h;
@@ -883,8 +912,9 @@ void TreeModel::InferManyImpl(
         ws.hl.push_back(fn.left >= 0 ? ws.h_of[fn.left] : nullptr);
         ws.hr.push_back(fn.right >= 0 ? ws.h_of[fn.right] : nullptr);
       }
-      RunCellLevel(pre, row0, n, ws.cl.data(), ws.cr.data(), ws.hl.data(),
-                   ws.hr.data(), c_all + row0 * d, h_all + row0 * d, &arena);
+      RunCellLevel(pre, row0, n, nullptr, ws.cl.data(), ws.cr.data(),
+                   ws.hl.data(), ws.hr.data(), c_all + row0 * d,
+                   h_all + row0 * d, &arena);
       for (size_t r = 0; r < n; ++r) {
         const int idx = ws.comp_rows[row0 + r];
         ws.c_of[idx] = c_all + (row0 + r) * d;
@@ -1011,70 +1041,100 @@ void TreeModel::InferTrees(
                 dynamic_child_cards, outputs, nullptr, nullptr);
 }
 
-void TreeModel::LeafStatesFastBatch(const qry::Query& query,
-                                    const std::vector<int>& positions,
-                                    std::vector<RawState>* out) const {
+void TreeModel::RunSubsetPass(const qry::Query& query, qry::RelSet leaves,
+                              const std::vector<SubsetStep>& steps,
+                              const std::vector<size_t>& level_end,
+                              RawState* states) const {
   LPCE_CHECK_MSG(!config_.with_child_cards,
-                 "batched states need a content-style model");
-  out->resize(positions.size());
-  if (positions.empty()) return;
-  LPCE_PROFILE_SCOPE("nn.infer.leaf_batch");
+                 "subset passes need a content-style model");
+  LPCE_PROFILE_SCOPE("nn.infer.subset_pass");
   nn::InferArena& arena = nn::InferArena::ThreadLocal();
   InferWorkspace& ws = TlsInferWorkspace();
-  const size_t n = positions.size();
   const size_t in_dim = static_cast<size_t>(input_dim());
   const size_t d = static_cast<size_t>(config_.dim);
-  LevelBatch batch;
-  batch.n = n;
-  batch.x_in = arena.Alloc(n * in_dim);
-  for (size_t r = 0; r < n; ++r) {
-    encoder_->EncodeScanInto(query, positions[r], batch.x_in + r * in_dim);
-  }
-  ws.cl.assign(n, nullptr);
-  batch.c_left = batch.c_right = batch.h_left = batch.h_right = ws.cl.data();
-  RunLevelBatch(&batch, &arena);
-  for (size_t r = 0; r < n; ++r) {
-    (*out)[r] = {batch.c + r * d, batch.h + r * d,
-                 YToCard(static_cast<double>(batch.y[r]))};
-  }
-}
+  const size_t num_leaves = static_cast<size_t>(qry::PopCount(leaves));
 
-void TreeModel::JoinStatesFastBatch(const qry::Query& query,
-                                    const std::vector<JoinStateRequest>& requests,
-                                    std::vector<RawState>* out) const {
-  LPCE_CHECK_MSG(!config_.with_child_cards,
-                 "batched states need a content-style model");
-  out->resize(requests.size());
-  if (requests.empty()) return;
-  LPCE_PROFILE_SCOPE("nn.infer.join_batch");
-  nn::InferArena& arena = nn::InferArena::ThreadLocal();
-  InferWorkspace& ws = TlsInferWorkspace();
-  const size_t n = requests.size();
-  const size_t in_dim = static_cast<size_t>(input_dim());
-  const size_t d = static_cast<size_t>(config_.dim);
-  LevelBatch batch;
-  batch.n = n;
-  batch.x_in = arena.Alloc(n * in_dim);
-  ws.cl.clear();
-  ws.cr.clear();
-  ws.hl.clear();
-  ws.hr.clear();
-  for (size_t r = 0; r < n; ++r) {
-    const JoinStateRequest& req = requests[r];
-    encoder_->EncodeJoinInto(query, req.join_idx, batch.x_in + r * in_dim);
-    ws.cl.push_back(req.left->c);
-    ws.cr.push_back(req.right->c);
-    ws.hl.push_back(req.left->h);
-    ws.hr.push_back(req.right->h);
+  // CellPre rows: the leaves in position order, then each distinct join
+  // edge in first-use order. A join row's features depend only on its edge.
+  constexpr uint32_t kUnused = ~uint32_t{0};
+  ws.edge_row.assign(query.joins.size(), kUnused);
+  ws.edges.clear();
+  for (const SubsetStep& step : steps) {
+    uint32_t& row = ws.edge_row[static_cast<size_t>(step.join_idx)];
+    if (row != kUnused) continue;
+    row = static_cast<uint32_t>(num_leaves + ws.edges.size());
+    ws.edges.push_back(step.join_idx);
   }
-  batch.c_left = ws.cl.data();
-  batch.c_right = ws.cr.data();
-  batch.h_left = ws.hl.data();
-  batch.h_right = ws.hr.data();
-  RunLevelBatch(&batch, &arena);
-  for (size_t r = 0; r < n; ++r) {
-    (*out)[r] = {batch.c + r * d, batch.h + r * d,
-                 YToCard(static_cast<double>(batch.y[r]))};
+  const size_t pre_rows = num_leaves + ws.edges.size();
+  float* x_in = arena.Alloc(pre_rows * in_dim);
+  {
+    size_t row = 0;
+    for (qry::RelSet rest = leaves; rest != 0; rest &= rest - 1, ++row) {
+      encoder_->EncodeScanInto(query, __builtin_ctz(rest), x_in + row * in_dim);
+    }
+    for (int join_idx : ws.edges) {
+      encoder_->EncodeJoinInto(query, join_idx, x_in + row * in_dim);
+      ++row;
+    }
+  }
+  const CellPre pre = RunCellPre(x_in, pre_rows, &arena);
+
+  // States: the leaves, then every step in order, so the output head runs
+  // once over all of h.
+  const size_t num_states = num_leaves + steps.size();
+  float* c_all = arena.Alloc(num_states * d);
+  float* h_all = arena.Alloc(num_states * d);
+  if (num_leaves > 0) {
+    ws.cl.assign(num_leaves, nullptr);
+    RunCellLevel(pre, 0, num_leaves, nullptr, ws.cl.data(), ws.cl.data(),
+                 ws.cl.data(), ws.cl.data(), c_all, h_all, &arena);
+  }
+  {
+    size_t row = 0;
+    for (qry::RelSet rest = leaves; rest != 0; rest &= rest - 1, ++row) {
+      states[rest & (~rest + 1)] = {c_all + row * d, h_all + row * d, 0.0};
+    }
+  }
+  size_t begin = 0;
+  for (size_t end : level_end) {
+    const size_t n = end - begin;
+    if (n == 0) continue;
+    ws.pre_rows.clear();
+    ws.cl.clear();
+    ws.cr.clear();
+    ws.hl.clear();
+    ws.hr.clear();
+    for (size_t i = begin; i < end; ++i) {
+      const SubsetStep& step = steps[i];
+      const RawState& left = states[step.left];
+      const RawState& right = states[step.right];
+      ws.pre_rows.push_back(ws.edge_row[static_cast<size_t>(step.join_idx)]);
+      ws.cl.push_back(left.c);
+      ws.cr.push_back(right.c);
+      ws.hl.push_back(left.h);
+      ws.hr.push_back(right.h);
+    }
+    const size_t row0 = num_leaves + begin;
+    RunCellLevel(pre, 0, n, ws.pre_rows.data(), ws.cl.data(), ws.cr.data(),
+                 ws.hl.data(), ws.hr.data(), c_all + row0 * d,
+                 h_all + row0 * d, &arena);
+    for (size_t i = begin; i < end; ++i) {
+      const size_t row = num_leaves + i;
+      states[steps[i].rels] = {c_all + row * d, h_all + row * d, 0.0};
+    }
+    begin = end;
+  }
+
+  const float* y = RunOutputHead(h_all, num_states, &arena);
+  {
+    size_t row = 0;
+    for (qry::RelSet rest = leaves; rest != 0; rest &= rest - 1, ++row) {
+      states[rest & (~rest + 1)].card = YToCard(static_cast<double>(y[row]));
+    }
+  }
+  for (size_t i = 0; i < steps.size(); ++i) {
+    states[steps[i].rels].card =
+        YToCard(static_cast<double>(y[num_leaves + i]));
   }
 }
 
@@ -1461,9 +1521,9 @@ void LevelPass::Forward() {
       cl.push_back(node.left >= 0 ? c_of[node.left] : nullptr);
       cr.push_back(node.right >= 0 ? c_of[node.right] : nullptr);
     }
-    model->RunCellLevel(pre, row0, cnt, cl.data(), cr.data(), nullptr, nullptr,
-                        c + row0 * d, h + row0 * d, &arena, cs + row0 * d,
-                        tc + row0 * d);
+    model->RunCellLevel(pre, row0, cnt, nullptr, cl.data(), cr.data(), nullptr,
+                        nullptr, c + row0 * d, h + row0 * d, &arena,
+                        cs + row0 * d, tc + row0 * d);
     for (size_t r = row0; r < row0 + cnt; ++r) c_of[rows[r]] = c + r * d;
   }
   y = model->RunOutputHead(h, n, &arena, &out);

@@ -10,6 +10,7 @@
 #ifndef LPCE_OPTIMIZER_PLANNER_H_
 #define LPCE_OPTIMIZER_PLANNER_H_
 
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -30,6 +31,8 @@ struct PlanUnit {
 };
 
 struct PlanResult {
+  /// The cheapest plan; null when a cost bound was given and no plan costs
+  /// less than it.
   std::unique_ptr<exec::PlanNode> plan;
   double search_seconds = 0.0;     // T_P: DP enumeration time
   double inference_seconds = 0.0;  // T_I: estimator time (unique subsets)
@@ -45,13 +48,22 @@ class Planner {
       : db_(database), cost_model_(cost_model) {}
 
   /// Plans the full query from base tables.
-  PlanResult Plan(const qry::Query& query, card::CardinalityEstimator* estimator);
+  ///
+  /// `cost_bound` (re-optimization's restart search passes the continue
+  /// plan's cost) prunes every split whose children already cost at least
+  /// that much. The search stays exact: it returns the unbounded search's
+  /// plan, bit for bit, when that plan costs less than the bound, and no
+  /// plan otherwise. Every estimate is still fetched, so the estimator
+  /// calls and the pool do not depend on the bound.
+  PlanResult Plan(const qry::Query& query, card::CardinalityEstimator* estimator,
+                  double cost_bound = std::numeric_limits<double>::infinity());
 
   /// Plans over arbitrary units (re-optimization entry point). Units must
-  /// jointly cover all query tables exactly once.
-  PlanResult PlanUnits(const qry::Query& query,
-                       card::CardinalityEstimator* estimator,
-                       const std::vector<PlanUnit>& units);
+  /// jointly cover all query tables exactly once. `cost_bound` as in Plan.
+  PlanResult PlanUnits(
+      const qry::Query& query, card::CardinalityEstimator* estimator,
+      const std::vector<PlanUnit>& units,
+      double cost_bound = std::numeric_limits<double>::infinity());
 
   const CostModel& cost_model() const { return cost_model_; }
 

@@ -1,8 +1,10 @@
 #include "query/join_graph.h"
 
+#include "common/check.h"
+
 namespace lpce::qry {
 
-JoinGraph::JoinGraph(const Query& query) {
+JoinGraph::JoinGraph(const Query& query) : num_tables_(query.num_tables()) {
   edges_.reserve(query.joins.size());
   for (const Join& join : query.joins) {
     const Edge edge = Edge::Of(query, join);
@@ -20,6 +22,42 @@ bool JoinGraph::IsConnected(RelSet s) const {
     if (next == reached) return reached == s;
     reached = next;
   }
+}
+
+void JoinGraph::SubsetsOf(const RelSet* units, int num_units,
+                          std::vector<Subset>* out) const {
+  LPCE_CHECK(num_units >= 0 && num_units <= 30);
+  const uint32_t num_masks = uint32_t{1} << num_units;
+  out->resize(num_masks);
+  Subset* subsets = out->data();
+  subsets[0] = {};
+  for (uint32_t mask = 1; mask < num_masks; ++mask) {
+    Subset& subset = subsets[mask];
+    const int low = __builtin_ctz(mask);
+    const uint32_t rest = mask & (mask - 1);
+    if (rest == 0) {
+      subset = {units[low], Neighbors(units[low]), true};
+      continue;
+    }
+    const Subset& unit = subsets[uint32_t{1} << low];
+    subset.covered = subsets[rest].covered | unit.covered;
+    subset.neighbors = subsets[rest].neighbors | unit.neighbors;
+    subset.connected = false;
+    for (uint32_t left = mask; left != 0; left &= left - 1) {
+      const uint32_t bit = left & (~left + 1);
+      const Subset& others = subsets[mask ^ bit];
+      if (others.connected && (others.neighbors & subsets[bit].covered) != 0) {
+        subset.connected = true;
+        break;
+      }
+    }
+  }
+}
+
+void JoinGraph::AllSubsets(std::vector<Subset>* out) const {
+  std::array<RelSet, 32> tables{};
+  for (int pos = 0; pos < num_tables_; ++pos) tables[pos] = Bit(pos);
+  SubsetsOf(tables.data(), num_tables_, out);
 }
 
 std::vector<int> JoinGraph::JoinsBetween(RelSet a, RelSet b) const {

@@ -4,6 +4,8 @@
 // instead of a scan of Query::joins with PositionOf lookups. The canonical
 // trees, the LPCE chain pass and the DP planner answer those questions
 // here; the one-off Query methods of the same names use its Edge test.
+// Passes that visit every subset (the chain pass, the DP) read connectivity
+// and neighbours from one incremental SubsetsOf pass instead of a BFS each.
 #ifndef LPCE_QUERY_JOIN_GRAPH_H_
 #define LPCE_QUERY_JOIN_GRAPH_H_
 
@@ -45,6 +47,27 @@ class JoinGraph {
   /// True if the tables in `s` form a connected subgraph.
   bool IsConnected(RelSet s) const;
 
+  /// What SubsetsOf knows about one subset of a unit list.
+  struct Subset {
+    RelSet covered = 0;    // tables of the subset's units
+    RelSet neighbors = 0;  // Neighbors(covered)
+    bool connected = false;
+  };
+
+  /// One incremental pass over every subset of `num_units` pairwise-disjoint,
+  /// connected table sets: (*out)[m] describes the units whose bits are set
+  /// in m ((*out)[0] is empty and unconnected). Each mask extends the mask
+  /// without its lowest unit. A set M of two or more units is connected iff,
+  /// for some member u, M without u is connected and adjacent to u; since the
+  /// units are connected, that is exactly when their tables are. `out` is
+  /// resized, so a caller's scratch vector keeps its capacity.
+  void SubsetsOf(const RelSet* units, int num_units,
+                 std::vector<Subset>* out) const;
+
+  /// SubsetsOf over one unit per table: (*out)[s] for every RelSet s of the
+  /// query.
+  void AllSubsets(std::vector<Subset>* out) const;
+
   /// Join edges (ascending indices into Query::joins) with one side in `a`
   /// and the other in `b`.
   std::vector<int> JoinsBetween(RelSet a, RelSet b) const;
@@ -57,6 +80,7 @@ class JoinGraph {
   int CountJoinsWithin(RelSet s) const;
 
  private:
+  int num_tables_ = 0;
   std::vector<Edge> edges_;            // one per Query::joins entry, in order
   std::array<RelSet, 32> adjacent_{};  // by table position
 };

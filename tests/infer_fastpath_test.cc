@@ -263,22 +263,57 @@ TEST_F(InferFastPathTest, ZeroHeapAllocationsPerQueryAfterWarmup) {
       << "steady-state inference must not touch the heap (arena contract)";
 }
 
+/// Generated queries with 1-8 joins, every other one with 1-3 extra edges
+/// between random table pairs: parallel edges and cycles, where one join
+/// edge drives chain steps in several levels of the subset pass.
+std::vector<qry::Query> ShapedQueries(const db::Database* database) {
+  wk::GeneratorOptions gen;
+  gen.seed = 17;
+  wk::QueryGenerator generator(database, gen);
+  Rng rng(23);
+  std::vector<qry::Query> queries;
+  for (int joins = 1; joins <= 8; ++joins) {
+    for (int i = 0; i < 2; ++i) {
+      qry::Query query = generator.Generate(joins);
+      if (i == 1) {
+        const int extra = 1 + static_cast<int>(rng.Next() % 3);
+        for (int e = 0; e < extra; ++e) {
+          const int a = static_cast<int>(rng.Next() % query.num_tables());
+          const int b = static_cast<int>(rng.Next() % query.num_tables());
+          if (a == b) continue;
+          query.joins.push_back({{query.tables[a], 0}, {query.tables[b], 0}});
+        }
+      }
+      queries.push_back(std::move(query));
+    }
+  }
+  return queries;
+}
+
 TEST_F(InferFastPathTest, BatchedPrepareQueryMatchesTreeInference) {
-  TreeModel model(encoder_.get(), Config(/*lstm=*/false, /*with_cards=*/false));
-  TreeModelEstimator estimator("lpce", &model, database_.get());
-  for (size_t qi = 0; qi < 3; ++qi) {
-    const qry::Query& query = queries_[qi].query;
-    estimator.PrepareQuery(query);
-    const qry::RelSet all = query.AllRels();
-    for (qry::RelSet rels = 1; rels <= all; ++rels) {
-      if ((rels & all) != rels || !query.IsConnected(rels)) continue;
-      auto logical = qry::BuildCanonicalTree(query, rels);
-      auto tree = MakeEstTree(query, logical.get(), *database_, nullptr);
-      const double direct = model.PredictCardFast(query, tree.get());
-      // The incremental chain shares every per-node kernel sequence with
-      // full-tree inference, so prepared estimates match bit-for-bit.
-      EXPECT_EQ(estimator.EstimateSubset(query, rels), direct)
-          << "query " << qi << " rels " << rels;
+  std::vector<qry::Query> queries = ShapedQueries(database_.get());
+  for (size_t qi = 0; qi < 3; ++qi) queries.push_back(queries_[qi].query);
+  for (bool lstm : {false, true}) {
+    TreeModel model(encoder_.get(), Config(lstm, /*with_cards=*/false));
+    TreeModelEstimator estimator("lpce", &model, database_.get());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const qry::Query& query = queries[qi];
+      estimator.PrepareQuery(query);
+      const qry::RelSet all = query.AllRels();
+      int checked = 0;
+      for (qry::RelSet rels = 1; rels <= all; ++rels) {
+        if (!query.IsConnected(rels)) continue;
+        auto logical = qry::BuildCanonicalTree(query, rels);
+        auto tree = MakeEstTree(query, logical.get(), *database_, nullptr);
+        const double direct = model.PredictCardFast(query, tree.get());
+        // The subset pass shares every per-node kernel sequence with
+        // full-tree inference, so prepared estimates match bit-for-bit.
+        EXPECT_EQ(estimator.EstimateSubset(query, rels), direct)
+            << (lstm ? "lstm" : "sru") << " query " << qi << " ("
+            << query.num_joins() << " joins) rels " << rels;
+        ++checked;
+      }
+      EXPECT_GE(checked, query.num_tables());
     }
   }
 }
