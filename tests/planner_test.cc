@@ -402,5 +402,81 @@ TEST_F(PlannerDifferentialTest, TwoPseudoUnitsMatchReference) {
   EXPECT_GT(cases_, 0);
 }
 
+TEST_F(PlannerDifferentialTest, CostBoundReturnsTheUnboundedPlanOrNone) {
+  // The restart search's bound: for bounds drawn around the optimum and at
+  // every node cost of the unbounded plan, the bounded search returns the
+  // unbounded plan's bits exactly when its cost is below the bound and no
+  // plan otherwise, with the same estimator calls and pool either way.
+  Planner planner(database_.get(), CostModel{});
+  auto rowset = std::make_shared<exec::RowSet>();
+  std::mt19937_64 rng(1405);
+  int with_plan = 0;
+  int without_plan = 0;
+  int index = 0;
+  for (const qry::Query& query : GeneratedQueries(3, 1405)) {
+    std::vector<std::vector<PlanUnit>> unit_sets = {BaseUnits(query)};
+    if (query.num_tables() >= 3) {
+      // A pseudo unit over the first two tables joined by the first edge.
+      PlanUnit pseudo;
+      pseudo.rels = qry::Bit(query.PositionOf(query.joins[0].left.table)) |
+                    qry::Bit(query.PositionOf(query.joins[0].right.table));
+      pseudo.materialized = rowset;
+      pseudo.known_card = 500.0;
+      std::vector<PlanUnit> units = {pseudo};
+      for (PlanUnit& unit : BaseUnits(query)) {
+        if ((unit.rels & pseudo.rels) == 0) units.push_back(unit);
+      }
+      unit_sets.push_back(units);
+    }
+    for (const std::vector<PlanUnit>& units : unit_sets) {
+      for (auto& [name, estimate] : Estimators(query)) {
+        SCOPED_TRACE("query #" + std::to_string(index) + " units " +
+                     std::to_string(units.size()) + " estimator=" + name);
+        testing::RecordingEstimator free_est(estimate);
+        const PlanResult unbounded = planner.PlanUnits(query, &free_est, units);
+        ASSERT_NE(unbounded.plan, nullptr);
+        const double optimum = unbounded.plan->est_cost;
+        const double inf = std::numeric_limits<double>::infinity();
+        std::vector<double> bounds = {
+            optimum, std::nextafter(optimum, inf), std::nextafter(optimum, 0.0),
+            0.0, inf};
+        for (double factor : {0.5, 0.9, 0.999, 1.001, 1.1, 2.0}) {
+          bounds.push_back(optimum * factor);
+        }
+        for (int i = 0; i < 3; ++i) {
+          bounds.push_back(optimum *
+                           std::uniform_real_distribution<double>(0.0, 2.0)(rng));
+        }
+        std::vector<const exec::PlanNode*> nodes;
+        exec::PostOrderPlan(
+            static_cast<const exec::PlanNode*>(unbounded.plan.get()), &nodes);
+        for (const exec::PlanNode* node : nodes) bounds.push_back(node->est_cost);
+        for (double bound : bounds) {
+          testing::RecordingEstimator bounded_est(estimate);
+          const PlanResult bounded =
+              planner.PlanUnits(query, &bounded_est, units, bound);
+          EXPECT_EQ(bounded.num_estimates, unbounded.num_estimates);
+          EXPECT_EQ(testing::DescribePoolBits(bounded),
+                    testing::DescribePoolBits(unbounded));
+          EXPECT_EQ(bounded_est.calls(), free_est.calls());
+          if (optimum < bound) {
+            ASSERT_NE(bounded.plan, nullptr) << "bound " << bound;
+            EXPECT_EQ(testing::DescribePlanBits(*bounded.plan),
+                      testing::DescribePlanBits(*unbounded.plan))
+                << "bound " << bound;
+            ++with_plan;
+          } else {
+            EXPECT_EQ(bounded.plan, nullptr) << "bound " << bound;
+            ++without_plan;
+          }
+        }
+      }
+    }
+    ++index;
+  }
+  EXPECT_GT(with_plan, 1000);
+  EXPECT_GT(without_plan, 1000);
+}
+
 }  // namespace
 }  // namespace lpce::opt
