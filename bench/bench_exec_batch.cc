@@ -2,9 +2,9 @@
 // production executor (vectorized kernels on row-id intermediates,
 // exec/vectorized.h) vs the row-at-a-time oracle kept with the tests
 // (tests/testing/row_executor.h), plus the bit-identity pin the speedup is
-// only allowed to ride on: every finished operator's rowset, at pool sizes
-// {1, 2, 4}, must equal the oracle's single-thread output bit for bit
-// (production intermediates gathered through their row ids first). Peak
+// only allowed to ride on: every finished operator's rowset must equal the
+// oracle's output bit for bit (production intermediates gathered through
+// their row ids first). Both executors run each query on one thread. Peak
 // intermediate bytes are reported per executor; production must shrink them.
 //
 // Self-contained like bench_plancache: builds its own synthetic database,
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "exec/executor.h"
 #include "storage/database.h"
@@ -156,10 +155,8 @@ int Run(int argc, char** argv) {
   const common::MetricsSnapshot before =
       common::MetricsRegistry::Global().Snapshot();
 
-  // Timing: single-thread T_E, min of repeats, both executors over the same
-  // canonical hash plans. Single-thread is the honest comparison — the pool
-  // would speed up only the production kernels.
-  common::SetGlobalPoolSize(1);
+  // Timing: T_E, min of repeats, both executors over the same canonical hash
+  // plans.
   double oracle_seconds = 0.0, prod_seconds = 0.0;
   uint64_t total_rows = 0;
   size_t oracle_peak = 0, prod_peak = 0;
@@ -184,26 +181,21 @@ int Run(int argc, char** argv) {
   const double speedup =
       prod_seconds > 0.0 ? oracle_seconds / prod_seconds : 0.0;
 
-  // Bit-identity pin: production at pool sizes {1, 2, 4} against the
-  // oracle's single-thread output, every finished operator compared
-  // (production rowsets gathered back to payload columns first).
+  // Bit-identity pin: production against the oracle's output, every
+  // finished operator compared (production rowsets gathered back to payload
+  // columns first).
   uint64_t mismatches = 0;
-  for (const qry::Query& query : queries) {
-    common::SetGlobalPoolSize(1);
-    const Outcome oracle = RunOnce(*database, query, /*oracle=*/true);
-    for (int pool : {1, 2, 4}) {
-      common::SetGlobalPoolSize(pool);
-      Outcome got = RunOnce(*database, query, /*oracle=*/false);
-      for (exec::RowSetPtr& rs : got.rowsets) {
-        rs = testing::MaterializeRowSet(*database, rs);
-      }
-      if (!BitIdentical(oracle, got)) {
-        ++mismatches;
-        std::printf("!! bit-identity mismatch: pool=%d\n", pool);
-      }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const Outcome oracle = RunOnce(*database, queries[q], /*oracle=*/true);
+    Outcome got = RunOnce(*database, queries[q], /*oracle=*/false);
+    for (exec::RowSetPtr& rs : got.rowsets) {
+      rs = testing::MaterializeRowSet(*database, rs);
+    }
+    if (!BitIdentical(oracle, got)) {
+      ++mismatches;
+      std::printf("!! bit-identity mismatch: query %zu\n", q);
     }
   }
-  common::SetGlobalPoolSize(0);
 
   std::printf("exec bench: %d queries x %d joins, scale %.2f, %llu result "
               "rows\n",

@@ -1,109 +1,24 @@
 // Thread-scaling study for the parallel substrate (common/thread_pool.h):
-// hash join build+probe, seq-scan residual filtering, and the nn matrix
-// products, each at pool caps 1/2/4/8. Prints per-workload wall times and
-// speedups over the 1-thread run, and verifies that every thread count
-// produces the same result as the sequential path (the substrate's
-// determinism contract).
+// the training matrix products at pool caps 1/2/4/8 — the pool's one user;
+// the query executor is sequential per query. Prints wall times and speedups
+// over the 1-thread run, and verifies that every thread count produces the
+// same result as the sequential path (the substrate's determinism contract).
 //
 // Unlike the figure benches this one is self-contained — it builds its own
-// synthetic tables instead of GetWorld(), so it runs in seconds.
+// matrices instead of GetWorld(), so it runs in seconds.
+#include <algorithm>
 #include <cstdio>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "exec/executor.h"
 #include "nn/matrix.h"
-#include "storage/database.h"
 
 namespace lpce {
 namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 constexpr int kRepeats = 5;
-
-struct Workload {
-  const char* name;
-  // Runs once under `threads`; returns a checksum for cross-count equality.
-  double (*run)(int threads);
-};
-
-struct JoinWorld {
-  db::Database database;
-  qry::Query query;
-  int32_t a = -1, b = -1;
-
-  JoinWorld() {
-    a = database.AddTable({"a", {{"k"}, {"v"}}});
-    b = database.AddTable({"b", {{"k"}, {"w"}}});
-    database.catalog().AddJoinEdge({a, 0}, {b, 0});
-    query.tables = {a, b};
-    query.joins = {{{a, 0}, {b, 0}}};
-    Rng rng(7);
-    const int64_t rows = 400000;
-    for (int64_t i = 0; i < rows; ++i) {
-      database.table(a).AppendRow(
-          {static_cast<int64_t>(rng.UniformInt(0, 200000)), i});
-      database.table(b).AppendRow(
-          {static_cast<int64_t>(rng.UniformInt(0, 200000)), i});
-    }
-    database.BuildAllIndexes();
-  }
-
-  std::unique_ptr<exec::PlanNode> MakePlan(bool with_filter) const {
-    auto scan_a = std::make_unique<exec::PlanNode>();
-    scan_a->op = exec::PhysOp::kSeqScan;
-    scan_a->rels = qry::Bit(0);
-    scan_a->table_pos = 0;
-    if (with_filter) {
-      scan_a->filters = {{{a, 1}, qry::CmpOp::kLt, 300000}};
-    }
-    auto scan_b = std::make_unique<exec::PlanNode>();
-    scan_b->op = exec::PhysOp::kSeqScan;
-    scan_b->rels = qry::Bit(1);
-    scan_b->table_pos = 1;
-    auto join = std::make_unique<exec::PlanNode>();
-    join->op = exec::PhysOp::kHashJoin;
-    join->rels = scan_a->rels | scan_b->rels;
-    join->outer = std::move(scan_a);
-    join->inner = std::move(scan_b);
-    join->outer_key = {a, 0};
-    join->inner_key = {b, 0};
-    return join;
-  }
-};
-
-JoinWorld& GetJoinWorld() {
-  static JoinWorld world;
-  return world;
-}
-
-double RunJoin(int threads) {
-  JoinWorld& world = GetJoinWorld();
-  auto plan = world.MakePlan(/*with_filter=*/false);
-  exec::Executor executor(&world.database, &world.query);
-  exec::Executor::Options options;
-  options.num_threads = threads;
-  exec::Executor::RunResult run = executor.Run(plan.get(), options);
-  double checksum = static_cast<double>(run.result->num_rows());
-  for (const auto& col : run.result->cols) {
-    int64_t acc = 0;
-    for (size_t i = 0; i < col.size(); i += 97) acc += col[i] * static_cast<int64_t>(i + 1);
-    checksum += static_cast<double>(acc % 1000000007);
-  }
-  return checksum;
-}
-
-double RunScan(int threads) {
-  JoinWorld& world = GetJoinWorld();
-  auto plan = world.MakePlan(/*with_filter=*/true);
-  exec::Executor executor(&world.database, &world.query);
-  exec::Executor::Options options;
-  options.num_threads = threads;
-  exec::Executor::RunResult run = executor.Run(plan.get(), options);
-  return static_cast<double>(run.result->num_rows());
-}
 
 double RunMatMul(int threads) {
   static nn::Matrix a, b;
@@ -134,35 +49,28 @@ int main() {
   using lpce::common::SetGlobalPoolSize;
   SetGlobalPoolSize(8);  // enough workers for the largest cap below
 
-  const lpce::Workload workloads[] = {
-      {"hash_join", &lpce::RunJoin},
-      {"scan_filter", &lpce::RunScan},
-      {"matmul", &lpce::RunMatMul},
-  };
   std::printf("%-12s %8s %12s %10s\n", "workload", "threads", "seconds",
               "speedup");
   bool deterministic = true;
-  for (const auto& w : workloads) {
-    double base_seconds = 0.0;
-    double base_checksum = 0.0;
-    for (int threads : lpce::kThreadCounts) {
-      double best = 1e100;
-      double checksum = 0.0;
-      for (int r = 0; r < lpce::kRepeats; ++r) {
-        lpce::WallTimer timer;
-        checksum = w.run(threads);
-        best = std::min(best, timer.ElapsedSeconds());
-      }
-      if (threads == 1) {
-        base_seconds = best;
-        base_checksum = checksum;
-      } else if (checksum != base_checksum) {
-        deterministic = false;
-        std::printf("!! %s: checksum mismatch at %d threads\n", w.name, threads);
-      }
-      std::printf("%-12s %8d %12.4f %9.2fx\n", w.name, threads, best,
-                  base_seconds / best);
+  double base_seconds = 0.0;
+  double base_checksum = 0.0;
+  for (int threads : lpce::kThreadCounts) {
+    double best = 1e100;
+    double checksum = 0.0;
+    for (int r = 0; r < lpce::kRepeats; ++r) {
+      lpce::WallTimer timer;
+      checksum = lpce::RunMatMul(threads);
+      best = std::min(best, timer.ElapsedSeconds());
     }
+    if (threads == 1) {
+      base_seconds = best;
+      base_checksum = checksum;
+    } else if (checksum != base_checksum) {
+      deterministic = false;
+      std::printf("!! matmul: checksum mismatch at %d threads\n", threads);
+    }
+    std::printf("%-12s %8d %12.4f %9.2fx\n", "matmul", threads, best,
+                base_seconds / best);
   }
   std::printf("determinism: %s\n", deterministic ? "ok" : "MISMATCH");
   return deterministic ? 0 : 1;

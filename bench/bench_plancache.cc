@@ -34,7 +34,6 @@
 #include "bench_world.h"
 #include "card/histogram_estimator.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "engine/engine.h"
 #include "engine/server.h"
@@ -103,7 +102,6 @@ Flags ParseFlags(int argc, char** argv) {
 
 int Run(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv);
-  common::SetGlobalPoolSize(1);  // cross-query behavior is the subject
 
   db::SynthImdbOptions opts;
   opts.scale = flags.scale;

@@ -44,7 +44,6 @@
 #include "card/histogram_estimator.h"
 #include "common/metrics.h"
 #include "common/telemetry.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "engine/server.h"
 #include "engine/trace.h"
@@ -277,7 +276,6 @@ SweepResult RunSweep(const db::Database& database,
 
 int Run(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv);
-  common::SetGlobalPoolSize(1);  // cross-query concurrency is the subject
   if (flags.telemetry >= 0) {
     common::SetTelemetryEnabled(flags.telemetry != 0);
   }

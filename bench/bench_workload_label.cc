@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "storage/database.h"
 #include "testing/reference_generator.h"
@@ -94,7 +93,6 @@ int Run(int argc, char** argv) {
   db::SynthImdbOptions opts;
   opts.scale = kScale;
   auto database = db::BuildSynthImdb(opts);
-  common::SetGlobalPoolSize(1);
   wk::GeneratorOptions gen;
   gen.seed = kSeed;
   gen.require_nonempty = true;

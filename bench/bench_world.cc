@@ -58,7 +58,6 @@ WorldOptions WorldOptions::FromEnv() {
   options.train_queries = EnvInt("LPCE_TRAIN_QUERIES", 800);
   options.test_queries = EnvInt("LPCE_TEST_QUERIES", 40);
   options.cache_dir = EnvString("LPCE_CACHE_DIR", "lpce_cache_v1");
-  options.num_threads = EnvInt("LPCE_NUM_THREADS", 0);
   return options;
 }
 
@@ -317,7 +316,6 @@ const World& GetWorld() {
   static World* world = [] {
     auto* w = new World();
     w->options = WorldOptions::FromEnv();
-    common::SetGlobalPoolSize(w->options.num_threads);
     LPCE_LOG(Info) << "bench world: scale=" << w->options.scale
                    << " train=" << w->options.train_queries
                    << " test/joins=" << w->options.test_queries

@@ -8,7 +8,7 @@
 //   LPCE_TRAIN_QUERIES  training workload size      (default 800)
 //   LPCE_TEST_QUERIES   queries per test join-count (default 40)
 //   LPCE_CACHE_DIR      cache directory             (default ./lpce_cache_v1)
-//   LPCE_NUM_THREADS    worker pool size for exec + training matmuls
+//   LPCE_NUM_THREADS    worker pool size for training matmuls
 //                       (default: hardware concurrency)
 #ifndef LPCE_BENCH_BENCH_WORLD_H_
 #define LPCE_BENCH_BENCH_WORLD_H_
@@ -34,9 +34,6 @@ struct WorldOptions {
   int test_queries = 40;
   uint64_t seed = 42;
   std::string cache_dir = "lpce_cache_v1";
-  /// Pool size for parallel execution and training (0 = hardware
-  /// concurrency). Results are identical at every setting.
-  int num_threads = 0;
 
   static WorldOptions FromEnv();
 };

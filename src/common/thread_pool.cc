@@ -1,8 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "common/check.h"
 
@@ -143,11 +145,26 @@ std::unique_ptr<ThreadPool>& GlobalPoolSlot() {
 int EnvThreads() {
   const char* value = std::getenv("LPCE_NUM_THREADS");
   if (value == nullptr) return 0;
-  const int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : 0;
+  const std::optional<int> parsed = ParseThreadCount(value);
+  const std::string msg = std::string("LPCE_NUM_THREADS=\"") + value +
+                          "\" is not a whole positive number";
+  LPCE_CHECK_MSG(parsed.has_value(), msg.c_str());
+  return *parsed;
 }
 
 }  // namespace
+
+std::optional<int> ParseThreadCount(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  long long value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + (c - '0');
+    if (value > INT_MAX) return std::nullopt;
+  }
+  if (value == 0) return std::nullopt;
+  return static_cast<int>(value);
+}
 
 ThreadPool& GlobalPool() {
   auto& slot = GlobalPoolSlot();

@@ -1,12 +1,13 @@
 // Fixed-size worker pool with a deterministic ParallelFor. The partitioning
 // is static: chunk boundaries depend only on (begin, end, grain, max_chunks),
-// never on scheduling, so callers that write disjoint per-chunk outputs (or
-// concatenate per-chunk buffers in chunk order) get bit-identical results at
-// every pool size. A pool of size 1 spawns no workers and runs everything
-// inline on the calling thread — the exact pre-parallel code path.
+// never on scheduling, so callers that write disjoint per-chunk outputs get
+// bit-identical results at every pool size. A pool of size 1 spawns no
+// workers and runs everything inline on the calling thread.
 //
-// The process-wide pool (GlobalPool) sizes itself from LPCE_NUM_THREADS
-// (default: hardware_concurrency); see DESIGN.md "Threading model".
+// Its one user is the training matrix products (nn/matrix.h); the query
+// executor and inference are sequential per query. The process-wide pool
+// (GlobalPool) sizes itself from LPCE_NUM_THREADS (default:
+// hardware_concurrency); see DESIGN.md "Threading model".
 #ifndef LPCE_COMMON_THREAD_POOL_H_
 #define LPCE_COMMON_THREAD_POOL_H_
 
@@ -14,6 +15,8 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -66,8 +69,14 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+/// Parses a thread count the way LPCE_NUM_THREADS is read: a whole positive
+/// decimal number that fits an int, digits only (no sign, space or suffix).
+/// Anything else yields nullopt.
+std::optional<int> ParseThreadCount(std::string_view text);
+
 /// Process-wide pool, lazily constructed at LPCE_NUM_THREADS (default:
-/// hardware_concurrency) threads.
+/// hardware_concurrency) threads. A set LPCE_NUM_THREADS that
+/// ParseThreadCount rejects is a fatal error naming the value.
 ThreadPool& GlobalPool();
 
 /// Rebuilds the global pool at `num_threads` (0 = hardware_concurrency).

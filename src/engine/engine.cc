@@ -138,7 +138,6 @@ RunStats Engine::RunQuery(const qry::Query& query,
   exec_opts.qerror_threshold = config.qerror_threshold;
   exec_opts.min_trip_rows = config.min_trip_rows;
   exec_opts.underestimates_only = config.underestimates_only;
-  exec_opts.num_threads = config.exec_threads;
   exec_opts.trace = trace;
 
   while (true) {

@@ -31,12 +31,6 @@ struct RunConfig {
   /// and the bench_ablation_trigger study).
   size_t min_trip_rows = 0;
   bool underestimates_only = false;
-  /// Caps this query's intra-query executor parallelism (hash-join build/
-  /// probe, residual scan filters); 0 = the global pool's full size, 1 =
-  /// sequential. Results are bit-identical at every setting. The serving
-  /// layer uses this to trade per-query latency against cross-query
-  /// throughput when many queries share the pool.
-  int exec_threads = 0;
 };
 
 struct RunStats {

@@ -46,13 +46,12 @@ namespace lpce::eng {
 struct ServerOptions {
   /// Worker threads executing admitted queries (0 = the LPCE_SERVE_WORKERS
   /// environment knob, falling back to 1). Each worker owns one session and
-  /// one Engine; intra-query parallelism still goes through the global pool.
+  /// one Engine and runs one query at a time on its own thread.
   int num_workers = 0;
   /// Admission bound: Submit rejects with ResourceExhausted once this many
   /// admitted queries are waiting (queries already running do not count).
   size_t max_queue = 256;
   /// Default per-query engine configuration (Submit can override per query).
-  /// exec_threads reaches every worker's Executor unchanged.
   RunConfig run_config;
   /// Template-keyed plan cache shared by all workers (see
   /// optimizer/plan_cache.h): maximum resident templates, 0 = disabled.

@@ -118,7 +118,7 @@ RowSetPtr Executor::ExecuteNode(PlanNode* node,
     inner_rows = inner->num_rows();
     bool overflow = false;
     out = ExecuteJoin(*node, *outer, *inner, required, options.max_node_rows,
-                      &overflow, options.num_threads);
+                      &overflow);
     if (overflow) {
       result->aborted = true;
       return nullptr;
@@ -126,7 +126,7 @@ RowSetPtr Executor::ExecuteNode(PlanNode* node,
   } else if (node->op == PhysOp::kPseudoScan) {
     out = ExecutePseudo(*node, required);
   } else {
-    out = ExecuteScan(*node, required, options.num_threads);
+    out = ExecuteScan(*node, required);
   }
   const double exec_seconds = node_timer.ElapsedSeconds() - children_seconds;
   if (FinishNode(node, out, required, options, result, exec_seconds,
@@ -237,7 +237,7 @@ RowSetPtr Executor::ExecuteFusedScanJoin(PlanNode* node,
   RowSetPtr inner =
       inner_node->op == PhysOp::kPseudoScan
           ? ExecutePseudo(*inner_node, inner_req)
-          : ExecuteScan(*inner_node, inner_req, options.num_threads);
+          : ExecuteScan(*inner_node, inner_req);
   const double inner_seconds = inner_timer.ElapsedSeconds();
 
   const int32_t table_id = query_->tables[outer_node->table_pos];
@@ -253,7 +253,7 @@ RowSetPtr Executor::ExecuteFusedScanJoin(PlanNode* node,
       *db_, table, table_id, dense ? nullptr : &rows, scan_residual, outer_req,
       &scan_out, *inner, node->outer_key, node->inner_key, node->residual_keys,
       required, LateRidTables(node->rels, required), options.max_node_rows,
-      &overflow, options.num_threads);
+      &overflow);
   const double fused_seconds = fused_timer.ElapsedSeconds();
   if (overflow) {
     // The fused probe abandons its run mid-stream, so its scan by-product is
@@ -261,7 +261,7 @@ RowSetPtr Executor::ExecuteFusedScanJoin(PlanNode* node,
     // (actual cardinality, checkpoint) must match the unfused lanes even on
     // an aborted run.
     scan_out = BatchScan(table, table_id, dense ? nullptr : &rows,
-                         scan_residual, outer_req, options.num_threads);
+                         scan_residual, outer_req);
   }
 
   int outer_span = -1, inner_span = -1;
@@ -343,8 +343,7 @@ bool Executor::ResolveScanInput(const PlanNode& node,
 }
 
 RowSetPtr Executor::ExecuteScan(const PlanNode& node,
-                                const std::vector<db::ColRef>& required,
-                                int num_threads) {
+                                const std::vector<db::ColRef>& required) {
   LPCE_PROFILE_SCOPE(node.op == PhysOp::kIndexScan ? "exec.index_scan"
                                                    : "exec.seq_scan");
   const int32_t table_id = query_->tables[node.table_pos];
@@ -352,7 +351,7 @@ RowSetPtr Executor::ExecuteScan(const PlanNode& node,
   std::vector<qry::Predicate> residual;
   const bool dense = ResolveScanInput(node, &rows, &residual);
   return BatchScan(db_->table(table_id), table_id, dense ? nullptr : &rows,
-                   residual, required, num_threads);
+                   residual, required);
 }
 
 RowSetPtr Executor::ExecutePseudo(const PlanNode& node,
@@ -381,14 +380,13 @@ RowSetPtr Executor::ExecutePseudo(const PlanNode& node,
 RowSetPtr Executor::ExecuteJoin(const PlanNode& node, const RowSet& outer,
                                 const RowSet& inner,
                                 const std::vector<db::ColRef>& required,
-                                size_t max_rows, bool* overflow,
-                                int num_threads) {
+                                size_t max_rows, bool* overflow) {
   const std::vector<int32_t> rid_tables = LateRidTables(node.rels, required);
   switch (node.op) {
     case PhysOp::kHashJoin:
       return LateHashJoin(*db_, outer, inner, node.outer_key, node.inner_key,
                           node.residual_keys, required, rid_tables, max_rows,
-                          overflow, num_threads);
+                          overflow);
     case PhysOp::kMergeJoin:
       return LateMergeJoin(*db_, outer, inner, node.outer_key, node.inner_key,
                            node.residual_keys, required, rid_tables, max_rows,

@@ -13,8 +13,8 @@
 // (late materialization, exec/rowset.h). The row-at-a-time oracle the
 // differential suites compare against (tests/testing/row_executor.h)
 // overrides the operator kernels and reuses this control loop; both produce
-// the same rows in the same order and byte-identical deterministic traces at
-// every pool size.
+// the same rows in the same order and byte-identical deterministic traces.
+// Every operator runs sequentially on the calling thread.
 #ifndef LPCE_SRC_EXEC_EXECUTOR_H_
 #define LPCE_SRC_EXEC_EXECUTOR_H_
 
@@ -50,10 +50,6 @@ class Executor {
     /// this (0 = unlimited). Used by the workload generator to reject
     /// pathologically exploding queries.
     size_t max_node_rows = 0;
-    /// Caps the worker threads used for hash-join build/probe and residual
-    /// scan filtering (0 = the global pool's full size, 1 = sequential).
-    /// Output row order is deterministic — identical at every setting.
-    int num_threads = 0;
     /// When set, every finished operator appends a span and every checkpoint
     /// evaluation appends an event (see engine/trace.h). Not owned.
     eng::QueryTrace* trace = nullptr;
@@ -95,8 +91,7 @@ class Executor {
   // intermediates; the test oracle overrides all three with row-at-a-time
   // kernels over materialized payload columns.
   virtual RowSetPtr ExecuteScan(const PlanNode& node,
-                                const std::vector<db::ColRef>& required,
-                                int num_threads);
+                                const std::vector<db::ColRef>& required);
   virtual RowSetPtr ExecutePseudo(const PlanNode& node,
                                   const std::vector<db::ColRef>& required);
   /// Sets *overflow (and may return a partial result) when more than
@@ -104,8 +99,7 @@ class Executor {
   virtual RowSetPtr ExecuteJoin(const PlanNode& node, const RowSet& outer,
                                 const RowSet& inner,
                                 const std::vector<db::ColRef>& required,
-                                size_t max_rows, bool* overflow,
-                                int num_threads);
+                                size_t max_rows, bool* overflow);
   /// Whether a hash join over a leaf outer scan runs as one fused
   /// scan→probe pipeline (ExecuteFusedScanJoin) instead of scan, then join.
   virtual bool FusesScanIntoProbe() const { return true; }

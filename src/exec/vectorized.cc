@@ -1,29 +1,17 @@
 #include "exec/vectorized.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/profiler.h"
 #include "common/selvec.h"
-#include "common/thread_pool.h"
 
 namespace lpce::exec {
 
 namespace {
 
-// Inputs below this many rows run the sequential paths: the pool dispatch is
-// not worth it, and tiny intermediates dominate the plans here.
-constexpr size_t kMinParallelRows = 4096;
-
 constexpr size_t kBatch = static_cast<size_t>(kDefaultBatchSize);
-
-int EffectiveThreads(int num_threads) {
-  int workers = common::GlobalPool().size();
-  if (num_threads > 0) workers = std::min(workers, num_threads);
-  return workers;
-}
 
 /// Refines the selection vector `sel` (global row ids, length n) in place
 /// against `col[r] op lit`, one branch-free pass per predicate. The switch
@@ -88,8 +76,7 @@ common::Counter* BatchesCounter() {
 RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
                     const std::vector<uint32_t>* index_rows,
                     const std::vector<qry::Predicate>& residual,
-                    const std::vector<db::ColRef>& required,
-                    int num_threads) {
+                    const std::vector<db::ColRef>& required) {
   LPCE_PROFILE_SCOPE("exec.batch_scan");
   const size_t B = kBatch;
   const size_t n = index_rows != nullptr ? index_rows->size() : table.num_rows();
@@ -108,44 +95,16 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
     return out;
   }
 
-  // Filter batch-at-a-time: batch k always covers candidates
-  // [k*B, min((k+1)*B, n)) — fixed global boundaries, so any chunking of
-  // whole batches across workers concatenates back to the input order and
-  // the surviving rows are bit-identical at every pool size.
+  // Filter batch-at-a-time: batch k covers candidates [k*B, min((k+1)*B, n)),
+  // so the surviving rows keep the input order.
   const size_t num_batches = (n + B - 1) / B;
-  auto filter_batches = [&](size_t batch_lo, size_t batch_hi,
-                            std::vector<uint32_t>* kept) {
-    std::vector<uint32_t> sel(B);
-    for (size_t batch = batch_lo; batch < batch_hi; ++batch) {
-      const size_t live =
-          FilterScanBatch(table, index_rows, residual, n, batch, sel.data());
-      kept->insert(kept->end(), sel.data(), sel.data() + live);
-    }
-  };
-
-  const int workers = EffectiveThreads(num_threads);
   std::vector<uint32_t> rows;
-  if (workers > 1 && n >= kMinParallelRows && num_batches > 1) {
-    const auto chunks =
-        common::ThreadPool::Partition(0, num_batches, 1, workers);
-    std::vector<std::vector<uint32_t>> kept(chunks.size());
-    common::GlobalPool().ParallelFor(
-        0, chunks.size(), 1,
-        [&](size_t c0, size_t c1) {
-          LPCE_PROFILE_SCOPE("exec.worker.batch_filter");
-          for (size_t c = c0; c < c1; ++c) {
-            kept[c].reserve((chunks[c].second - chunks[c].first) * B);
-            filter_batches(chunks[c].first, chunks[c].second, &kept[c]);
-          }
-        },
-        workers);
-    size_t total = 0;
-    for (const auto& k : kept) total += k.size();
-    rows.reserve(total);
-    for (const auto& k : kept) rows.insert(rows.end(), k.begin(), k.end());
-  } else {
-    rows.reserve(n);
-    filter_batches(0, num_batches, &rows);
+  rows.reserve(n);
+  std::vector<uint32_t> sel(B);
+  for (size_t batch = 0; batch < num_batches; ++batch) {
+    const size_t live =
+        FilterScanBatch(table, index_rows, residual, n, batch, sel.data());
+    rows.insert(rows.end(), sel.data(), sel.data() + live);
   }
   BatchesCounter()->Increment(num_batches);
 
@@ -195,8 +154,7 @@ struct LateBuildTable {
 };
 
 LateBuildTable BuildLateHashTable(const int64_t* key_base,
-                                  const uint32_t* key_rid, size_t n_inner,
-                                  int workers) {
+                                  const uint32_t* key_rid, size_t n_inner) {
   LateBuildTable t;
   size_t nbuckets = 16;
   while (nbuckets < 2 * n_inner) nbuckets <<= 1;
@@ -205,22 +163,9 @@ LateBuildTable BuildLateHashTable(const int64_t* key_base,
   // pass and the flat fill both read the gathered copy sequentially.
   std::vector<int64_t> ikeys(n_inner);
   std::vector<uint32_t> bucket(n_inner);
-  auto hash_range = [&](size_t b, size_t e) {
-    for (size_t r = b; r < e; ++r) {
-      ikeys[r] = key_base[key_rid[r]];
-      bucket[r] = static_cast<uint32_t>(MixJoinKey(ikeys[r]) & t.mask);
-    }
-  };
-  if (workers > 1 && n_inner >= kMinParallelRows) {
-    common::GlobalPool().ParallelFor(
-        0, n_inner, 4096,
-        [&](size_t b, size_t e) {
-          LPCE_PROFILE_SCOPE("exec.worker.batch_hash");
-          hash_range(b, e);
-        },
-        workers);
-  } else {
-    hash_range(0, n_inner);
+  for (size_t r = 0; r < n_inner; ++r) {
+    ikeys[r] = key_base[key_rid[r]];
+    bucket[r] = static_cast<uint32_t>(MixJoinKey(ikeys[r]) & t.mask);
   }
   t.off.assign(nbuckets + 1, 0);
   for (size_t r = 0; r < n_inner; ++r) ++t.off[bucket[r] + 1];
@@ -244,16 +189,14 @@ struct LateProbeArgs {
   std::vector<std::pair<LateKeyCol, LateKeyCol>> residual;  // (outer, inner)
   std::vector<LateRidSource> out_rids;
   size_t max_rows = 0;
-  int workers = 1;
-  size_t n_cand = 0;   // candidate domain size (pre-filter for fused)
-  size_t n_inner = 0;  // build-side rows (parallel threshold only)
+  size_t n_cand = 0;  // candidate domain size (pre-filter for fused)
 };
 
 /// Shared probe loop of the hash-join kernels. `fill(batch, cand)` writes
 /// the batch's candidate handles (rowset rows for the unfused kernel, filter-
 /// surviving base rows for the fused one) and returns how many there are;
-/// batch k always covers candidate domain [k*B, (k+1)*B), so chunking whole
-/// batches across workers concatenates back to the sequential order.
+/// batch k covers candidate domain [k*B, (k+1)*B). Matches are emitted in
+/// candidate order, then ascending inner-row order per candidate.
 ///
 /// Three probe modes share the branch-free segment scan (every entry is
 /// stored/summed unconditionally, the cursor advances by the key-equality
@@ -274,244 +217,171 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
   const std::vector<int64_t>& flat_keys = build.flat_keys;
   const std::vector<uint32_t>& flat_rows = build.flat_rows;
   const size_t num_batches = (a.n_cand + B - 1) / B;
-  std::atomic<size_t> emitted{0};
-  std::atomic<bool> over{false};
+  size_t emitted = 0;
 
   const bool count_only = a.residual.empty() && a.out_rids.empty();
   const bool expand = a.residual.empty() && !count_only;
   bool need_inner_rows = !expand;
   for (const LateRidSource& s : a.out_rids) need_inner_rows |= !s.from_outer;
 
-  struct ChunkOut {
-    std::vector<std::vector<uint32_t>> rids;
-    std::vector<uint32_t> cand_rows;  // collected candidates (fused scans)
-    size_t rows = 0;
-  };
+  std::vector<uint32_t> cand(B);
+  std::vector<uint32_t> m_outer(expand || count_only ? 0 : B);
+  std::vector<uint32_t> m_inner(need_inner_rows ? B : 0);
+  std::vector<uint32_t> counts(expand ? B : 0);
+  std::vector<uint32_t> buckets(B);
+  std::vector<int64_t> okey_buf(B);
+  std::vector<int64_t> res_outer, res_inner;
 
-  auto probe_batches = [&](size_t batch_lo, size_t batch_hi, ChunkOut* local) {
-    local->rids.resize(a.out_rids.size());
-    std::vector<uint32_t> cand(B);
-    std::vector<uint32_t> m_outer(expand || count_only ? 0 : B);
-    std::vector<uint32_t> m_inner(need_inner_rows ? B : 0);
-    std::vector<uint32_t> counts(expand ? B : 0);
-    std::vector<uint32_t> buckets(B);
-    std::vector<int64_t> okey_buf(B);
-    std::vector<int64_t> res_outer, res_inner;
-
-    // Refines the m pending matches against the residual keys, charges the
-    // survivors to the row budget, and only then appends their row ids.
-    // Expand-mode matches belong to candidates [cand_lo, cand_hi) of the
-    // batch (their per-candidate counts drive the run-length outer emit).
-    // Every emitted row is charged exactly once, so overflow fires iff the
-    // join's total output exceeds max_rows — checked before anything past
-    // the budget is appended. Returns false on overflow.
-    auto flush = [&](size_t cand_lo, size_t cand_hi, size_t m) {
-      // Residual equi-join keys evaluate through the same indirection:
-      // gather both sides' candidate values (two-level on the rid-backed
-      // sides), then refine branch-free.
-      for (const auto& [res_o, res_i] : a.residual) {
-        if (m == 0) break;
-        if (res_outer.size() < m) {
-          res_outer.resize(m);
-          res_inner.resize(m);
-        }
-        if (res_o.rid != nullptr) {
-          common::GatherGathered(res_o.base, res_o.rid, m_outer.data(), m,
-                                 res_outer.data());
-        } else {
-          common::GatherSelected(res_o.base, m_outer.data(), m,
-                                 res_outer.data());
-        }
-        common::GatherGathered(res_i.base, res_i.rid, m_inner.data(), m,
-                               res_inner.data());
-        size_t k = 0;
-        for (size_t j = 0; j < m; ++j) {
-          m_outer[k] = m_outer[j];
-          m_inner[k] = m_inner[j];
-          k += static_cast<size_t>(res_outer[j] == res_inner[j]);
-        }
-        m = k;
+  // Refines the m pending matches against the residual keys, charges the
+  // survivors to the row budget, and only then appends their row ids.
+  // Expand-mode matches belong to candidates [cand_lo, cand_hi) of the
+  // batch (their per-candidate counts drive the run-length outer emit).
+  // Every emitted row is charged exactly once, so overflow fires iff the
+  // join's total output exceeds max_rows — checked before anything past
+  // the budget is appended. Returns false on overflow.
+  auto flush = [&](size_t cand_lo, size_t cand_hi, size_t m) {
+    // Residual equi-join keys evaluate through the same indirection:
+    // gather both sides' candidate values (two-level on the rid-backed
+    // sides), then refine branch-free.
+    for (const auto& [res_o, res_i] : a.residual) {
+      if (m == 0) break;
+      if (res_outer.size() < m) {
+        res_outer.resize(m);
+        res_inner.resize(m);
       }
-      if (a.max_rows > 0 && m > 0 &&
-          emitted.fetch_add(m, std::memory_order_relaxed) + m > a.max_rows) {
-        over.store(true, std::memory_order_relaxed);
-        return false;
-      }
-      // Emit row-id columns only: one uint32 column per still-referenced
-      // table instead of one int64 column per payload.
-      for (size_t s = 0; s < a.out_rids.size(); ++s) {
-        auto& dst = local->rids[s];
-        const LateRidSource& src = a.out_rids[s];
-        if (src.from_outer && expand) {
-          // Run-length emit: each outer handle repeats once per match, in
-          // match order — identical to gathering through explicit pairs.
-          for (size_t i = cand_lo; i < cand_hi; ++i) {
-            const uint32_t cnt = counts[i];
-            if (cnt > 0) {
-              dst.insert(dst.end(), cnt,
-                         src.rid != nullptr ? src.rid[cand[i]] : cand[i]);
-            }
-          }
-        } else if (src.from_outer) {
-          if (src.rid != nullptr) {
-            dst.insert(dst.end(),
-                       common::GatherIterator<uint32_t>(src.rid,
-                                                        m_outer.data(), 0),
-                       common::GatherIterator<uint32_t>(src.rid,
-                                                        m_outer.data(), m));
-          } else {
-            dst.insert(dst.end(), m_outer.data(), m_outer.data() + m);
-          }
-        } else {
-          dst.insert(dst.end(),
-                     common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
-                                                      0),
-                     common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
-                                                      m));
-        }
-      }
-      local->rows += m;
-      return true;
-    };
-    for (size_t batch = batch_lo; batch < batch_hi; ++batch) {
-      if (over.load(std::memory_order_relaxed)) return;
-      const size_t live = fill(batch, cand.data());
-      if (collected != nullptr) {
-        local->cand_rows.insert(local->cand_rows.end(), cand.data(),
-                                cand.data() + live);
-      }
-      if (live == 0) continue;
-      // Join-key access gathers through the row-id indirection — the
-      // deferred payload read late materialization trades the emission
-      // copies for.
-      if (a.okey_rid != nullptr) {
-        common::GatherGathered(a.okey_base, a.okey_rid, cand.data(), live,
-                               okey_buf.data());
+      if (res_o.rid != nullptr) {
+        common::GatherGathered(res_o.base, res_o.rid, m_outer.data(), m,
+                               res_outer.data());
       } else {
-        common::GatherSelected(a.okey_base, cand.data(), live, okey_buf.data());
+        common::GatherSelected(res_o.base, m_outer.data(), m,
+                               res_outer.data());
       }
-      for (size_t i = 0; i < live; ++i) {
-        buckets[i] = static_cast<uint32_t>(MixJoinKey(okey_buf[i]) & mask);
+      common::GatherGathered(res_i.base, res_i.rid, m_inner.data(), m,
+                             res_inner.data());
+      size_t k = 0;
+      for (size_t j = 0; j < m; ++j) {
+        m_outer[k] = m_outer[j];
+        m_inner[k] = m_inner[j];
+        k += static_cast<size_t>(res_outer[j] == res_inner[j]);
       }
-      if (count_only) {
-        size_t hits = 0;
-        for (size_t i = 0; i < live; ++i) {
-          const int64_t key = okey_buf[i];
-          const uint64_t b = buckets[i];
-          const uint32_t seg_end = off[b + 1];
-          for (uint32_t j = off[b]; j < seg_end; ++j) {
-            hits += static_cast<size_t>(flat_keys[j] == key);
-          }
-        }
-        local->rows += hits;
-        if (a.max_rows > 0 && hits > 0 &&
-            emitted.fetch_add(hits, std::memory_order_relaxed) + hits >
-                a.max_rows) {
-          over.store(true, std::memory_order_relaxed);
-          return;
-        }
-        continue;
-      }
-      // Candidate collection. Capacity is checked ahead of each candidate's
-      // segment so the scan carries no bounds check. A full buffer is
-      // flushed — refined, budget-checked, emitted — before it may grow, so
-      // the match buffers never hold more than one batch's worth or one
-      // bucket segment, however much a batch would emit.
-      size_t m = 0, flush_lo = 0;
-      for (size_t i = 0; i < live; ++i) {
-        const int64_t key = okey_buf[i];
-        const uint64_t b = buckets[i];
-        const uint32_t seg_begin = off[b];
-        const uint32_t seg_end = off[b + 1];
-        const size_t seg = seg_end - seg_begin;
-        if (need_inner_rows && m + seg > m_inner.size()) {
-          if (!flush(flush_lo, i, m)) return;
-          m = 0;
-          flush_lo = i;
-          if (seg > m_inner.size()) {
-            m_inner.resize(seg);
-            if (!expand) m_outer.resize(seg);
-          }
-        }
-        if (expand && !need_inner_rows) {
-          size_t hits = 0;
-          for (uint32_t j = seg_begin; j < seg_end; ++j) {
-            hits += static_cast<size_t>(flat_keys[j] == key);
-          }
-          counts[i] = static_cast<uint32_t>(hits);
-          m += hits;
-        } else if (expand) {
-          const size_t before = m;
-          for (uint32_t j = seg_begin; j < seg_end; ++j) {
-            m_inner[m] = flat_rows[j];
-            m += static_cast<size_t>(flat_keys[j] == key);
-          }
-          counts[i] = static_cast<uint32_t>(m - before);
-        } else {
-          for (uint32_t j = seg_begin; j < seg_end; ++j) {
-            m_outer[m] = cand[i];
-            m_inner[m] = flat_rows[j];
-            m += static_cast<size_t>(flat_keys[j] == key);
-          }
-        }
-      }
-      if (!flush(flush_lo, live, m)) return;
+      m = k;
     }
-  };
-
-  BatchesCounter()->Increment(num_batches);
-  common::ThreadPool& pool = common::GlobalPool();
-  if (a.workers > 1 && a.n_cand + a.n_inner >= kMinParallelRows &&
-      num_batches > 1) {
-    const auto chunks =
-        common::ThreadPool::Partition(0, num_batches, 1, a.workers);
-    std::vector<ChunkOut> partials(chunks.size());
-    pool.ParallelFor(
-        0, chunks.size(), 1,
-        [&](size_t c0, size_t c1) {
-          LPCE_PROFILE_SCOPE("exec.worker.late_probe");
-          for (size_t c = c0; c < c1; ++c) {
-            probe_batches(chunks[c].first, chunks[c].second, &partials[c]);
+    emitted += m;
+    if (a.max_rows > 0 && emitted > a.max_rows) return false;
+    // Emit row-id columns only: one uint32 column per still-referenced
+    // table instead of one int64 column per payload.
+    for (size_t s = 0; s < a.out_rids.size(); ++s) {
+      auto& dst = out->rid_cols[s];
+      const LateRidSource& src = a.out_rids[s];
+      if (src.from_outer && expand) {
+        // Run-length emit: each outer handle repeats once per match, in
+        // match order — identical to gathering through explicit pairs.
+        for (size_t i = cand_lo; i < cand_hi; ++i) {
+          const uint32_t cnt = counts[i];
+          if (cnt > 0) {
+            dst.insert(dst.end(), cnt,
+                       src.rid != nullptr ? src.rid[cand[i]] : cand[i]);
           }
-        },
-        a.workers);
-    if (over.load()) return false;
-    size_t total = 0;
-    for (const auto& p : partials) total += p.rows;
-    out->row_count = total;
-    pool.ParallelFor(
-        0, a.out_rids.size(), 1,
-        [&](size_t s0, size_t s1) {
-          LPCE_PROFILE_SCOPE("exec.worker.concat");
-          for (size_t s = s0; s < s1; ++s) {
-            auto& dst = out->rid_cols[s];
-            dst.reserve(total);
-            for (const auto& p : partials) {
-              dst.insert(dst.end(), p.rids[s].begin(), p.rids[s].end());
-            }
-          }
-        },
-        a.workers);
-    if (collected != nullptr) {
-      size_t kept = 0;
-      for (const auto& p : partials) kept += p.cand_rows.size();
-      collected->reserve(kept);
-      for (const auto& p : partials) {
-        collected->insert(collected->end(), p.cand_rows.begin(),
-                          p.cand_rows.end());
+        }
+      } else if (src.from_outer) {
+        if (src.rid != nullptr) {
+          dst.insert(dst.end(),
+                     common::GatherIterator<uint32_t>(src.rid,
+                                                      m_outer.data(), 0),
+                     common::GatherIterator<uint32_t>(src.rid,
+                                                      m_outer.data(), m));
+        } else {
+          dst.insert(dst.end(), m_outer.data(), m_outer.data() + m);
+        }
+      } else {
+        dst.insert(dst.end(),
+                   common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
+                                                    0),
+                   common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
+                                                    m));
       }
     }
     return true;
+  };
+  BatchesCounter()->Increment(num_batches);
+  for (size_t batch = 0; batch < num_batches; ++batch) {
+    const size_t live = fill(batch, cand.data());
+    if (collected != nullptr) {
+      collected->insert(collected->end(), cand.data(), cand.data() + live);
+    }
+    if (live == 0) continue;
+    // Join-key access gathers through the row-id indirection — the
+    // deferred payload read late materialization trades the emission
+    // copies for.
+    if (a.okey_rid != nullptr) {
+      common::GatherGathered(a.okey_base, a.okey_rid, cand.data(), live,
+                             okey_buf.data());
+    } else {
+      common::GatherSelected(a.okey_base, cand.data(), live, okey_buf.data());
+    }
+    for (size_t i = 0; i < live; ++i) {
+      buckets[i] = static_cast<uint32_t>(MixJoinKey(okey_buf[i]) & mask);
+    }
+    if (count_only) {
+      size_t hits = 0;
+      for (size_t i = 0; i < live; ++i) {
+        const int64_t key = okey_buf[i];
+        const uint64_t b = buckets[i];
+        const uint32_t seg_end = off[b + 1];
+        for (uint32_t j = off[b]; j < seg_end; ++j) {
+          hits += static_cast<size_t>(flat_keys[j] == key);
+        }
+      }
+      emitted += hits;
+      if (a.max_rows > 0 && emitted > a.max_rows) return false;
+      continue;
+    }
+    // Candidate collection. Capacity is checked ahead of each candidate's
+    // segment so the scan carries no bounds check. A full buffer is
+    // flushed — refined, budget-checked, emitted — before it may grow, so
+    // the match buffers never hold more than one batch's worth or one
+    // bucket segment, however much a batch would emit.
+    size_t m = 0, flush_lo = 0;
+    for (size_t i = 0; i < live; ++i) {
+      const int64_t key = okey_buf[i];
+      const uint64_t b = buckets[i];
+      const uint32_t seg_begin = off[b];
+      const uint32_t seg_end = off[b + 1];
+      const size_t seg = seg_end - seg_begin;
+      if (need_inner_rows && m + seg > m_inner.size()) {
+        if (!flush(flush_lo, i, m)) return false;
+        m = 0;
+        flush_lo = i;
+        if (seg > m_inner.size()) {
+          m_inner.resize(seg);
+          if (!expand) m_outer.resize(seg);
+        }
+      }
+      if (expand && !need_inner_rows) {
+        size_t hits = 0;
+        for (uint32_t j = seg_begin; j < seg_end; ++j) {
+          hits += static_cast<size_t>(flat_keys[j] == key);
+        }
+        counts[i] = static_cast<uint32_t>(hits);
+        m += hits;
+      } else if (expand) {
+        const size_t before = m;
+        for (uint32_t j = seg_begin; j < seg_end; ++j) {
+          m_inner[m] = flat_rows[j];
+          m += static_cast<size_t>(flat_keys[j] == key);
+        }
+        counts[i] = static_cast<uint32_t>(m - before);
+      } else {
+        for (uint32_t j = seg_begin; j < seg_end; ++j) {
+          m_outer[m] = cand[i];
+          m_inner[m] = flat_rows[j];
+          m += static_cast<size_t>(flat_keys[j] == key);
+        }
+      }
+    }
+    if (!flush(flush_lo, live, m)) return false;
   }
-
-  ChunkOut all;
-  probe_batches(0, num_batches, &all);
-  if (over.load()) return false;
-  out->row_count = all.rows;
-  for (size_t s = 0; s < a.out_rids.size(); ++s) {
-    out->rid_cols[s] = std::move(all.rids[s]);
-  }
-  if (collected != nullptr) *collected = std::move(all.cand_rows);
+  out->row_count = emitted;
   return true;
 }
 
@@ -557,9 +427,8 @@ RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
                            residual_keys,
                        const std::vector<db::ColRef>& required,
                        const std::vector<int32_t>& out_rid_tables,
-                       size_t max_rows, bool* overflow, int num_threads) {
+                       size_t max_rows, bool* overflow) {
   LPCE_PROFILE_SCOPE("exec.late_hash_join");
-  const int workers = EffectiveThreads(num_threads);
 
   auto out = std::make_shared<RowSet>();
   out->schema = required;
@@ -569,7 +438,7 @@ RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
   const LateKeyCol okey = LateSideKey(db, outer, outer_key);
   const LateKeyCol ikey = LateSideKey(db, inner, inner_key);
   const LateBuildTable build =
-      BuildLateHashTable(ikey.base, ikey.rid, inner.row_count, workers);
+      BuildLateHashTable(ikey.base, ikey.rid, inner.row_count);
 
   LateProbeArgs args;
   args.okey_base = okey.base;
@@ -580,9 +449,7 @@ RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
   }
   args.out_rids = ResolveRidSources(&outer, inner, -1, out_rid_tables);
   args.max_rows = max_rows;
-  args.workers = workers;
   args.n_cand = outer.row_count;
-  args.n_inner = inner.row_count;
 
   const size_t n_outer = outer.row_count;
   auto fill = [n_outer](size_t batch, uint32_t* cand) -> size_t {
@@ -608,10 +475,9 @@ RowSetPtr LateFusedScanJoin(
     const std::vector<std::pair<db::ColRef, db::ColRef>>& residual_keys,
     const std::vector<db::ColRef>& required,
     const std::vector<int32_t>& out_rid_tables, size_t max_rows,
-    bool* overflow, int num_threads) {
+    bool* overflow) {
   LPCE_PROFILE_SCOPE("exec.late_fused_scan_join");
   LPCE_CHECK(outer_key.table == outer_table_id);
-  const int workers = EffectiveThreads(num_threads);
 
   auto out = std::make_shared<RowSet>();
   out->schema = required;
@@ -620,7 +486,7 @@ RowSetPtr LateFusedScanJoin(
 
   const LateKeyCol ikey = LateSideKey(db, inner, inner_key);
   const LateBuildTable build =
-      BuildLateHashTable(ikey.base, ikey.rid, inner.row_count, workers);
+      BuildLateHashTable(ikey.base, ikey.rid, inner.row_count);
 
   LateProbeArgs args;
   args.okey_base = outer_table.column(outer_key.column).data();
@@ -635,10 +501,8 @@ RowSetPtr LateFusedScanJoin(
   args.out_rids =
       ResolveRidSources(nullptr, inner, outer_table_id, out_rid_tables);
   args.max_rows = max_rows;
-  args.workers = workers;
   args.n_cand =
       index_rows != nullptr ? index_rows->size() : outer_table.num_rows();
-  args.n_inner = inner.row_count;
 
   // The fusion itself: each batch's surviving selection vector (base rows)
   // feeds the probe directly — no intermediate rowset between the scan's

@@ -8,10 +8,10 @@
 // row-id column per still-referenced base table instead of payload columns
 // (late materialization, see exec/rowset.h); payload values — join keys,
 // residual keys — are read through the row ids at the operator that needs
-// them. Row order is bit-identical to the row-at-a-time oracle kept with the
-// tests (tests/testing/row_executor.h) at every thread-pool size; see
-// DESIGN.md "Vectorized execution on row-id intermediates" for the
-// determinism argument.
+// them. Every kernel runs sequentially on the calling thread, and row order is
+// bit-identical to the row-at-a-time oracle kept with the tests
+// (tests/testing/row_executor.h); see DESIGN.md "Vectorized execution on
+// row-id intermediates" for the argument.
 #ifndef LPCE_SRC_EXEC_VECTORIZED_H_
 #define LPCE_SRC_EXEC_VECTORIZED_H_
 
@@ -49,7 +49,7 @@ inline uint64_t MixJoinKey(int64_t key) {
 RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
                     const std::vector<uint32_t>* index_rows,
                     const std::vector<qry::Predicate>& residual,
-                    const std::vector<db::ColRef>& required, int num_threads);
+                    const std::vector<db::ColRef>& required);
 
 /// Hash join on row-id intermediates: the build gathers inner keys through
 /// the inner side's row ids into a flattened bucket-segment table (per-key
@@ -68,7 +68,7 @@ RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
                            residual_keys,
                        const std::vector<db::ColRef>& required,
                        const std::vector<int32_t>& out_rid_tables,
-                       size_t max_rows, bool* overflow, int num_threads);
+                       size_t max_rows, bool* overflow);
 
 /// Fused scan-filter → probe: streams `outer_table` (or the driving index's
 /// row list) through the scan's residual predicates and feeds each batch's
@@ -86,7 +86,7 @@ RowSetPtr LateFusedScanJoin(
     const std::vector<std::pair<db::ColRef, db::ColRef>>& residual_keys,
     const std::vector<db::ColRef>& required,
     const std::vector<int32_t>& out_rid_tables, size_t max_rows,
-    bool* overflow, int num_threads);
+    bool* overflow);
 
 /// Sort-merge and nested-loop joins on row-id intermediates. Both gather
 /// their key and residual-key columns through the row ids once, then run the
@@ -94,8 +94,8 @@ RowSetPtr LateFusedScanJoin(
 /// permutation by key and a group cross product for merge, a plain double
 /// loop for nested loop — so the emitted (outer, inner) pair order is the
 /// oracle's. Output, row budget, and overflow contract as LateHashJoin; the
-/// budget is checked after every outer row. Sequential: these are the
-/// deliberately mispriced alternatives re-planning may pick, not hot paths.
+/// budget is checked after every outer row. These are the deliberately
+/// mispriced alternatives re-planning may pick, not hot paths.
 RowSetPtr LateMergeJoin(const db::Database& db, const RowSet& outer,
                         const RowSet& inner, db::ColRef outer_key,
                         db::ColRef inner_key,

@@ -135,8 +135,7 @@ class SubsetCounter {
     for (int pos = 0; pos < query_.num_tables(); ++pos) {
       const int32_t table_id = query_.tables[pos];
       scans_.push_back(exec::BatchScan(db_.table(table_id), table_id, nullptr,
-                                       query_.PredicatesOf(pos), {},
-                                       /*num_threads=*/0));
+                                       query_.PredicatesOf(pos), {}));
       if (!Record(qry::Bit(pos), *scans_.back())) return false;
     }
     for (int pos = 0; pos < query_.num_tables(); ++pos) {
@@ -211,7 +210,7 @@ class SubsetCounter {
     }
     return exec::LateHashJoin(db_, outer, inner, outer_key, inner_key,
                               residual, {}, out_rid_tables, max_rows_,
-                              overflow, /*num_threads=*/0);
+                              overflow);
   }
 
   const db::Database& db_;

@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "exec/vectorized.h"
 #include "storage/database.h"
@@ -100,16 +99,14 @@ class ExecEdgeTest : public ::testing::Test {
   /// Runs `plan` on the oracle or the production executor and collects every
   /// finished node's rowset (production row ids gathered into payloads).
   static Outcome RunPlan(const db::Database& db, const qry::Query& query,
-                         PlanNode* plan, bool oracle, int pool,
+                         PlanNode* plan, bool oracle,
                          size_t max_node_rows = 0) {
-    common::SetGlobalPoolSize(pool);
     std::unique_ptr<Executor> executor =
         oracle ? ::lpce::testing::RowExecutor::Make(&db, &query)
                : std::make_unique<Executor>(&db, &query);
     Executor::Options options;
     options.max_node_rows = max_node_rows;
     Executor::RunResult result = executor->Run(plan, options);
-    common::SetGlobalPoolSize(0);
     Outcome out;
     out.aborted = result.aborted;
     std::vector<PlanNode*> nodes;
@@ -143,26 +140,21 @@ class ExecEdgeTest : public ::testing::Test {
   }
 
   /// Runs `make_plan()` on the row-at-a-time oracle and on the production
-  /// executor at every requested pool size, requiring every finished node's
-  /// rowset to be bit-identical to the oracle's (production rowsets are
-  /// gathered through their row ids first).
+  /// executor, requiring every finished node's rowset to be bit-identical to
+  /// the oracle's (production rowsets are gathered through their row ids
+  /// first).
   void ExpectMatchesOracle(const db::Database& db, const qry::Query& query,
                            const std::function<std::unique_ptr<PlanNode>()>&
-                               make_plan,
-                           std::initializer_list<int> pools = {1}) {
+                               make_plan) {
     auto oracle_plan = make_plan();
-    const Outcome oracle = RunPlan(db, query, oracle_plan.get(), true, 1);
+    const Outcome oracle = RunPlan(db, query, oracle_plan.get(), true);
     EXPECT_FALSE(oracle.aborted);
-    for (int pool : pools) {
-      SCOPED_TRACE("pool=" + std::to_string(pool));
-      auto plan = make_plan();
-      ExpectSameOutcome(RunPlan(db, query, plan.get(), false, pool), oracle);
-    }
+    auto plan = make_plan();
+    ExpectSameOutcome(RunPlan(db, query, plan.get(), false), oracle);
   }
   void ExpectMatchesOracle(
-      const std::function<std::unique_ptr<PlanNode>()>& make_plan,
-      std::initializer_list<int> pools = {1}) {
-    ExpectMatchesOracle(database_, query_, make_plan, pools);
+      const std::function<std::unique_ptr<PlanNode>()>& make_plan) {
+    ExpectMatchesOracle(database_, query_, make_plan);
   }
 
   db::Database database_;
@@ -488,18 +480,16 @@ TEST_F(ExecEdgeTest, BatchBoundaryInputSizesBitIdentical) {
   }
 }
 
-TEST_F(ExecEdgeTest, BatchBoundariesStraddleJoinPartitionChunks) {
-  // Enough rows to engage the pool (>= 4096) with duplicate-key groups of 7
-  // that never align with the 1024-row batch boundaries or the pool's chunk
-  // boundaries: match groups straddle both, and the output must still
-  // concatenate back to the sequential row order at every pool size.
+TEST_F(ExecEdgeTest, DuplicateKeyGroupsStraddleBatchBoundaries) {
+  // Six batches of rows with duplicate-key groups of 7 that never align with
+  // the 1024-row batch boundaries: match groups straddle them, and the
+  // output must keep the oracle's row order.
   for (int64_t i = 0; i < 6000; ++i) {
     database_.table(a_).AppendRow({i / 7, i});
     database_.table(b_).AppendRow({i / 7, i + 100000});
   }
   database_.BuildAllIndexes();
-  ExpectMatchesOracle([&] { return Join(PhysOp::kHashJoin, Scan(0), Scan(1)); },
-                      {1, 2, 4});
+  ExpectMatchesOracle([&] { return Join(PhysOp::kHashJoin, Scan(0), Scan(1)); });
 }
 
 TEST_F(ExecEdgeTest, BatchIndexScanNeResidualBitIdentical) {
@@ -529,8 +519,7 @@ TEST_F(ExecEdgeTest, ResidualKeysOnEveryJoinAlgorithmBitIdentical) {
   // a rid-backed intermediate, not base rows); the root joins d on b.k = d.k
   // with residual a.v = d.v, so the middle join must emit both a's and b's
   // row ids. Duplicate-heavy keys make most candidates fail the residual;
-  // the survivors must come out in the oracle's order for every algorithm,
-  // at pool sizes that split the probe.
+  // the survivors must come out in the oracle's order for every algorithm.
   db::Database db;
   const int32_t a = db.AddTable({"a", {{"k"}, {"v"}}});
   const int32_t b = db.AddTable({"b", {{"k"}, {"w"}}});
@@ -560,8 +549,7 @@ TEST_F(ExecEdgeTest, ResidualKeysOnEveryJoinAlgorithmBitIdentical) {
                             {{{a, 1}, {b, 1}}});
           return JoinOn(PhysOp::kHashJoin, std::move(acb), Scan(3), {b, 0},
                         {d, 0}, {{{a, 1}, {d, 1}}});
-        },
-        {1, 2, 4});
+        });
   }
 }
 
@@ -620,16 +608,13 @@ TEST_F(ExecEdgeTest, ReplannedRoundOverRowIdPseudoRelationBitIdentical) {
       };
       auto oracle_plan = second_round(oracle_ab);
       const Outcome oracle =
-          RunPlan(db, query, oracle_plan.get(), /*oracle=*/true, 1);
+          RunPlan(db, query, oracle_plan.get(), /*oracle=*/true);
       auto replay_plan = second_round(production_ab);
       ExpectSameOutcome(
-          RunPlan(db, query, replay_plan.get(), /*oracle=*/true, 1), oracle);
-      for (int pool : {1, 2, 4}) {
-        SCOPED_TRACE("pool=" + std::to_string(pool));
-        auto plan = second_round(production_ab);
-        ExpectSameOutcome(
-            RunPlan(db, query, plan.get(), /*oracle=*/false, pool), oracle);
-      }
+          RunPlan(db, query, replay_plan.get(), /*oracle=*/true), oracle);
+      auto plan = second_round(production_ab);
+      ExpectSameOutcome(RunPlan(db, query, plan.get(), /*oracle=*/false),
+                        oracle);
     }
   }
 }
@@ -637,26 +622,22 @@ TEST_F(ExecEdgeTest, ReplannedRoundOverRowIdPseudoRelationBitIdentical) {
 TEST_F(ExecEdgeTest, BatchRowLimitAbortsLikeRowPath) {
   // The overflow contract is part of bit-identity: production must trip the
   // row limit on exactly the same plans as the oracle, for every join
-  // algorithm and pool size — strictly-greater, so a join of exactly the
-  // limit completes.
+  // algorithm — strictly-greater, so a join of exactly the limit completes.
   for (int i = 0; i < 100; ++i) {
     database_.table(a_).AppendRow({5, i});
     database_.table(b_).AppendRow({5, i});
   }
   database_.BuildAllIndexes();
   for (auto op : {PhysOp::kHashJoin, PhysOp::kMergeJoin, PhysOp::kNestLoopJoin}) {
-    for (int pool : {1, 4}) {
-      SCOPED_TRACE(std::string(PhysOpName(op)) + " pool=" +
-                   std::to_string(pool));
-      for (size_t limit : {size_t{1000}, size_t{10000}}) {
-        auto oracle_plan = Join(op, Scan(0), Scan(1));
-        const Outcome oracle =
-            RunPlan(database_, query_, oracle_plan.get(), true, 1, limit);
-        EXPECT_EQ(oracle.aborted, limit < 10000);
-        auto plan = Join(op, Scan(0), Scan(1));
-        ExpectSameOutcome(
-            RunPlan(database_, query_, plan.get(), false, pool, limit), oracle);
-      }
+    SCOPED_TRACE(PhysOpName(op));
+    for (size_t limit : {size_t{1000}, size_t{10000}}) {
+      auto oracle_plan = Join(op, Scan(0), Scan(1));
+      const Outcome oracle =
+          RunPlan(database_, query_, oracle_plan.get(), true, limit);
+      EXPECT_EQ(oracle.aborted, limit < 10000);
+      auto plan = Join(op, Scan(0), Scan(1));
+      ExpectSameOutcome(RunPlan(database_, query_, plan.get(), false, limit),
+                        oracle);
     }
   }
 
@@ -705,35 +686,30 @@ TEST_F(ExecEdgeTest, BatchRowLimitAbortsLikeRowPath) {
       };
       auto oracle_plan = make_plan();
       const Outcome oracle =
-          RunPlan(db, query, oracle_plan.get(), true, 1, kMaxRows);
+          RunPlan(db, query, oracle_plan.get(), true, kMaxRows);
       EXPECT_EQ(oracle.aborted, !residual);
-      for (int pool : {1, 4}) {
-        SCOPED_TRACE(std::string(PhysOpName(op)) +
-                     (residual ? " residual" : "") +
-                     " pool=" + std::to_string(pool));
-        auto plan = make_plan();
-        common::SetGlobalPoolSize(pool);
-        Executor executor(&db, &query);
-        Executor::Options options;
-        options.max_node_rows = kMaxRows;
-        g_max_alloc.store(0);
-        g_track_allocs.store(true);
-        Executor::RunResult run = executor.Run(plan.get(), options);
-        g_track_allocs.store(false);
-        common::SetGlobalPoolSize(0);
-        EXPECT_EQ(run.aborted, oracle.aborted);
-        EXPECT_EQ(run.result == nullptr, oracle.aborted);
-        std::vector<PlanNode*> nodes;
-        PostOrderPlan(plan.get(), &nodes);
-        ASSERT_EQ(nodes.size(), oracle.actuals.size());
-        for (size_t i = 0; i < nodes.size(); ++i) {
-          EXPECT_EQ(nodes[i]->actual_card, oracle.actuals[i]) << "node " << i;
-          EXPECT_EQ(run.finished.count(nodes[i]) > 0,
-                    oracle.rowsets[i] != nullptr)
-              << "node " << i;
-        }
-        EXPECT_LE(g_max_alloc.load(), bound);
+      SCOPED_TRACE(std::string(PhysOpName(op)) +
+                   (residual ? " residual" : ""));
+      auto plan = make_plan();
+      Executor executor(&db, &query);
+      Executor::Options options;
+      options.max_node_rows = kMaxRows;
+      g_max_alloc.store(0);
+      g_track_allocs.store(true);
+      Executor::RunResult run = executor.Run(plan.get(), options);
+      g_track_allocs.store(false);
+      EXPECT_EQ(run.aborted, oracle.aborted);
+      EXPECT_EQ(run.result == nullptr, oracle.aborted);
+      std::vector<PlanNode*> nodes;
+      PostOrderPlan(plan.get(), &nodes);
+      ASSERT_EQ(nodes.size(), oracle.actuals.size());
+      for (size_t i = 0; i < nodes.size(); ++i) {
+        EXPECT_EQ(nodes[i]->actual_card, oracle.actuals[i]) << "node " << i;
+        EXPECT_EQ(run.finished.count(nodes[i]) > 0,
+                  oracle.rowsets[i] != nullptr)
+            << "node " << i;
       }
+      EXPECT_LE(g_max_alloc.load(), bound);
     }
   }
 }

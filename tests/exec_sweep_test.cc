@@ -4,7 +4,6 @@
 // row-at-a-time oracle bit for bit.
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "engine/trace.h"
 #include "exec/executor.h"
 #include "testing/row_executor.h"
@@ -67,10 +66,10 @@ TEST_P(ExecSweepTest, MatchesCanonicalCount) {
   }
 }
 
-// Differential harness: at every pool size, every finished operator's rowset
-// (gathered through its row ids) and actual cardinality and the
-// deterministic trace must match the row-at-a-time oracle's single-thread
-// run bit for bit — for hash joins (fused and unfused) and for the merge and
+// Differential harness: every finished operator's rowset (gathered through
+// its row ids) and actual cardinality and the deterministic trace must match
+// the row-at-a-time oracle's run bit for bit — for hash joins (fused and
+// unfused) and for the merge and
 // nested-loop kernels alike. Checkpoints are enabled with a threshold no
 // synthetic cardinality can reach (1e300 rather than infinity — the Release
 // build uses -ffast-math), so checkpoint events are evaluated and traced at
@@ -105,8 +104,7 @@ TEST_P(ExecSweepTest, MatchesRowOracleBitIdentically) {
       std::vector<uint64_t> actuals;
       std::string trace_json;
     };
-    auto run = [&](bool oracle, int pool) {
-      common::SetGlobalPoolSize(pool);
+    auto run = [&](bool oracle) {
       auto plan = make_plan();
       eng::QueryTrace trace;
       Executor::Options options;
@@ -137,28 +135,24 @@ TEST_P(ExecSweepTest, MatchesRowOracleBitIdentically) {
       return out;
     };
 
-    const Outcome oracle = run(/*oracle=*/true, /*pool=*/1);
-    for (int pool : {1, 2, 4}) {
-      SCOPED_TRACE("joins=" + std::to_string(joins) +
-                   " pool=" + std::to_string(pool) +
-                   " seed=" + std::to_string(param.seed));
-      const Outcome got = run(/*oracle=*/false, pool);
-      ASSERT_EQ(got.rowsets.size(), oracle.rowsets.size());
-      for (size_t i = 0; i < oracle.rowsets.size(); ++i) {
-        EXPECT_EQ(got.actuals[i], oracle.actuals[i]) << "node " << i;
-        ASSERT_NE(got.rowsets[i], nullptr);
-        ASSERT_NE(oracle.rowsets[i], nullptr);
-        EXPECT_TRUE(got.rowsets[i]->schema == oracle.rowsets[i]->schema)
-            << "node " << i;
-        EXPECT_EQ(got.rowsets[i]->row_count, oracle.rowsets[i]->row_count)
-            << "node " << i;
-        EXPECT_TRUE(got.rowsets[i]->cols == oracle.rowsets[i]->cols)
-            << "node " << i;
-      }
-      EXPECT_EQ(got.trace_json, oracle.trace_json);
+    SCOPED_TRACE("joins=" + std::to_string(joins) +
+                 " seed=" + std::to_string(param.seed));
+    const Outcome oracle = run(/*oracle=*/true);
+    const Outcome got = run(/*oracle=*/false);
+    ASSERT_EQ(got.rowsets.size(), oracle.rowsets.size());
+    for (size_t i = 0; i < oracle.rowsets.size(); ++i) {
+      EXPECT_EQ(got.actuals[i], oracle.actuals[i]) << "node " << i;
+      ASSERT_NE(got.rowsets[i], nullptr);
+      ASSERT_NE(oracle.rowsets[i], nullptr);
+      EXPECT_TRUE(got.rowsets[i]->schema == oracle.rowsets[i]->schema)
+          << "node " << i;
+      EXPECT_EQ(got.rowsets[i]->row_count, oracle.rowsets[i]->row_count)
+          << "node " << i;
+      EXPECT_TRUE(got.rowsets[i]->cols == oracle.rowsets[i]->cols)
+          << "node " << i;
     }
+    EXPECT_EQ(got.trace_json, oracle.trace_json);
   }
-  common::SetGlobalPoolSize(0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -18,7 +18,6 @@
 
 #include "card/histogram_estimator.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "engine/server.h"
 #include "nn/layers.h"
@@ -181,7 +180,6 @@ TEST_F(FuzzTest, ConcurrentServerMatchesExactOracle) {
   auto database = db::BuildSynthImdb(opts);
   stats::DatabaseStats stats;
   stats.Build(*database);
-  common::SetGlobalPoolSize(2);
 
   eng::ServerOptions options;
   options.num_workers = 4;
@@ -227,7 +225,6 @@ TEST_F(FuzzTest, ConcurrentServerMatchesExactOracle) {
   EXPECT_EQ(counters.submitted, futures.size());
   EXPECT_EQ(counters.completed, futures.size());
   EXPECT_EQ(counters.rejected, 0u);
-  common::SetGlobalPoolSize(0);
 }
 
 /// The hand-built multigraph shapes (a pair joined on two edges, and a
@@ -264,7 +261,6 @@ TEST_F(FuzzTest, BatchExecutorMatchesExactOracle) {
   auto database = db::BuildSynthImdb(opts);
   stats::DatabaseStats stats;
   stats.Build(*database);
-  common::SetGlobalPoolSize(2);
 
   eng::Engine engine(database.get(), opt::CostModel{});
   eng::Engine oracle_engine(database.get(), opt::CostModel{});
@@ -305,17 +301,16 @@ TEST_F(FuzzTest, BatchExecutorMatchesExactOracle) {
     reopts += got.num_reopts;
   }
   EXPECT_GT(reopts, 0);  // the re-planned rounds were actually exercised
-  common::SetGlobalPoolSize(0);
 }
 
-TEST_F(FuzzTest, BatchExecutorMatchesRowOracleAcrossPools) {
-  // Pool-size lane: randomized queries plus the multigraph / residual-key
-  // shapes at pool sizes {1, 2, 4}, each result differentially checked
-  // against BOTH the brute-force exact-cardinality oracle and the engine
-  // running the row-at-a-time executor oracle (result count and
-  // deterministic trace bytes). The residual keys must refine through the
-  // row-id indirection; row-id intermediates must never be wider than the
-  // oracle's materialized payloads.
+TEST_F(FuzzTest, BatchExecutorMatchesRowOracleWithNarrowerIntermediates) {
+  // Randomized queries plus the multigraph / residual-key shapes, each
+  // result differentially checked against BOTH the brute-force
+  // exact-cardinality oracle and the engine running the row-at-a-time
+  // executor oracle (result count and deterministic trace bytes). The
+  // residual keys must refine through the row-id indirection; row-id
+  // intermediates must never be wider than the oracle's materialized
+  // payloads.
   db::SynthImdbOptions opts;
   opts.scale = 0.01;
   auto database = db::BuildSynthImdb(opts);
@@ -345,27 +340,21 @@ TEST_F(FuzzTest, BatchExecutorMatchesRowOracleAcrossPools) {
         testing::ExactCardinality(*database, query, query.AllRels());
     eng::RunConfig config;
     config.enable_reopt = q % 2 == 1;
-    common::SetGlobalPoolSize(1);
     const eng::RunStats oracle =
         oracle_engine.RunQuery(query, &estimator, nullptr, config);
-    for (int pool : {1, 2, 4}) {
-      common::SetGlobalPoolSize(pool);
-      const eng::RunStats got =
-          engine.RunQuery(query, &estimator, nullptr, config);
-      EXPECT_EQ(got.result_count, expected) << "query " << q << " pool=" << pool;
-      EXPECT_EQ(got.result_count, oracle.result_count)
-          << "query " << q << " pool=" << pool;
-      EXPECT_EQ(got.trace->ToJson(eng::TraceJsonMode::kDeterministic),
-                oracle.trace->ToJson(eng::TraceJsonMode::kDeterministic))
-          << "query " << q << " pool=" << pool;
-      // Row-id intermediates are never wider than the materialized payloads
-      // they replace (uint32 handles vs int64 values, one handle column per
-      // table instead of one column per required ref).
-      EXPECT_LE(got.peak_intermediate_bytes, oracle.peak_intermediate_bytes)
-          << "query " << q << " pool=" << pool;
-    }
+    const eng::RunStats got =
+        engine.RunQuery(query, &estimator, nullptr, config);
+    EXPECT_EQ(got.result_count, expected) << "query " << q;
+    EXPECT_EQ(got.result_count, oracle.result_count) << "query " << q;
+    EXPECT_EQ(got.trace->ToJson(eng::TraceJsonMode::kDeterministic),
+              oracle.trace->ToJson(eng::TraceJsonMode::kDeterministic))
+        << "query " << q;
+    // Row-id intermediates are never wider than the materialized payloads
+    // they replace (uint32 handles vs int64 values, one handle column per
+    // table instead of one column per required ref).
+    EXPECT_LE(got.peak_intermediate_bytes, oracle.peak_intermediate_bytes)
+        << "query " << q;
   }
-  common::SetGlobalPoolSize(0);
 }
 
 TEST_F(FuzzTest, ParamLoaderSurvivesTruncation) {

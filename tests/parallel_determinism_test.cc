@@ -1,8 +1,9 @@
-// The parallel substrate's determinism contract: executor runs, the matrix
-// products, and a full LPCE-I training epoch must produce bit-identical
-// results at every pool size (1 vs N). Chunk partitioning is static and
-// per-output accumulation order matches the sequential loops, so this is an
-// exact equality test, not a tolerance test.
+// The parallel substrate's determinism contract: the matrix products and a
+// full LPCE-I training epoch must produce bit-identical results at every pool
+// size (1 vs N), and a served query's deterministic trace must not depend on
+// the pool size. Chunk partitioning is static and per-output accumulation
+// order matches the sequential loops, so this is an exact equality test, not
+// a tolerance test.
 #include <cmath>
 #include <string>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "engine/engine.h"
-#include "exec/executor.h"
 #include "lpce/tree_model.h"
 #include "nn/matrix.h"
 #include "storage/database.h"
@@ -27,71 +27,6 @@ class ParallelDeterminismTest : public ::testing::Test {
   void SetUp() override { common::SetGlobalPoolSize(8); }
   void TearDown() override { common::SetGlobalPoolSize(0); }
 };
-
-// Large enough to cross the executor's parallel threshold (4096 rows).
-void FillJoinTables(db::Database* database, int32_t a, int32_t b) {
-  Rng rng(13);
-  for (int64_t i = 0; i < 20000; ++i) {
-    database->table(a).AppendRow({rng.UniformInt(0, 5000), i});
-    database->table(b).AppendRow({rng.UniformInt(0, 5000), i * 3});
-  }
-  database->BuildAllIndexes();
-}
-
-TEST_F(ParallelDeterminismTest, ExecutorRunIdenticalAcrossPoolSizes) {
-  db::Database database;
-  const int32_t a = database.AddTable({"a", {{"k"}, {"v"}}});
-  const int32_t b = database.AddTable({"b", {{"k"}, {"w"}}});
-  database.catalog().AddJoinEdge({a, 0}, {b, 0});
-  qry::Query query;
-  query.tables = {a, b};
-  query.joins = {{{a, 0}, {b, 0}}};
-  FillJoinTables(&database, a, b);
-
-  auto make_plan = [&]() {
-    auto scan_a = std::make_unique<exec::PlanNode>();
-    scan_a->op = exec::PhysOp::kSeqScan;
-    scan_a->rels = qry::Bit(0);
-    scan_a->table_pos = 0;
-    scan_a->filters = {{{a, 1}, qry::CmpOp::kLt, 15000}};  // residual filter
-    auto scan_b = std::make_unique<exec::PlanNode>();
-    scan_b->op = exec::PhysOp::kSeqScan;
-    scan_b->rels = qry::Bit(1);
-    scan_b->table_pos = 1;
-    auto join = std::make_unique<exec::PlanNode>();
-    join->op = exec::PhysOp::kHashJoin;
-    join->rels = scan_a->rels | scan_b->rels;
-    join->outer = std::move(scan_a);
-    join->inner = std::move(scan_b);
-    join->outer_key = {a, 0};
-    join->inner_key = {b, 0};
-    return join;
-  };
-
-  exec::RowSetPtr reference;
-  size_t reference_peak = 0;
-  for (int threads : {1, 2, 4, 8}) {
-    auto plan = make_plan();
-    exec::Executor executor(&database, &query);
-    exec::Executor::Options options;
-    options.num_threads = threads;
-    exec::Executor::RunResult run = executor.Run(plan.get(), options);
-    ASSERT_NE(run.result, nullptr) << threads << " threads";
-    if (threads == 1) {
-      reference = run.result;
-      reference_peak = executor.peak_intermediate_bytes();
-      ASSERT_GT(reference->num_rows(), 0u);
-      continue;
-    }
-    ASSERT_EQ(run.result->num_rows(), reference->num_rows()) << threads;
-    ASSERT_EQ(run.result->cols.size(), reference->cols.size());
-    for (size_t c = 0; c < reference->cols.size(); ++c) {
-      ASSERT_EQ(run.result->cols[c], reference->cols[c])
-          << "column " << c << " at " << threads << " threads";
-    }
-    EXPECT_EQ(executor.peak_intermediate_bytes(), reference_peak) << threads;
-  }
-}
 
 TEST_F(ParallelDeterminismTest, MatrixProductsIdenticalAcrossThreadCaps) {
   Rng rng(29);

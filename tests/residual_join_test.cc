@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "card/histogram_estimator.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "optimizer/planner.h"
 #include "stats/column_stats.h"
@@ -114,20 +113,6 @@ TEST_F(ResidualJoinTest, CanonicalHashPlanCarriesResidualEdges) {
   exec::RowSetPtr result = executor.Execute(plan.get());
   EXPECT_EQ(result->num_rows(),
             testing::ExactCardinality(*database_, query, query.AllRels()));
-}
-
-TEST_F(ResidualJoinTest, ParallelAndSequentialResidualJoinsAgree) {
-  // The parallel hash-join path evaluates residual filters per candidate
-  // match and must count only actually-emitted rows. Same query, pool sizes
-  // 1 and 4, bit-identical counts.
-  const qry::Query query = MultigraphPair();
-  common::SetGlobalPoolSize(1);
-  const uint64_t serial = RunPlanned(query);
-  common::SetGlobalPoolSize(4);
-  const uint64_t parallel = RunPlanned(query);
-  common::SetGlobalPoolSize(0);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial, testing::ExactCardinality(*database_, query, query.AllRels()));
 }
 
 TEST_F(ResidualJoinTest, ValidatorRejectsDroppedResidualEdges) {

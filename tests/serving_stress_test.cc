@@ -235,9 +235,6 @@ TEST_F(ServingStressTest, ConcurrentSubmittersDrainCorrectly) {
   options.max_queue = 16;
   options.run_config.enable_reopt = true;
   options.run_config.qerror_threshold = 10.0;
-  // Keep intra-query parallelism sequential: 8 workers already oversubscribe
-  // the container; the interleavings TSan cares about are cross-query.
-  options.run_config.exec_threads = 1;
   EngineServer server(database_.get(), opt::CostModel{}, UnderFactory(),
                       options);
 

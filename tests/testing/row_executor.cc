@@ -13,8 +13,7 @@ using exec::RowSet;
 using exec::RowSetPtr;
 
 RowSetPtr RowExecutor::ExecuteScan(const PlanNode& node,
-                                   const std::vector<db::ColRef>& required,
-                                   int /*num_threads*/) {
+                                   const std::vector<db::ColRef>& required) {
   const int32_t table_id = query_->tables[node.table_pos];
   const db::Table& table = db_->table(table_id);
   std::vector<uint32_t> rows;
@@ -77,8 +76,7 @@ RowSetPtr RowExecutor::ExecutePseudo(const PlanNode& node,
 RowSetPtr RowExecutor::ExecuteJoin(const PlanNode& node, const RowSet& outer,
                                    const RowSet& inner,
                                    const std::vector<db::ColRef>& required,
-                                   size_t max_rows, bool* overflow,
-                                   int /*num_threads*/) {
+                                   size_t max_rows, bool* overflow) {
   const int outer_key = outer.ColumnIndex(node.outer_key);
   const int inner_key = inner.ColumnIndex(node.inner_key);
   LPCE_CHECK(outer_key >= 0 && inner_key >= 0);

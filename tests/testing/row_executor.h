@@ -9,7 +9,7 @@
 // at a time. Scans never fuse into probes. The production kernels
 // (exec/vectorized.h) must reproduce its rowsets (after MaterializeRowSet),
 // actual cardinalities, overflow aborts, and deterministic trace bytes
-// exactly, at every pool size — that is what the exec, fuzz, plan-cache and
+// exactly — that is what the exec, fuzz, plan-cache and
 // golden-trace suites and bench_exec_batch check.
 #ifndef LPCE_TESTS_TESTING_ROW_EXECUTOR_H_
 #define LPCE_TESTS_TESTING_ROW_EXECUTOR_H_
@@ -33,8 +33,7 @@ class RowExecutor : public exec::Executor {
 
  protected:
   exec::RowSetPtr ExecuteScan(const exec::PlanNode& node,
-                              const std::vector<db::ColRef>& required,
-                              int num_threads) override;
+                              const std::vector<db::ColRef>& required) override;
   exec::RowSetPtr ExecutePseudo(
       const exec::PlanNode& node,
       const std::vector<db::ColRef>& required) override;
@@ -42,8 +41,7 @@ class RowExecutor : public exec::Executor {
                               const exec::RowSet& outer,
                               const exec::RowSet& inner,
                               const std::vector<db::ColRef>& required,
-                              size_t max_rows, bool* overflow,
-                              int num_threads) override;
+                              size_t max_rows, bool* overflow) override;
   bool FusesScanIntoProbe() const override { return false; }
 };
 

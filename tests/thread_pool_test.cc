@@ -3,6 +3,7 @@
 // stress loop meant to run under ThreadSanitizer (the CI tsan job).
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -141,6 +142,17 @@ TEST(ThreadPoolTest, AbsurdSizeIsClampedNotFatal) {
     count += static_cast<int>(e - b);
   });
   EXPECT_EQ(count.load(), 1000);
+}
+
+TEST(ThreadPoolTest, ParseThreadCountAcceptsOnlyWholePositiveNumbers) {
+  EXPECT_EQ(ParseThreadCount("8"), 8);
+  EXPECT_EQ(ParseThreadCount("1"), 1);
+  EXPECT_EQ(ParseThreadCount("007"), 7);
+  EXPECT_EQ(ParseThreadCount("2147483647"), 2147483647);
+  for (const char* bad : {"", "4x", "abc", "0", "00", "-2", "+8", " 8", "8 ",
+                          "1.5", "2147483648", "99999999999999999999"}) {
+    EXPECT_EQ(ParseThreadCount(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 }  // namespace
