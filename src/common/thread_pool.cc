@@ -1,7 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <climits>
+#include <charconv>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -155,15 +155,11 @@ int EnvThreads() {
 }  // namespace
 
 std::optional<int> ParseThreadCount(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  long long value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + (c - '0');
-    if (value > INT_MAX) return std::nullopt;
-  }
-  if (value == 0) return std::nullopt;
-  return static_cast<int>(value);
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value <= 0) return std::nullopt;
+  return value;
 }
 
 ThreadPool& GlobalPool() {

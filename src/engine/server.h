@@ -5,9 +5,9 @@
 //
 // Isolation model (see DESIGN.md "Serving layer"):
 //   - Shared, read-only: the Database, DatabaseStats, trained TreeModel /
-//     LpceR / MSCN weights, the cost model, and the global ThreadPool that
-//     parallelizes *inside* a query. None of these are mutated while the
-//     server is running.
+//     LpceR / MSCN weights and the cost model. None of these are mutated
+//     while the server is running. A query runs start to finish on its
+//     worker's thread.
 //   - Per worker: one Session (the estimator pair produced by the session
 //     factory) and one Engine. Estimators carry per-query mutable state
 //     (PrepareQuery caches, LPCE-R observation roots), so they must never be

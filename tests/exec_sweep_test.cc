@@ -69,11 +69,10 @@ TEST_P(ExecSweepTest, MatchesCanonicalCount) {
 // Differential harness: every finished operator's rowset (gathered through
 // its row ids) and actual cardinality and the deterministic trace must match
 // the row-at-a-time oracle's run bit for bit — for hash joins (fused and
-// unfused) and for the merge and
-// nested-loop kernels alike. Checkpoints are enabled with a threshold no
-// synthetic cardinality can reach (1e300 rather than infinity — the Release
-// build uses -ffast-math), so checkpoint events are evaluated and traced at
-// every node without ever tripping.
+// unfused) and for the merge and nested-loop kernels alike. Checkpoints are
+// enabled with a threshold no synthetic cardinality can reach (1e300 rather
+// than infinity — the Release build uses -ffast-math), so checkpoint events
+// are evaluated and traced at every node without ever tripping.
 TEST_P(ExecSweepTest, MatchesRowOracleBitIdentically) {
   const SweepParam param = GetParam();
   wk::GeneratorOptions gen;

@@ -1,6 +1,6 @@
 // The parallel substrate's determinism contract: the matrix products and a
 // full LPCE-I training epoch must produce bit-identical results at every pool
-// size (1 vs N), and a served query's deterministic trace must not depend on
+// size (1 vs N), and an engine query's deterministic trace must not depend on
 // the pool size. Chunk partitioning is static and per-output accumulation
 // order matches the sequential loops, so this is an exact equality test, not
 // a tolerance test.

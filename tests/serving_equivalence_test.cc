@@ -105,8 +105,8 @@ class UnderEstimator : public card::CardinalityEstimator {
 class ServingEquivalenceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // Intra-query parallelism stays on: worker threads and the global pool
-    // must compose without disturbing results.
+    // A multi-thread pool beside the worker threads: the trained pipeline's
+    // matrix products run on it, and results must not depend on it.
     common::SetGlobalPoolSize(4);
     db::SynthImdbOptions opts;
     opts.scale = 0.02;

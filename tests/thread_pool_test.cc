@@ -2,8 +2,10 @@
 // correctness across sizes/grains/caps, nested calls, and a write-heavy
 // stress loop meant to run under ThreadSanitizer (the CI tsan job).
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -152,6 +154,21 @@ TEST(ThreadPoolTest, ParseThreadCountAcceptsOnlyWholePositiveNumbers) {
   for (const char* bad : {"", "4x", "abc", "0", "00", "-2", "+8", " 8", "8 ",
                           "1.5", "2147483648", "99999999999999999999"}) {
     EXPECT_EQ(ParseThreadCount(bad), std::nullopt) << '"' << bad << '"';
+  }
+}
+
+TEST(ThreadPoolTest, MalformedEnvThreadCountIsFatal) {
+  // The child re-runs only this test, so its global pool is first built
+  // from the environment set here.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"4x", "abc", "0", "-2"}) {
+    EXPECT_DEATH(
+        {
+          setenv("LPCE_NUM_THREADS", bad, 1);
+          GlobalPool();
+        },
+        std::string("LPCE_NUM_THREADS=\"") + bad + "\"")
+        << bad;
   }
 }
 
