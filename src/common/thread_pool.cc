@@ -152,6 +152,13 @@ int EnvThreads() {
   return *parsed;
 }
 
+// The pool is built on first use, which only a large training matrix
+// product reaches, so a process that never trains would never read the
+// knob. Every program linking the pool therefore checks it once at
+// start-up, before main, and a malformed value fails before any query or
+// estimate runs.
+[[maybe_unused]] const int kStartupThreadsChecked = EnvThreads();
+
 }  // namespace
 
 std::optional<int> ParseThreadCount(std::string_view text) {

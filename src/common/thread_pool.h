@@ -76,7 +76,9 @@ std::optional<int> ParseThreadCount(std::string_view text);
 
 /// Process-wide pool, lazily constructed at LPCE_NUM_THREADS (default:
 /// hardware_concurrency) threads. A set LPCE_NUM_THREADS that
-/// ParseThreadCount rejects is a fatal error naming the value.
+/// ParseThreadCount rejects is a fatal error naming the value, raised at
+/// start-up (static initialization) in every program that links the pool,
+/// and again here should the variable change before first use.
 ThreadPool& GlobalPool();
 
 /// Rebuilds the global pool at `num_threads` (0 = hardware_concurrency).

@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 
 #include "common/logging.h"
@@ -50,6 +51,10 @@ RunStats Engine::RunQuery(const qry::Query& query,
   uint64_t lookup_epoch = 0;
   bool cache_hit = false;
   bool prepared = false;
+  // The entry's recorded re-optimization rounds, kept only when they were
+  // recorded for this exact query under this restart policy
+  // (optimizer/plan_cache.h "Replayed re-optimization rounds").
+  std::shared_ptr<const opt::ReoptChain> recorded;
   const bool telemetry_on = common::TelemetryEnabled();
   std::unique_ptr<exec::PlanNode> plan;
   if (plan_cache_ != nullptr) {
@@ -62,6 +67,11 @@ RunStats Engine::RunQuery(const qry::Query& query,
     if (outcome.hit()) {
       cache_hit = true;
       plan = std::move(outcome.plan);
+      if (outcome.rounds != nullptr &&
+          outcome.rounds->consider_restart == config.consider_restart &&
+          outcome.rounds->query == query) {
+        recorded = std::move(outcome.rounds);
+      }
       stats.plan_seconds += timer.ElapsedSeconds();
     }
   } else if (telemetry_on) {
@@ -140,6 +150,16 @@ RunStats Engine::RunQuery(const qry::Query& query,
   exec_opts.underestimates_only = config.underestimates_only;
   exec_opts.trace = trace;
 
+  // Replay state: the leading rounds that matched `recorded` were replayed
+  // and their observations buffered in `pending`; they reach the overlay
+  // (after the deferred preparation) at the first round planned live, whose
+  // output the refiner's state then equals. `live_rounds` are recorded
+  // after the replayed prefix at query end.
+  size_t replayed = 0;
+  bool replaying = recorded != nullptr;
+  opt::ReoptRound::Observations pending;
+  std::vector<opt::ReoptRound> live_rounds;
+
   while (true) {
     LPCE_DCHECK(exec::ValidatePlan(*plan, query).ok());
     WallTimer exec_timer;
@@ -163,25 +183,14 @@ RunStats Engine::RunQuery(const qry::Query& query,
     WallTimer reopt_timer;
     ++stats.num_reopts;
 
-    // Deferred estimator preparation (cache-hit path): re-planning needs the
-    // overlay's estimator live, and observations must land on prepared state
-    // exactly as they do in an uncached run. Only the estimator the overlay
-    // wraps is read from here on, so only it is prepared. Counted in T_R —
-    // it is re-optimization work the cache could not avoid.
-    if (!prepared) {
-      LPCE_PROFILE_SCOPE("T_R.prepare");
-      (refiner != nullptr ? refiner : initial)->PrepareQuery(query);
-      prepared = true;
-    }
-
-    // Report every finished operator bottom-up (pseudo scans were already
+    // Every finished operator, bottom-up (pseudo scans were already
     // observed in the round that materialized them).
+    opt::ReoptRound::Observations observed;
     std::vector<exec::PlanNode*> nodes;
     exec::PostOrderPlan(plan.get(), &nodes);
     for (exec::PlanNode* node : nodes) {
       if (!node->executed || node->op == exec::PhysOp::kPseudoScan) continue;
-      overlay.ObserveActual(query, node->rels,
-                            static_cast<double>(node->actual_card));
+      observed.emplace_back(node->rels, static_cast<double>(node->actual_card));
       TraceEvent event;
       event.kind = TraceEventKind::kRefinement;
       event.rels = node->rels;
@@ -216,25 +225,67 @@ RunStats Engine::RunQuery(const qry::Query& query,
     const qry::RelSet tripped_rels = tripped->rels;
     const double before_cost = plan->est_cost;
 
-    // Continue from the materialized progress...
-    opt::PlanResult cont = planner_.PlanUnits(query, &overlay, units);
-    stats.num_estimates += cont.num_estimates;
-    size_t reopt_estimates = cont.num_estimates;
-    plan = std::move(cont.plan);
-    // ...or restart from scratch if that now looks cheaper (Sec. 6.2). The
-    // restart search is bounded by the continue plan's cost: it returns a
-    // plan only when one costs less, and then the unbounded search's plan.
+    replaying = replaying && replayed < recorded->rounds.size() &&
+                recorded->rounds[replayed].Matches(observed, units);
+    size_t reopt_estimates = 0;
     bool restarted = false;
-    if (config.consider_restart) {
-      opt::PlanResult restart =
-          planner_.Plan(query, &overlay, plan->est_cost);
-      stats.num_estimates += restart.num_estimates;
-      reopt_estimates += restart.num_estimates;
-      if (restart.plan != nullptr) {
-        plan = std::move(restart.plan);
-        restarted = true;
+    if (replaying) {
+      // Same query, same observations so far, same units: live re-planning
+      // would choose the recorded plan, so bind it to this run's units.
+      LPCE_PROFILE_SCOPE("T_R.replay");
+      const opt::ReoptRound& round = recorded->rounds[replayed++];
+      plan = round.Bind(units);
+      reopt_estimates = round.num_estimates;
+      restarted = round.restarted;
+      pending.insert(pending.end(), observed.begin(), observed.end());
+    } else {
+      // Deferred estimator preparation (cache-hit path): re-planning needs
+      // the overlay's estimator live, and observations must land on
+      // prepared state exactly as they do in an uncached run. Only the
+      // estimator the overlay wraps is read from here on, so only it is
+      // prepared. Counted in T_R — it is re-optimization work the cache
+      // could not avoid.
+      if (!prepared) {
+        LPCE_PROFILE_SCOPE("T_R.prepare");
+        (refiner != nullptr ? refiner : initial)->PrepareQuery(query);
+        prepared = true;
+      }
+      for (const auto& [rels, actual] : pending) {
+        overlay.ObserveActual(query, rels, actual);
+      }
+      pending.clear();
+      for (const auto& [rels, actual] : observed) {
+        overlay.ObserveActual(query, rels, actual);
+      }
+
+      // Continue from the materialized progress...
+      opt::PlanResult cont = planner_.PlanUnits(query, &overlay, units);
+      reopt_estimates = cont.num_estimates;
+      plan = std::move(cont.plan);
+      // ...or restart from scratch if that now looks cheaper (Sec. 6.2).
+      // The restart search is bounded by the continue plan's cost: it
+      // returns a plan only when one costs less, and then the unbounded
+      // search's plan.
+      if (config.consider_restart) {
+        opt::PlanResult restart =
+            planner_.Plan(query, &overlay, plan->est_cost);
+        reopt_estimates += restart.num_estimates;
+        if (restart.plan != nullptr) {
+          plan = std::move(restart.plan);
+          restarted = true;
+        }
+      }
+      if (plan_cache_ != nullptr) {
+        opt::ReoptRound round;
+        round.observations = std::move(observed);
+        round.SetUnits(units);
+        round.plan = opt::PlanSkeleton(*plan);
+        round.num_estimates = reopt_estimates;
+        round.restarted = restarted;
+        live_rounds.push_back(std::move(round));
       }
     }
+    stats.num_estimates += reopt_estimates;
     stats.reopt_seconds += reopt_timer.ElapsedSeconds();
     {
       TraceEvent event;
@@ -246,6 +297,7 @@ RunStats Engine::RunQuery(const qry::Query& query,
       event.plan_cost = plan->est_cost;
       event.num_estimates = reopt_estimates;
       event.decision = restarted ? "restart" : "continue";
+      if (replaying) event.cache_decision = "replay";
       event.wall_seconds = reopt_timer.ElapsedSeconds();
       trace->AddEvent(std::move(event));
     }
@@ -255,6 +307,22 @@ RunStats Engine::RunQuery(const qry::Query& query,
     if (stats.num_reopts >= config.max_reopts) {
       exec_opts.enable_checkpoints = false;
     }
+  }
+
+  if (!live_rounds.empty()) {
+    // The entry keeps this run's rounds: the replayed prefix, then the
+    // rounds planned live from the first difference on.
+    auto chain = std::make_shared<opt::ReoptChain>();
+    chain->query = query;
+    chain->consider_restart = config.consider_restart;
+    chain->rounds.reserve(replayed + live_rounds.size());
+    if (replayed > 0) {
+      chain->rounds.assign(recorded->rounds.begin(),
+                           recorded->rounds.begin() + replayed);
+    }
+    std::move(live_rounds.begin(), live_rounds.end(),
+              std::back_inserter(chain->rounds));
+    plan_cache_->RecordRounds(fingerprint, lookup_epoch, std::move(chain));
   }
 
   stats.final_plan = plan->ToString(db_->catalog(), query);

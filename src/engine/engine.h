@@ -85,9 +85,18 @@ class Engine {
   /// Attaches a template-keyed plan cache (not owned; nullptr disables).
   /// On a hit, RunQuery skips estimator preparation and DP planning entirely
   /// — the cached skeleton is rebound to the query's literals and T_P + T_I
-  /// collapse to the lookup. Re-optimization always replans against the live
-  /// estimators, never the cache, so re-opt behavior is identical with the
-  /// cache on or off. The cache may be shared across engines (thread-safe).
+  /// collapse to the lookup. The entry also keeps the re-optimization rounds
+  /// of the last query that re-optimized under it: when the exact query
+  /// repeats (literals and consider_restart included), each round that
+  /// reports the same observations and plan units as the recorded one
+  /// replays the recorded plan instead of re-planning (trace: "cache":
+  /// "replay"); from the first difference on the rounds are planned live
+  /// and recorded anew. Plans, decisions, costs and estimate counts are
+  /// identical with the cache on or off, given the contract in
+  /// optimizer/plan_cache.h: the re-planning estimator answers as a
+  /// function of the query and the observations since ResetObservations,
+  /// and the cache serves one planner and one model per epoch. The cache
+  /// may be shared across the engines of one server (thread-safe).
   void set_plan_cache(opt::PlanCache* cache) { plan_cache_ = cache; }
 
   /// Attaches a feedback store (not owned; nullptr disables). After each

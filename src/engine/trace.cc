@@ -142,6 +142,12 @@ void WriteEvent(JsonWriter* w, const TraceEvent& e, TraceJsonMode mode) {
       w->Value(e.num_estimates);
       w->Key("decision");
       w->Value(e.decision);
+      // A round replayed from the plan cache (engine.cc): its plan, costs
+      // and estimate count equal the live round's, only its wall time not.
+      if (!e.cache_decision.empty()) {
+        w->Key("cache");
+        w->Value(e.cache_decision);
+      }
       break;
     case TraceEventKind::kTelemetry: {
       char fss[32];
@@ -372,6 +378,12 @@ Status ValidateEvent(const JsonValue& event) {
     if (decision != "continue" && decision != "restart") {
       return Status::InvalidArgument(
           "reoptimization decision must be continue/restart");
+    }
+    const JsonValue* cache = event.Find("cache");
+    if (cache != nullptr &&
+        (cache->type != JsonValue::Type::kString || cache->str != "replay")) {
+      return Status::InvalidArgument(
+          "reoptimization cache outcome must be replay");
     }
   } else if (kind == "telemetry") {
     std::string fss;

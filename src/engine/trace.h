@@ -84,8 +84,10 @@ struct TraceEvent {
   // kPlan, only when a plan cache is active: "hit"/"miss" plus the template
   // group hash. Empty/0 when caching is off, and then omitted from the JSON
   // so cache-off traces (including all goldens) are byte-identical to
-  // pre-cache ones. kTelemetry reuses fss_hash (and cache_decision when a
-  // cache was active) for the template key.
+  // pre-cache ones. kReoptimization: "replay" when the round's plan was
+  // replayed from the cache entry's recorded rounds, else empty (omitted).
+  // kTelemetry reuses fss_hash (and cache_decision when a cache was active)
+  // for the template key.
   std::string cache_decision;
   uint64_t fss_hash = 0;
 

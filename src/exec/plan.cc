@@ -1,7 +1,7 @@
 #include "exec/plan.h"
 
+#include <charconv>
 #include <cstdio>
-#include <sstream>
 
 namespace lpce::exec {
 
@@ -41,38 +41,81 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   return copy;
 }
 
+namespace {
+
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, end);
+}
+
+void AppendColumn(std::string* out, const db::Catalog& catalog,
+                  db::ColRef ref) {
+  const db::TableDef& table = catalog.table(ref.table);
+  out->append(table.name);
+  out->push_back('.');
+  out->append(table.columns[ref.column].name);
+}
+
+/// Appends `node`'s subtree, one line per node, into one buffer.
+void AppendPlan(const PlanNode& node, const db::Catalog& catalog,
+                const qry::Query& query, int indent, std::string* out) {
+  out->append(static_cast<size_t>(indent) * 2, ' ');
+  out->append(PhysOpName(node.op));
+  if (node.op == PhysOp::kSeqScan || node.op == PhysOp::kIndexScan) {
+    out->push_back(' ');
+    out->append(catalog.table(query.tables[node.table_pos]).name);
+    for (const auto& f : node.filters) {
+      out->append(" [");
+      AppendColumn(out, catalog, f.col);
+      out->push_back(' ');
+      out->append(qry::CmpOpName(f.op));
+      out->push_back(' ');
+      AppendInt(out, f.value);
+      out->push_back(']');
+    }
+  } else if (node.op == PhysOp::kPseudoScan) {
+    out->append(" (materialized intermediate)");
+  } else {
+    out->append(" (");
+    AppendColumn(out, catalog, node.outer_key);
+    out->append(" = ");
+    AppendColumn(out, catalog, node.inner_key);
+    out->push_back(')');
+    for (const auto& [outer_col, inner_col] : node.residual_keys) {
+      out->append(" [");
+      AppendColumn(out, catalog, outer_col);
+      out->append(" = ");
+      AppendColumn(out, catalog, inner_col);
+      out->push_back(']');
+    }
+  }
+  out->append("  est=");
+  AppendInt(out, static_cast<int64_t>(node.est_card));
+  if (node.executed) {
+    out->append(" actual=");
+    AppendInt(out, node.actual_card);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), " time=%.2fms", node.exec_seconds * 1e3);
+    out->append(buf);
+  }
+  out->push_back('\n');
+  if (node.outer != nullptr) {
+    AppendPlan(*node.outer, catalog, query, indent + 1, out);
+  }
+  if (node.inner != nullptr) {
+    AppendPlan(*node.inner, catalog, query, indent + 1, out);
+  }
+}
+
+}  // namespace
+
 std::string PlanNode::ToString(const db::Catalog& catalog, const qry::Query& query,
                                int indent) const {
-  std::ostringstream os;
-  const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  os << pad << PhysOpName(op);
-  if (op == PhysOp::kSeqScan || op == PhysOp::kIndexScan) {
-    os << " " << catalog.table(query.tables[table_pos]).name;
-    for (const auto& f : filters) {
-      os << " [" << catalog.ColumnName(f.col) << " " << qry::CmpOpName(f.op) << " "
-         << f.value << "]";
-    }
-  } else if (op == PhysOp::kPseudoScan) {
-    os << " (materialized intermediate)";
-  } else {
-    os << " (" << catalog.ColumnName(outer_key) << " = "
-       << catalog.ColumnName(inner_key) << ")";
-    for (const auto& [outer_col, inner_col] : residual_keys) {
-      os << " [" << catalog.ColumnName(outer_col) << " = "
-         << catalog.ColumnName(inner_col) << "]";
-    }
-  }
-  os << "  est=" << static_cast<int64_t>(est_card);
-  if (executed) {
-    os << " actual=" << actual_card;
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), " time=%.2fms", exec_seconds * 1e3);
-    os << buf;
-  }
-  os << "\n";
-  if (outer != nullptr) os << outer->ToString(catalog, query, indent + 1);
-  if (inner != nullptr) os << inner->ToString(catalog, query, indent + 1);
-  return os.str();
+  std::string out;
+  AppendPlan(*this, catalog, query, indent, &out);
+  return out;
 }
 
 Status ValidatePlan(const PlanNode& root, const qry::Query& query) {

@@ -276,12 +276,13 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
       if (src.from_outer && expand) {
         // Run-length emit: each outer handle repeats once per match, in
         // match order — identical to gathering through explicit pairs.
+        // The candidates' counts sum to m: grow once, then fill.
+        const size_t at = dst.size();
+        dst.resize(at + m);
+        uint32_t* w = dst.data() + at;
         for (size_t i = cand_lo; i < cand_hi; ++i) {
-          const uint32_t cnt = counts[i];
-          if (cnt > 0) {
-            dst.insert(dst.end(), cnt,
-                       src.rid != nullptr ? src.rid[cand[i]] : cand[i]);
-          }
+          const uint32_t v = src.rid != nullptr ? src.rid[cand[i]] : cand[i];
+          for (uint32_t c = counts[i]; c > 0; --c) *w++ = v;
         }
       } else if (src.from_outer) {
         if (src.rid != nullptr) {

@@ -24,6 +24,29 @@ void RebindFilters(exec::PlanNode* node, const qry::Query& query) {
   RebindFilters(node->inner.get(), query);
 }
 
+void DropPseudoRows(exec::PlanNode* node) {
+  if (node == nullptr) return;
+  node->pseudo = nullptr;
+  DropPseudoRows(node->outer.get());
+  DropPseudoRows(node->inner.get());
+}
+
+void BindPseudoRows(exec::PlanNode* node, const std::vector<PlanUnit>& units) {
+  if (node == nullptr) return;
+  if (node->op == exec::PhysOp::kPseudoScan) {
+    for (const PlanUnit& unit : units) {
+      if (unit.rels == node->rels) {
+        node->pseudo = unit.materialized;
+        break;
+      }
+    }
+    LPCE_CHECK_MSG(node->pseudo != nullptr,
+                   "replayed pseudo leaf has no materialized unit");
+  }
+  BindPseudoRows(node->outer.get(), units);
+  BindPseudoRows(node->inner.get(), units);
+}
+
 bool HasPseudoScan(const exec::PlanNode& node) {
   if (node.op == exec::PhysOp::kPseudoScan) return true;
   return (node.outer != nullptr && HasPseudoScan(*node.outer)) ||
@@ -56,6 +79,41 @@ struct CacheMetrics {
 
 }  // namespace
 
+void ReoptRound::SetUnits(const std::vector<PlanUnit>& planned) {
+  units.clear();
+  units.reserve(planned.size());
+  for (const PlanUnit& unit : planned) {
+    units.emplace_back(unit.rels, unit.known_card);
+  }
+}
+
+bool ReoptRound::Matches(const Observations& observed,
+                         const std::vector<PlanUnit>& planned) const {
+  if (observed != observations || planned.size() != units.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < planned.size(); ++i) {
+    if (planned[i].rels != units[i].first ||
+        planned[i].known_card != units[i].second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::unique_ptr<exec::PlanNode> ReoptRound::Bind(
+    const std::vector<PlanUnit>& planned) const {
+  std::unique_ptr<exec::PlanNode> bound = plan->Clone();
+  BindPseudoRows(bound.get(), planned);
+  return bound;
+}
+
+std::shared_ptr<const exec::PlanNode> PlanSkeleton(const exec::PlanNode& plan) {
+  std::shared_ptr<exec::PlanNode> skeleton = plan.Clone();
+  DropPseudoRows(skeleton.get());
+  return skeleton;
+}
+
 PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {
   LPCE_CHECK_MSG(capacity_ > 0, "plan cache capacity must be positive");
 }
@@ -83,6 +141,7 @@ PlanCache::LookupOutcome PlanCache::Lookup(const qry::TemplateFingerprint& fp,
       ++counters_.hits;
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       outcome.plan = it->second.plan->Clone();
+      outcome.rounds = it->second.rounds;
     }
   }
   if (outcome.plan != nullptr) {
@@ -132,6 +191,17 @@ void PlanCache::Insert(const qry::TemplateFingerprint& fp, uint64_t epoch,
     CacheMetrics::Get().size->Set(static_cast<double>(size_after));
   }
   if (evicted) CacheMetrics::Get().evictions->Increment();
+}
+
+void PlanCache::RecordRounds(const qry::TemplateFingerprint& fp,
+                             uint64_t epoch,
+                             std::shared_ptr<const ReoptChain> rounds) {
+  std::shared_ptr<const ReoptChain> replaced;  // released outside the lock
+  std::lock_guard<std::mutex> lock(mu_);
+  if (epoch != epoch_) return;
+  auto it = entries_.find(fp.canonical);
+  if (it == entries_.end()) return;
+  replaced = std::exchange(it->second.rounds, std::move(rounds));
 }
 
 void PlanCache::Invalidate() {

@@ -1,15 +1,21 @@
 // The plan cache's equivalence contract (optimizer/plan_cache.h): a
 // template-skewed workload produces bit-identical results, plans, and
 // re-optimization decisions with the cache on or off — the only permitted
-// differences are the kPlan event's cache bookkeeping (cache/fss fields,
-// num_estimates dropping to 0 on a hit) and the wall-clock the cache exists
-// to save. Also pinned: the serial hit/miss sequence is deterministic, hit
-// and miss counts are exact under concurrent EngineServer workers, and a
-// mid-workload invalidation never serves a stale skeleton.
+// differences are the cache's own bookkeeping (the kPlan event's cache/fss
+// fields and its num_estimates dropping to 0 on a hit, the "replay" mark on
+// re-optimization rounds replayed from the entry's recorded rounds) and the
+// wall-clock the cache exists to save. Every re-optimization round, replayed
+// or live, keeps its plan, costs, decision and estimate count. Also pinned:
+// the serial hit/miss sequence is deterministic, repeats of an exact query
+// replay its rounds while a same-template query with other literals never
+// replays them, hit and miss counts are exact under concurrent EngineServer
+// workers, and a mid-workload invalidation never serves a stale skeleton or
+// round.
 #include <future>
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +39,7 @@ namespace {
 struct Outcome {
   uint64_t result_count = 0;
   int num_reopts = 0;
+  size_t num_estimates = 0;
   std::string initial_plan;
   std::string final_plan;
   std::shared_ptr<QueryTrace> trace;
@@ -60,20 +67,30 @@ Outcome Summarize(const RunStats& stats) {
   Outcome outcome;
   outcome.result_count = stats.result_count;
   outcome.num_reopts = stats.num_reopts;
+  outcome.num_estimates = stats.num_estimates;
   outcome.initial_plan = StripPlanTimes(stats.initial_plan);
   outcome.final_plan = StripPlanTimes(stats.final_plan);
   outcome.trace = stats.trace;
   return outcome;
 }
 
+/// RunStats::num_estimates less the initial plan's: the estimates of the
+/// re-optimization rounds.
+size_t ReoptEstimates(const Outcome& outcome) {
+  return outcome.num_estimates -
+         outcome.trace->events().front().num_estimates;
+}
+
 /// Bit-identity modulo the cache's own bookkeeping: spans compare fully;
 /// events compare fully except the kPlan event's num_estimates (0 on a hit)
-/// and cache/fss fields. Everything else — every checkpoint q-error, every
-/// re-opt decision and cost, every span cardinality — must match exactly.
+/// and cache/fss fields and the re-optimization events' replay mark.
+/// Everything else — every checkpoint q-error, every re-opt decision, cost
+/// and estimate count, every span cardinality — must match exactly.
 void ExpectEquivalentModuloCache(const Outcome& off, const Outcome& on,
                                  const std::string& context) {
   EXPECT_EQ(on.result_count, off.result_count) << context;
   EXPECT_EQ(on.num_reopts, off.num_reopts) << context;
+  EXPECT_EQ(ReoptEstimates(on), ReoptEstimates(off)) << context;
   EXPECT_EQ(on.initial_plan, off.initial_plan) << context;
   EXPECT_EQ(on.final_plan, off.final_plan) << context;
 
@@ -132,10 +149,22 @@ std::string CacheDecision(const Outcome& outcome) {
   return plan.cache_decision;
 }
 
+/// Re-optimization rounds replayed from the plan cache.
+int Replays(const Outcome& outcome) {
+  int replays = 0;
+  for (const TraceEvent& event : outcome.trace->events()) {
+    if (event.kind == TraceEventKind::kReoptimization &&
+        event.cache_decision == "replay") {
+      ++replays;
+    }
+  }
+  return replays;
+}
+
 /// Adversarial estimator (same shape as serving_equivalence_test.cc):
 /// underestimates joins so checkpoints trip and the cache's interaction with
-/// re-optimization — lazy estimator preparation on a hit, re-planning always
-/// against live estimators — is actually exercised.
+/// re-optimization — lazy estimator preparation on a hit, replayed rounds
+/// and live re-planning — is actually exercised.
 class UnderEstimator : public card::CardinalityEstimator {
  public:
   explicit UnderEstimator(const stats::DatabaseStats* stats)
@@ -147,6 +176,40 @@ class UnderEstimator : public card::CardinalityEstimator {
   double EstimateSubset(const qry::Query& query, qry::RelSet rels) override {
     const double base = histogram_.EstimateSubset(query, rels);
     return qry::PopCount(rels) > 1 ? std::max(1.0, base / 1e4) : base;
+  }
+
+ protected:
+  card::HistogramEstimator histogram_;
+};
+
+/// UnderEstimator keyed like the histogram: literals of equal selectivity
+/// share a cache entry (and get bitwise-equal estimates).
+class SelectivityKeyedUnder : public UnderEstimator {
+ public:
+  using UnderEstimator::UnderEstimator;
+  qry::PredicateSignature FingerprintPredicate(
+      const qry::Query& query, const qry::Predicate& pred) const override {
+    return histogram_.FingerprintPredicate(query, pred);
+  }
+};
+
+/// A refiner that reads the literals: the sum of the query's literals picks
+/// one table whose supersets it inflates a millionfold, so two literal
+/// variants of one template can re-plan differently over the same
+/// observations. Still a function of the query and the observations, as
+/// the cache's replay contract requires.
+class LiteralSkewedRefiner : public card::CardinalityEstimator {
+ public:
+  explicit LiteralSkewedRefiner(const stats::DatabaseStats* stats)
+      : histogram_(stats) {}
+  std::string name() const override { return "literal-skewed"; }
+  double EstimateSubset(const qry::Query& query, qry::RelSet rels) override {
+    int64_t sum = 0;
+    for (const qry::Predicate& pred : query.predicates) sum += pred.value;
+    const int64_t n = query.num_tables();
+    const int pos = static_cast<int>(((sum % n) + n) % n);
+    const double base = histogram_.EstimateSubset(query, rels);
+    return qry::Contains(rels, pos) ? base * 1e6 : base;
   }
 
  private:
@@ -269,6 +332,7 @@ TEST_P(PlanCacheEquivalenceTest, SerialCacheOnMatchesCacheOffBitIdentically) {
   Engine engine(database_, opt::CostModel{});
   engine.set_plan_cache(&cache);
   const std::vector<std::string> expected_decisions = ExpectedDecisions();
+  int replays = 0;
   for (size_t q = 0; q < sequence_->size(); ++q) {
     const auto& labeled = (*pool_)[(*sequence_)[q]];
     const Outcome on = Summarize(
@@ -279,7 +343,23 @@ TEST_P(PlanCacheEquivalenceTest, SerialCacheOnMatchesCacheOffBitIdentically) {
         << "query " << q << " template " << (*sequence_)[q];
     // The cache-off baseline carries no cache fields at all.
     EXPECT_EQ(CacheDecision(baseline[q]), "");
+    EXPECT_EQ(Replays(baseline[q]), 0);
+    // Exact repeats: every round of a hit replays the previous run's.
+    const bool hit = expected_decisions[q] == "hit";
+    EXPECT_EQ(Replays(on), hit ? on.num_reopts : 0) << "query " << q;
+    replays += Replays(on);
+    // The replay mark is part of the trace schema; no other value is.
+    const std::string json = on.trace->ToJson(TraceJsonMode::kDeterministic);
+    EXPECT_TRUE(ValidateTraceJson(json).ok()) << "query " << q;
+    const size_t mark = json.find("\"replay\"");
+    EXPECT_EQ(mark != std::string::npos, Replays(on) > 0) << "query " << q;
+    if (mark != std::string::npos) {
+      std::string bogus = json;
+      bogus.replace(mark, 8, "\"hit\"");
+      EXPECT_FALSE(ValidateTraceJson(bogus).ok()) << "query " << q;
+    }
   }
+  EXPECT_GT(replays, 0);
 
   const auto counters = cache.counters();
   EXPECT_EQ(counters.misses, NumDistinctUsed());
@@ -307,6 +387,7 @@ TEST_P(PlanCacheEquivalenceTest, ServedCacheOnMatchesBaselineAtAllWorkerCounts) 
       ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
       futures.push_back(admitted.value());
     }
+    int replays = 0;
     for (size_t q = 0; q < futures.size(); ++q) {
       const Outcome on = Summarize(futures[q].get());
       ExpectEquivalentModuloCache(
@@ -314,7 +395,11 @@ TEST_P(PlanCacheEquivalenceTest, ServedCacheOnMatchesBaselineAtAllWorkerCounts) 
           "query " + std::to_string(q) + " at " + std::to_string(workers) +
               " workers");
       EXPECT_FALSE(CacheDecision(on).empty());
+      if (CacheDecision(on) == "miss") EXPECT_EQ(Replays(on), 0);
+      replays += Replays(on);
     }
+    // Concurrent workers replay each other's recorded rounds.
+    EXPECT_GT(replays, 0) << workers << " workers";
 
     // Exact accounting under any interleaving: every query either hit or
     // missed; two workers may race-miss the same template but only the first
@@ -378,6 +463,7 @@ TEST_P(PlanCacheEquivalenceTest, MidWorkloadInvalidationNeverServesStale) {
 
   const size_t half = sequence_->size() / 2;
   std::set<int> seen;
+  int replays_after_bump = 0;
   for (size_t q = 0; q < sequence_->size(); ++q) {
     if (q == half) {
       server.InvalidatePlanCache();
@@ -388,13 +474,100 @@ TEST_P(PlanCacheEquivalenceTest, MidWorkloadInvalidationNeverServesStale) {
     ASSERT_TRUE(result.ok());
     const Outcome on = Summarize(result.value());
     ExpectEquivalentModuloCache(baseline[q], on, "query " + std::to_string(q));
-    EXPECT_EQ(CacheDecision(on), seen.insert(idx).second ? "miss" : "hit")
-        << "query " << q;
+    const bool first_use = seen.insert(idx).second;
+    EXPECT_EQ(CacheDecision(on), first_use ? "miss" : "hit") << "query " << q;
+    // Rounds recorded before the bump went with their entries; after it, a
+    // template replays again once a post-bump run has recorded its rounds.
+    EXPECT_EQ(Replays(on), first_use ? 0 : on.num_reopts) << "query " << q;
+    if (q >= half) replays_after_bump += Replays(on);
   }
+  EXPECT_GT(replays_after_bump, 0);
 
   const auto counters = server.plan_cache()->counters();
   EXPECT_EQ(counters.invalidations, 1u);
   EXPECT_EQ(counters.hits + counters.misses, sequence_->size());
+}
+
+/// (round, operator, relation set) of every span after the initial plan:
+/// what the re-optimization rounds chose to run.
+std::vector<std::tuple<int, std::string, qry::RelSet>> ReplannedSpans(
+    const Outcome& outcome) {
+  std::vector<std::tuple<int, std::string, qry::RelSet>> spans;
+  for (const TraceSpan& span : outcome.trace->spans()) {
+    if (span.round > 0) spans.emplace_back(span.round, span.op, span.rels);
+  }
+  return spans;
+}
+
+TEST_P(PlanCacheEquivalenceTest, OtherLiteralsOfOneEntryNeverReplayItsRounds) {
+  // Two variants of one pool query that differ only in the literal of an
+  // added always-true filter (id >= a literal below every id): the
+  // selectivity-keyed initial estimator gives both bitwise-equal estimates,
+  // so they share one cache entry, and their executions report the same
+  // observations. Only the literal-reading refiner tells them apart — it
+  // re-plans them differently. A round recorded for one must therefore
+  // never be replayed for the other, while exact repeats replay.
+  SelectivityKeyedUnder under(stats_);
+  LiteralSkewedRefiner refiner(stats_);
+  auto run_off = [&](const qry::Query& query) {
+    Engine engine(database_, opt::CostModel{});
+    if (GetParam()) engine.set_executor_factory(&testing::RowExecutor::Make);
+    return Summarize(engine.RunQuery(query, &under, &refiner, Config()));
+  };
+  // The filter goes on the first table without one (a query has at most
+  // one predicate per table).
+  auto variant = [](const qry::Query& query, int pos, int64_t literal) {
+    qry::Query out = query;
+    out.predicates.push_back(
+        {{query.tables[pos], 0}, qry::CmpOp::kGe, literal});
+    return out;
+  };
+  qry::Query a, b;
+  Outcome off_a, off_b;
+  bool found = false;
+  for (const wk::LabeledQuery& labeled : *pool_) {
+    const qry::Query& query = labeled.query;
+    int pos = 0;
+    while (pos < query.num_tables() && !query.PredicatesOf(pos).empty()) ++pos;
+    if (query.num_tables() < 3 || pos == query.num_tables()) continue;
+    a = variant(query, pos, -1000000);
+    b = variant(query, pos, -1000001);
+    ASSERT_EQ(opt::PlanCache::Fingerprint(a, under).canonical,
+              opt::PlanCache::Fingerprint(b, under).canonical);
+    off_a = run_off(a);
+    off_b = run_off(b);
+    ASSERT_EQ(off_a.result_count, labeled.FinalCard());
+    ASSERT_EQ(off_b.result_count, labeled.FinalCard());
+    if (off_a.num_reopts > 0 && off_b.num_reopts > 0 &&
+        ReplannedSpans(off_a) != ReplannedSpans(off_b)) {
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found) << "no pool query re-plans differently per literal";
+
+  opt::PlanCache cache(8);
+  Engine engine(database_, opt::CostModel{});
+  engine.set_plan_cache(&cache);
+  struct Step {
+    const qry::Query* query;
+    const Outcome* off;
+    const char* decision;
+    bool replays;
+  };
+  const Step steps[] = {{&a, &off_a, "miss", false}, {&a, &off_a, "hit", true},
+                        {&b, &off_b, "hit", false},  {&b, &off_b, "hit", true},
+                        {&a, &off_a, "hit", false}};
+  for (size_t i = 0; i < std::size(steps); ++i) {
+    const Step& step = steps[i];
+    const Outcome on =
+        Summarize(engine.RunQuery(*step.query, &under, &refiner, Config()));
+    const std::string context = "step " + std::to_string(i);
+    ExpectEquivalentModuloCache(*step.off, on, context);
+    EXPECT_EQ(CacheDecision(on), step.decision) << context;
+    EXPECT_EQ(Replays(on), step.replays ? on.num_reopts : 0) << context;
+  }
+  EXPECT_EQ(cache.counters().size, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Baseline, PlanCacheEquivalenceTest,
@@ -459,6 +632,8 @@ TEST(PlanCacheDeferredPrepareTest, HitThenTripPreparesOnlyTheRefiner) {
         Summarize(cached.RunQuery(query, &initial, &refiner, run_config));
     ASSERT_EQ(CacheDecision(on), "hit") << "query " << q;
     EXPECT_EQ(prepared->value(), before) << "query " << q;
+    // The exact repeat replays every round LPCE-R re-planned live.
+    EXPECT_EQ(Replays(on), on.num_reopts) << "query " << q;
     EXPECT_EQ(on.result_count, queries[q].FinalCard()) << "query " << q;
     ExpectEquivalentModuloCache(off, on, "query " + std::to_string(q));
     if (on.num_reopts > 0) ++tripped_hits;

@@ -227,6 +227,97 @@ TEST_F(PlanCacheTest, InvalidationDropsEntriesAndStaleInserts) {
   EXPECT_TRUE(cache.Lookup(fp, query).hit());
 }
 
+TEST_F(PlanCacheTest, RoundChainsLiveWithTheirEntryAndEpoch) {
+  card::HistogramEstimator estimator(&stats_);
+  opt::Planner planner(database_.get(), opt::CostModel{});
+  opt::PlanCache cache(8);
+  const qry::Query query = Template(42);
+  const auto fp = opt::PlanCache::Fingerprint(query, estimator);
+  auto chain = std::make_shared<opt::ReoptChain>();
+  chain->query = query;
+  chain->rounds.resize(1);
+
+  // No entry yet: the chain has nowhere to live.
+  auto miss = cache.Lookup(fp, query);
+  cache.RecordRounds(fp, miss.epoch, chain);
+  opt::PlanResult planned = planner.Plan(query, &estimator);
+  cache.Insert(fp, miss.epoch, *planned.plan);
+  EXPECT_EQ(cache.Lookup(fp, query).rounds, nullptr);
+
+  cache.RecordRounds(fp, miss.epoch, chain);
+  EXPECT_EQ(cache.Lookup(fp, query).rounds, chain);
+
+  // Invalidation drops the chain with its entry, and a chain staged
+  // against the old epoch never lands on the re-inserted entry.
+  cache.Invalidate();
+  auto after = cache.Lookup(fp, query);
+  cache.Insert(fp, after.epoch, *planned.plan);
+  cache.RecordRounds(fp, miss.epoch, chain);
+  EXPECT_EQ(cache.Lookup(fp, query).rounds, nullptr);
+  cache.RecordRounds(fp, after.epoch, chain);
+  EXPECT_EQ(cache.Lookup(fp, query).rounds, chain);
+}
+
+TEST_F(PlanCacheTest, ReoptRoundMatchesOnlyItsExactInputsAndBindsItsUnits) {
+  card::HistogramEstimator estimator(&stats_);
+  opt::Planner planner(database_.get(), opt::CostModel{});
+  const qry::Query query = Template(42);
+  // Round inputs: title scanned (a pseudo unit of 1 row), movie_info not.
+  const opt::ReoptRound::Observations observed = {{qry::Bit(0), 1.0}};
+  std::vector<opt::PlanUnit> units(2);
+  units[0].rels = qry::Bit(0);
+  units[0].materialized = std::make_shared<exec::RowSet>();
+  units[0].known_card = 1.0;
+  units[1].rels = qry::Bit(1);
+  units[1].table_pos = 1;
+  const opt::PlanResult planned = planner.PlanUnits(query, &estimator, units);
+
+  opt::ReoptRound round;
+  round.observations = observed;
+  round.SetUnits(units);
+  const long refs = units[0].materialized.use_count();
+  round.plan = opt::PlanSkeleton(*planned.plan);
+  EXPECT_EQ(units[0].materialized.use_count(), refs);
+  EXPECT_TRUE(round.Matches(observed, units));
+
+  // Any difference in an observation, or in the units, is a new round.
+  EXPECT_FALSE(round.Matches({{qry::Bit(0), 2.0}}, units));
+  EXPECT_FALSE(round.Matches({{qry::Bit(1), 1.0}}, units));
+  EXPECT_FALSE(round.Matches({}, units));
+  EXPECT_FALSE(
+      round.Matches({{qry::Bit(0), 1.0}, {qry::Bit(0), 1.0}}, units));
+  std::vector<opt::PlanUnit> other = units;
+  other[0].known_card = 2.0;
+  EXPECT_FALSE(round.Matches(observed, other));
+  other = units;
+  other.pop_back();
+  EXPECT_FALSE(round.Matches(observed, other));
+
+  // The skeleton holds no intermediate; binding reads this run's units.
+  std::vector<const exec::PlanNode*> nodes;
+  exec::PostOrderPlan(round.plan.get(), &nodes);
+  int pseudo_leaves = 0;
+  for (const exec::PlanNode* node : nodes) {
+    if (node->op != exec::PhysOp::kPseudoScan) continue;
+    ++pseudo_leaves;
+    EXPECT_EQ(node->pseudo, nullptr);
+  }
+  EXPECT_EQ(pseudo_leaves, 1);
+  std::vector<opt::PlanUnit> rerun = units;
+  rerun[0].materialized = std::make_shared<exec::RowSet>();
+  const std::unique_ptr<exec::PlanNode> bound = round.Bind(rerun);
+  EXPECT_TRUE(exec::ValidatePlan(*bound, query).ok());
+  EXPECT_EQ(bound->ToString(database_->catalog(), query),
+            planned.plan->ToString(database_->catalog(), query));
+  nodes.clear();
+  exec::PostOrderPlan(bound.get(), &nodes);
+  for (const exec::PlanNode* node : nodes) {
+    if (node->op == exec::PhysOp::kPseudoScan) {
+      EXPECT_EQ(node->pseudo, rerun[0].materialized);
+    }
+  }
+}
+
 TEST_F(PlanCacheTest, EngineHitReportsCoherentStatsAndTrace) {
   card::HistogramEstimator estimator(&stats_);
   eng::Engine engine(database_.get(), opt::CostModel{});

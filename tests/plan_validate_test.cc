@@ -1,5 +1,5 @@
-// Tests for plan validation, per-node execution timing, and the
-// validation-split training option.
+// Tests for plan validation, the plan text format, per-node execution
+// timing, and the validation-split training option.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -31,6 +31,78 @@ class PlanValidateTest : public ::testing::Test {
   stats::DatabaseStats stats_;
   wk::LabeledQuery labeled_;
 };
+
+TEST(PlanTextTest, PinsTheTextOfEveryNodeKind) {
+  // A hand-built plan over a hand-built catalog: a scan with filters (one a
+  // negative literal), an index scan, a pseudo scan, a sequential scan, all
+  // three joins (one with residual keys) and one executed node.
+  db::Catalog catalog;
+  const int32_t title = catalog.AddTable({"title", {{"id"}, {"kind_id"}}});
+  const int32_t info =
+      catalog.AddTable({"movie_info", {{"movie_id"}, {"info_type_id"}}});
+  const int32_t companies =
+      catalog.AddTable({"movie_companies", {{"movie_id"}, {"company_id"}}});
+  const int32_t cast = catalog.AddTable({"cast_info", {{"movie_id"}}});
+  qry::Query query;
+  query.tables = {title, info, companies, cast};
+
+  auto scan = [](exec::PhysOp op, int pos, double est) {
+    auto node = std::make_unique<exec::PlanNode>();
+    node->op = op;
+    node->table_pos = pos;
+    node->rels = qry::Bit(pos);
+    node->est_card = est;
+    return node;
+  };
+  auto join = [](exec::PhysOp op, std::unique_ptr<exec::PlanNode> outer,
+                 std::unique_ptr<exec::PlanNode> inner, db::ColRef outer_key,
+                 db::ColRef inner_key, double est) {
+    auto node = std::make_unique<exec::PlanNode>();
+    node->op = op;
+    node->rels = outer->rels | inner->rels;
+    node->outer = std::move(outer);
+    node->inner = std::move(inner);
+    node->outer_key = outer_key;
+    node->inner_key = inner_key;
+    node->est_card = est;
+    return node;
+  };
+
+  auto info_scan = scan(exec::PhysOp::kSeqScan, 1, 1234.9);
+  info_scan->filters = {{{info, 1}, qry::CmpOp::kEq, 3},
+                        {{info, 0}, qry::CmpOp::kGe, -17}};
+  info_scan->executed = true;
+  info_scan->actual_card = 987;
+  info_scan->exec_seconds = 0.0015;
+  auto title_scan = scan(exec::PhysOp::kIndexScan, 0, 99.0);
+  title_scan->filters = {{{title, 0}, qry::CmpOp::kLt, 100}};
+  title_scan->index_col = {title, 0};
+  auto pseudo = scan(exec::PhysOp::kPseudoScan, 2, 55.0);
+  pseudo->table_pos = -1;
+  auto left = join(exec::PhysOp::kMergeJoin, std::move(info_scan),
+                   std::move(title_scan), {info, 0}, {title, 0}, 400.0);
+  auto right = join(exec::PhysOp::kNestLoopJoin, std::move(pseudo),
+                    scan(exec::PhysOp::kSeqScan, 3, 7.0), {companies, 0},
+                    {cast, 0}, 0.4);
+  auto root = join(exec::PhysOp::kHashJoin, std::move(left), std::move(right),
+                   {title, 0}, {companies, 0}, 12.0);
+  root->residual_keys = {{{info, 0}, {cast, 0}}};
+
+  EXPECT_EQ(root->ToString(catalog, query),
+            "HashJoin (title.id = movie_companies.movie_id) "
+            "[movie_info.movie_id = cast_info.movie_id]  est=12\n"
+            "  MergeJoin (movie_info.movie_id = title.id)  est=400\n"
+            "    SeqScan movie_info [movie_info.info_type_id = 3] "
+            "[movie_info.movie_id >= -17]  est=1234 actual=987 time=1.50ms\n"
+            "    IndexScan title [title.id < 100]  est=99\n"
+            "  NestLoopJoin (movie_companies.movie_id = cast_info.movie_id)"
+            "  est=0\n"
+            "    PseudoScan (materialized intermediate)  est=55\n"
+            "    SeqScan cast_info  est=7\n");
+  // `indent` shifts every line of a subtree.
+  EXPECT_EQ(root->inner->inner->ToString(catalog, query, 2),
+            "    SeqScan cast_info  est=7\n");
+}
 
 TEST_F(PlanValidateTest, PlannerOutputAlwaysValidates) {
   card::HistogramEstimator estimator(&stats_);

@@ -2,7 +2,9 @@
 // correctness across sizes/grains/caps, nested calls, and a write-heavy
 // stress loop meant to run under ThreadSanitizer (the CI tsan job).
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -170,6 +172,24 @@ TEST(ThreadPoolTest, MalformedEnvThreadCountIsFatal) {
         std::string("LPCE_NUM_THREADS=\"") + bad + "\"")
         << bad;
   }
+}
+
+TEST(ThreadPoolTest, MalformedEnvThreadCountFailsAtStartUp) {
+  // The knob is checked before main, not at the pool's first use: this
+  // binary, re-run with a bad value only to list its tests (which builds no
+  // pool), still exits non-zero naming the value.
+  const std::string self = std::filesystem::read_symlink("/proc/self/exe");
+  const std::string command =
+      "LPCE_NUM_THREADS=4x '" + self + "' --gtest_list_tests 2>&1";
+  FILE* child = popen(command.c_str(), "r");
+  ASSERT_NE(child, nullptr);
+  std::string output;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), child) != nullptr) output += buf;
+  const int status = pclose(child);
+  EXPECT_NE(status, 0) << output;
+  EXPECT_NE(output.find("LPCE_NUM_THREADS=\"4x\""), std::string::npos)
+      << output;
 }
 
 }  // namespace
