@@ -198,15 +198,14 @@ struct LateProbeArgs {
 /// batch k covers candidate domain [k*B, (k+1)*B). Matches are emitted in
 /// candidate order, then ascending inner-row order per candidate.
 ///
-/// Three probe modes share the branch-free segment scan (every entry is
+/// Two probe modes share the branch-free segment scan (every entry is
 /// stored/summed unconditionally, the cursor advances by the key-equality
 /// result): count-only (no residual keys, no output columns — a root join)
-/// sums hits; expand (no residual keys) collects inner row ids only when an
-/// inner table is emitted, plus per-candidate match counts for run-length
-/// outer emission; pairs (residual keys) collects (outer, inner) candidate
-/// pairs and refines them. When `collected` is set, every batch's
-/// candidates are also accumulated into it in order (the fused scan's row-id
-/// output). Returns false on overflow.
+/// sums hits; otherwise the scan collects (outer candidate, inner row)
+/// pairs, refines them against any residual keys, and emits every output
+/// column by one gather through the pairs. When `collected` is set, every
+/// batch's candidates are also accumulated into it in order (the fused
+/// scan's row-id output). Returns false on overflow.
 template <typename FillBatch>
 bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
                     FillBatch fill, RowSet* out,
@@ -220,26 +219,19 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
   size_t emitted = 0;
 
   const bool count_only = a.residual.empty() && a.out_rids.empty();
-  const bool expand = a.residual.empty() && !count_only;
-  bool need_inner_rows = !expand;
-  for (const LateRidSource& s : a.out_rids) need_inner_rows |= !s.from_outer;
-
   std::vector<uint32_t> cand(B);
-  std::vector<uint32_t> m_outer(expand || count_only ? 0 : B);
-  std::vector<uint32_t> m_inner(need_inner_rows ? B : 0);
-  std::vector<uint32_t> counts(expand ? B : 0);
+  std::vector<uint32_t> m_outer(count_only ? 0 : B);
+  std::vector<uint32_t> m_inner(count_only ? 0 : B);
   std::vector<uint32_t> buckets(B);
   std::vector<int64_t> okey_buf(B);
   std::vector<int64_t> res_outer, res_inner;
 
-  // Refines the m pending matches against the residual keys, charges the
+  // Refines the m pending pairs against the residual keys, charges the
   // survivors to the row budget, and only then appends their row ids.
-  // Expand-mode matches belong to candidates [cand_lo, cand_hi) of the
-  // batch (their per-candidate counts drive the run-length outer emit).
   // Every emitted row is charged exactly once, so overflow fires iff the
   // join's total output exceeds max_rows — checked before anything past
   // the budget is appended. Returns false on overflow.
-  auto flush = [&](size_t cand_lo, size_t cand_hi, size_t m) {
+  auto flush = [&](size_t m) {
     // Residual equi-join keys evaluate through the same indirection:
     // gather both sides' candidate values (two-level on the rid-backed
     // sides), then refine branch-free.
@@ -269,37 +261,18 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
     emitted += m;
     if (a.max_rows > 0 && emitted > a.max_rows) return false;
     // Emit row-id columns only: one uint32 column per still-referenced
-    // table instead of one int64 column per payload.
+    // table instead of one int64 column per payload, each gathered through
+    // its side of the pairs (the outer candidate handles themselves when
+    // they already are base rows).
     for (size_t s = 0; s < a.out_rids.size(); ++s) {
       auto& dst = out->rid_cols[s];
       const LateRidSource& src = a.out_rids[s];
-      if (src.from_outer && expand) {
-        // Run-length emit: each outer handle repeats once per match, in
-        // match order — identical to gathering through explicit pairs.
-        // The candidates' counts sum to m: grow once, then fill.
-        const size_t at = dst.size();
-        dst.resize(at + m);
-        uint32_t* w = dst.data() + at;
-        for (size_t i = cand_lo; i < cand_hi; ++i) {
-          const uint32_t v = src.rid != nullptr ? src.rid[cand[i]] : cand[i];
-          for (uint32_t c = counts[i]; c > 0; --c) *w++ = v;
-        }
-      } else if (src.from_outer) {
-        if (src.rid != nullptr) {
-          dst.insert(dst.end(),
-                     common::GatherIterator<uint32_t>(src.rid,
-                                                      m_outer.data(), 0),
-                     common::GatherIterator<uint32_t>(src.rid,
-                                                      m_outer.data(), m));
-        } else {
-          dst.insert(dst.end(), m_outer.data(), m_outer.data() + m);
-        }
+      const uint32_t* handles = src.from_outer ? m_outer.data() : m_inner.data();
+      if (src.rid != nullptr) {
+        dst.insert(dst.end(), common::GatherIterator<uint32_t>(src.rid, handles, 0),
+                   common::GatherIterator<uint32_t>(src.rid, handles, m));
       } else {
-        dst.insert(dst.end(),
-                   common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
-                                                    0),
-                   common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
-                                                    m));
+        dst.insert(dst.end(), handles, handles + m);
       }
     }
     return true;
@@ -337,50 +310,33 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
       if (a.max_rows > 0 && emitted > a.max_rows) return false;
       continue;
     }
-    // Candidate collection. Capacity is checked ahead of each candidate's
+    // Pair collection. Capacity is checked ahead of each candidate's
     // segment so the scan carries no bounds check. A full buffer is
     // flushed — refined, budget-checked, emitted — before it may grow, so
-    // the match buffers never hold more than one batch's worth or one
+    // the pair buffers never hold more than one batch's worth or one
     // bucket segment, however much a batch would emit.
-    size_t m = 0, flush_lo = 0;
+    size_t m = 0;
     for (size_t i = 0; i < live; ++i) {
       const int64_t key = okey_buf[i];
       const uint64_t b = buckets[i];
       const uint32_t seg_begin = off[b];
       const uint32_t seg_end = off[b + 1];
       const size_t seg = seg_end - seg_begin;
-      if (need_inner_rows && m + seg > m_inner.size()) {
-        if (!flush(flush_lo, i, m)) return false;
+      if (m + seg > m_inner.size()) {
+        if (!flush(m)) return false;
         m = 0;
-        flush_lo = i;
         if (seg > m_inner.size()) {
           m_inner.resize(seg);
-          if (!expand) m_outer.resize(seg);
+          m_outer.resize(seg);
         }
       }
-      if (expand && !need_inner_rows) {
-        size_t hits = 0;
-        for (uint32_t j = seg_begin; j < seg_end; ++j) {
-          hits += static_cast<size_t>(flat_keys[j] == key);
-        }
-        counts[i] = static_cast<uint32_t>(hits);
-        m += hits;
-      } else if (expand) {
-        const size_t before = m;
-        for (uint32_t j = seg_begin; j < seg_end; ++j) {
-          m_inner[m] = flat_rows[j];
-          m += static_cast<size_t>(flat_keys[j] == key);
-        }
-        counts[i] = static_cast<uint32_t>(m - before);
-      } else {
-        for (uint32_t j = seg_begin; j < seg_end; ++j) {
-          m_outer[m] = cand[i];
-          m_inner[m] = flat_rows[j];
-          m += static_cast<size_t>(flat_keys[j] == key);
-        }
+      for (uint32_t j = seg_begin; j < seg_end; ++j) {
+        m_outer[m] = cand[i];
+        m_inner[m] = flat_rows[j];
+        m += static_cast<size_t>(flat_keys[j] == key);
       }
     }
-    if (!flush(flush_lo, live, m)) return false;
+    if (!flush(m)) return false;
   }
   out->row_count = emitted;
   return true;

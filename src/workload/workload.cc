@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
-#include "exec/executor.h"
+#include "common/check.h"
 #include "exec/vectorized.h"
-#include "query/join_graph.h"
 
 namespace lpce::wk {
 
@@ -114,165 +114,458 @@ std::vector<LabeledQuery> QueryGenerator::GenerateLabeled(int count, int min_joi
 
 namespace {
 
-/// The depth-first pass of CountConnectedSubsets. Every connected subset of
-/// two or more tables has one parent: the subset minus its highest-position
-/// table whose removal leaves it connected (a connected graph always has a
-/// non-cut vertex). The pass walks that tree from the single tables, so each
-/// subset is joined exactly once, from its parent's rows.
-class SubsetCounter {
- public:
-  SubsetCounter(const db::Database& database, const qry::Query& query,
-                size_t max_rows, bool require_nonempty,
-                std::unordered_map<qry::RelSet, uint64_t>* counts)
-      : db_(database),
-        query_(query),
-        graph_(query),
-        max_rows_(max_rows),
-        require_nonempty_(require_nonempty),
-        counts_(counts) {}
+// ---- Counting over the join tree --------------------------------------------
 
-  bool Run() {
-    for (int pos = 0; pos < query_.num_tables(); ++pos) {
-      const int32_t table_id = query_.tables[pos];
-      scans_.push_back(exec::BatchScan(db_.table(table_id), table_id, nullptr,
-                                       query_.PredicatesOf(pos), {}));
-      if (!Record(qry::Bit(pos), *scans_.back())) return false;
+constexpr uint64_t kSaturated = std::numeric_limits<uint64_t>::max();
+
+/// Checked 64-bit arithmetic that saturates: kSaturated reads "2^64 - 1 or
+/// more", and every other result is exact (a saturated value times 0 is 0).
+uint64_t SatMul(uint64_t a, uint64_t b) {
+  uint64_t r;
+  return __builtin_mul_overflow(a, b, &r) ? kSaturated : r;
+}
+uint64_t SatAdd(uint64_t a, uint64_t b) {
+  uint64_t r;
+  return __builtin_add_overflow(a, b, &r) ? kSaturated : r;
+}
+
+/// One side of a join edge: the key column and the table's filtered rows.
+struct KeySide {
+  const int64_t* col;
+  const std::vector<uint32_t>* rows;
+  std::vector<uint32_t>* slots;  // out: one slot per filtered row
+};
+
+/// Translates an edge's join keys into dense slots once: every filtered row
+/// of either side gets its key's slot, and equal keys share one. Keys whose
+/// range is at most a few times the row count map by offset; any other int64
+/// keys go through an open-addressing table. Returns the slot count.
+uint32_t TranslateKeys(KeySide a, KeySide b) {
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  uint64_t n = 0;
+  for (const KeySide& side : {a, b}) {
+    for (uint32_t r : *side.rows) {
+      lo = std::min(lo, side.col[r]);
+      hi = std::max(hi, side.col[r]);
     }
-    for (int pos = 0; pos < query_.num_tables(); ++pos) {
-      if (!Visit(qry::Bit(pos), *scans_[static_cast<size_t>(pos)])) {
-        return false;
+    n += side.rows->size();
+    side.slots->resize(side.rows->size());
+  }
+  if (n == 0) return 0;
+  LPCE_CHECK(n < std::numeric_limits<uint32_t>::max());  // slots are uint32
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (span <= 4 * n + 64 && span < std::numeric_limits<uint32_t>::max()) {
+    for (const KeySide& side : {a, b}) {
+      uint32_t* out = side.slots->data();
+      for (uint32_t r : *side.rows) {
+        *out++ = static_cast<uint32_t>(static_cast<uint64_t>(side.col[r]) -
+                                       static_cast<uint64_t>(lo));
       }
     }
-    return true;
+    return static_cast<uint32_t>(span + 1);
+  }
+  uint64_t capacity = 16;
+  while (capacity < 2 * n) capacity <<= 1;
+  const int shift = __builtin_clzll(capacity) + 1;
+  std::vector<int64_t> keys(capacity);
+  std::vector<uint32_t> ids(capacity, 0);  // slot + 1; 0 = empty
+  uint32_t next = 0;
+  for (const KeySide& side : {a, b}) {
+    uint32_t* out = side.slots->data();
+    for (uint32_t r : *side.rows) {
+      const int64_t key = side.col[r];
+      uint64_t h = (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift;
+      while (ids[h] != 0 && keys[h] != key) h = (h + 1) & (capacity - 1);
+      if (ids[h] == 0) {
+        keys[h] = key;
+        ids[h] = ++next;
+      }
+      *out++ = ids[h] - 1;
+    }
+  }
+  return next;
+}
+
+/// The counting pass behind CountConnectedSubsets and TryLabelQuery, over
+/// one tree query. With the tree rooted, every connected subset S has one
+/// top table v (the one nearest the root), and
+///   count(S) = sum over v's filtered rows r of
+///              prod over v's children c in S of m_{S & sub(c)}[key_c(r)],
+/// where the message m_T of a subset T with top c is the same product over
+/// c's rows, summed by the key of c's edge to its parent (Yannakakis's
+/// acyclic counting). One pass over v's rows gives S's count and S's own
+/// message; every subset containing S's rooted piece reuses that message.
+/// All state belongs to one call.
+class JoinTreeCounter {
+ public:
+  JoinTreeCounter(const db::Database& database, const qry::Query& query)
+      : n_(query.num_tables()), adjacent_(static_cast<size_t>(n_)) {
+    bool endpoints_ok = n_ >= 1 && n_ <= 32 && query.num_joins() == n_ - 1;
+    for (int j = 0; endpoints_ok && j < query.num_joins(); ++j) {
+      const qry::Join& join = query.joins[static_cast<size_t>(j)];
+      const int a = query.PositionOf(join.left.table);
+      const int b = query.PositionOf(join.right.table);
+      endpoints_ok = a >= 0 && b >= 0 && a != b;
+      if (!endpoints_ok) break;
+      Edge& edge = edges_.emplace_back();
+      edge.a = a;
+      edge.b = b;
+      edge.col_a = &database.table(join.left.table)
+                        .column(static_cast<size_t>(join.left.column));
+      edge.col_b = &database.table(join.right.table)
+                        .column(static_cast<size_t>(join.right.column));
+      adjacent_[static_cast<size_t>(a)].emplace_back(b, j);
+      adjacent_[static_cast<size_t>(b)].emplace_back(a, j);
+    }
+    // k tables, k - 1 edges and connected: a tree, with no cycle and no
+    // parallel edge.
+    LPCE_CHECK_MSG(endpoints_ok && RootAt(0).order.size() == static_cast<size_t>(n_),
+                   "counting needs a tree query: k tables joined by k - 1 "
+                   "edges that connect them (no cycle, no parallel edge)");
+    rows_.reserve(static_cast<size_t>(n_));
+    for (int pos = 0; pos < n_; ++pos) {
+      const int32_t table_id = query.tables[static_cast<size_t>(pos)];
+      exec::RowSetPtr scan = exec::BatchScan(database.table(table_id), table_id,
+                                             nullptr, query.PredicatesOf(pos), {});
+      rows_.push_back(std::move(scan->rid_cols[0]));
+    }
+  }
+
+  /// Every connected subset: the pieces topped by each table of a rooted
+  /// tree are the table alone or with any choice of one piece per child.
+  std::vector<qry::RelSet> ConnectedSubsets() const {
+    const Rooting tree = RootAt(0);
+    std::vector<std::vector<qry::RelSet>> topped(static_cast<size_t>(n_));
+    std::vector<qry::RelSet> out;
+    for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
+      std::vector<qry::RelSet>& mine = topped[static_cast<size_t>(*it)];
+      mine.push_back(qry::Bit(*it));
+      for (int c : tree.children[static_cast<size_t>(*it)]) {
+        const size_t before = mine.size();
+        for (size_t i = 0; i < before; ++i) {
+          for (qry::RelSet piece : topped[static_cast<size_t>(c)]) {
+            mine.push_back(mine[i] | piece);
+          }
+        }
+      }
+      out.insert(out.end(), mine.begin(), mine.end());
+    }
+    return out;
+  }
+
+  /// Counts the connected subsets in `wanted`, handing each to
+  /// `keep(rels, count)` (count kSaturated when it does not fit in 64 bits).
+  /// Stops and returns false as soon as `keep` does.
+  template <typename Keep>
+  bool Count(const std::vector<qry::RelSet>& wanted, Keep keep) {
+    Plan plan = PlanFor(RootAt(BestRoot()), wanted);
+    return Run(&plan, keep);
   }
 
  private:
-  bool Record(qry::RelSet rels, const exec::RowSet& rows) {
-    (*counts_)[rels] = rows.num_rows();
-    return !require_nonempty_ || rows.num_rows() > 0;
-  }
+  struct Edge {
+    int a = -1, b = -1;  // table positions of the join's left and right sides
+    const std::vector<int64_t>* col_a = nullptr;
+    const std::vector<int64_t>* col_b = nullptr;
+    bool translated = false;
+    uint32_t num_slots = 0;
+    std::vector<uint32_t> slots_a, slots_b;  // by filtered row of a, of b
+  };
 
-  /// Highest position of `rels` whose removal leaves it connected.
-  int ParentTable(qry::RelSet rels) const {
-    for (int pos = 31 - __builtin_clz(rels); pos >= 0; --pos) {
-      if (qry::Contains(rels, pos) && graph_.IsConnected(rels & ~qry::Bit(pos))) {
-        return pos;
+  /// The query's tree hung from one table.
+  struct Rooting {
+    std::vector<int> order;  // breadth-first from the root
+    std::vector<int> depth, parent_edge;
+    std::vector<std::vector<int>> children;
+    std::vector<qry::RelSet> sub;  // each table's rooted sub-tree
+  };
+
+  /// One connected subset to count: its top table and the pieces it
+  /// multiplies in, one per child of the top inside the subset.
+  struct Piece {
+    qry::RelSet rels = 0;
+    int top = -1;
+    int first_input = 0, num_inputs = 0;  // into Plan::inputs
+    bool counted = false;
+    uint64_t count = 0;
+    std::vector<uint64_t> message;  // by slot of top's parent edge
+  };
+
+  struct Plan {
+    Rooting tree;
+    std::vector<Piece> pieces;
+    std::vector<int> inputs;
+    std::vector<int> wanted;  // piece ids, in counting order
+  };
+
+  Rooting RootAt(int root) const {
+    Rooting t;
+    t.depth.assign(static_cast<size_t>(n_), -1);
+    t.parent_edge.assign(static_cast<size_t>(n_), -1);
+    t.children.resize(static_cast<size_t>(n_));
+    t.sub.assign(static_cast<size_t>(n_), 0);
+    t.order.push_back(root);
+    t.depth[static_cast<size_t>(root)] = 0;
+    for (size_t i = 0; i < t.order.size(); ++i) {
+      const int v = t.order[i];
+      for (const auto& [w, edge] : adjacent_[static_cast<size_t>(v)]) {
+        if (t.depth[static_cast<size_t>(w)] >= 0) continue;
+        t.depth[static_cast<size_t>(w)] = t.depth[static_cast<size_t>(v)] + 1;
+        t.parent_edge[static_cast<size_t>(w)] = edge;
+        t.children[static_cast<size_t>(v)].push_back(w);
+        t.order.push_back(w);
       }
     }
-    return -1;
+    for (auto it = t.order.rbegin(); it != t.order.rend(); ++it) {
+      qry::RelSet s = qry::Bit(*it);
+      for (int c : t.children[static_cast<size_t>(*it)]) s |= t.sub[static_cast<size_t>(c)];
+      t.sub[static_cast<size_t>(*it)] = s;
+    }
+    return t;
   }
 
-  /// Joins each child of `rels` (rows in `parent`) and recurses.
-  bool Visit(qry::RelSet rels, const exec::RowSet& parent) {
-    qry::RelSet next = graph_.Neighbors(rels) & ~rels;
-    for (; next != 0; next &= next - 1) {
-      const int pos = __builtin_ctz(next);
-      const qry::RelSet child = rels | qry::Bit(pos);
-      if (ParentTable(child) != pos) continue;
-      bool overflow = false;
-      const exec::RowSetPtr rows = Join(rels, parent, pos, &overflow);
-      if (overflow || !Record(child, *rows) || !Visit(child, *rows)) {
+  /// The root where the pieces read the fewest rows if every connected
+  /// subset is counted: a table v then tops P(v) = prod over its children c
+  /// of (1 + P(c)) pieces, and c's message enters P(v) P(c) / (1 + P(c)) of
+  /// them. Canonical nodes alone read fewest rows from about the same root.
+  int BestRoot() const {
+    int best_root = 0;
+    double best_steps = 0.0;
+    std::vector<double> pieces(static_cast<size_t>(n_));
+    for (int root = 0; root < n_; ++root) {
+      const Rooting tree = RootAt(root);
+      double steps = 0.0;
+      for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
+        double p = 1.0, inputs = 0.0;
+        for (int c : tree.children[static_cast<size_t>(*it)]) {
+          const double pc = pieces[static_cast<size_t>(c)];
+          p *= 1.0 + pc;
+          inputs += pc / (1.0 + pc);
+        }
+        pieces[static_cast<size_t>(*it)] = p;
+        steps += static_cast<double>(rows_[static_cast<size_t>(*it)].size()) *
+                 p * (1.0 + inputs);
+      }
+      if (root == 0 || steps < best_steps) {
+        best_root = root;
+        best_steps = steps;
+      }
+    }
+    return best_root;
+  }
+
+  /// The pieces `wanted` needs with the tree as rooted.
+  Plan PlanFor(Rooting tree, const std::vector<qry::RelSet>& wanted) const {
+    Plan plan;
+    plan.tree = std::move(tree);
+    const Rooting& t = plan.tree;
+    std::unordered_map<qry::RelSet, int> index;
+    index.reserve(2 * wanted.size());
+    auto need = [&](auto& self, qry::RelSet rels) -> int {
+      const auto [it, inserted] =
+          index.emplace(rels, static_cast<int>(plan.pieces.size()));
+      if (!inserted) return it->second;
+      const int id = it->second;
+      int top = __builtin_ctz(rels);
+      for (qry::RelSet s = rels; s != 0; s &= s - 1) {
+        const int pos = __builtin_ctz(s);
+        if (t.depth[static_cast<size_t>(pos)] < t.depth[static_cast<size_t>(top)]) {
+          top = pos;
+        }
+      }
+      plan.pieces.push_back({});
+      int inputs[32];
+      int num_inputs = 0;
+      for (int c : t.children[static_cast<size_t>(top)]) {
+        const qry::RelSet part = rels & t.sub[static_cast<size_t>(c)];
+        if (part != 0) inputs[num_inputs++] = self(self, part);
+      }
+      Piece& piece = plan.pieces[static_cast<size_t>(id)];
+      piece.rels = rels;
+      piece.top = top;
+      piece.first_input = static_cast<int>(plan.inputs.size());
+      piece.num_inputs = num_inputs;
+      plan.inputs.insert(plan.inputs.end(), inputs, inputs + num_inputs);
+      return id;
+    };
+    for (qry::RelSet rels : wanted) plan.wanted.push_back(need(need, rels));
+    // Scans first: they need no keys and reject many candidates alone. Then
+    // the largest subsets: the whole query needs one piece per table, a
+    // subset over the cap is most often a large one, and each piece is
+    // counted while the pieces it reads are still in cache.
+    std::stable_sort(plan.wanted.begin(), plan.wanted.end(), [&](int a, int b) {
+      const int size_a = qry::PopCount(plan.pieces[static_cast<size_t>(a)].rels);
+      const int size_b = qry::PopCount(plan.pieces[static_cast<size_t>(b)].rels);
+      return size_a == 1 || size_b == 1 ? size_a < size_b : size_a > size_b;
+    });
+    return plan;
+  }
+
+  /// Hands the wanted subsets to `keep` in the plan's order, counting each
+  /// piece when a wanted subset first needs it.
+  template <typename Keep>
+  bool Run(Plan* plan, Keep keep) {
+    for (int id : plan->wanted) {
+      const Piece& piece = plan->pieces[static_cast<size_t>(id)];
+      const bool scan = qry::PopCount(piece.rels) == 1;  // needs no pass
+      if (!scan) CountPiece(plan, id);
+      if (!keep(piece.rels,
+                scan ? rows_[static_cast<size_t>(piece.top)].size() : piece.count)) {
         return false;
       }
     }
     return true;
   }
 
-  /// `parent` (the rows of `rels`) joined to the scan of `pos`, the smaller
-  /// side building. The output keeps the row ids of the tables with an edge
-  /// leaving the child — none for the whole query, a count-only join.
-  exec::RowSetPtr Join(qry::RelSet rels, const exec::RowSet& parent, int pos,
-                       bool* overflow) const {
-    const exec::RowSet& scan = *scans_[static_cast<size_t>(pos)];
-    const bool scan_builds = scan.num_rows() <= parent.num_rows();
-    const exec::RowSet& outer = scan_builds ? parent : scan;
-    const exec::RowSet& inner = scan_builds ? scan : parent;
-    // Each crossing edge as (outer column, inner column): the first drives
-    // the hash join, any others stay behind as residual filters.
-    std::vector<std::pair<db::ColRef, db::ColRef>> residual;
-    for (int join_idx : graph_.JoinsBetween(rels, qry::Bit(pos))) {
-      const qry::Join& join = query_.joins[static_cast<size_t>(join_idx)];
-      const bool left_in_scan = query_.PositionOf(join.left.table) == pos;
-      const db::ColRef parent_col = left_in_scan ? join.right : join.left;
-      const db::ColRef scan_col = left_in_scan ? join.left : join.right;
-      residual.emplace_back(scan_builds ? parent_col : scan_col,
-                            scan_builds ? scan_col : parent_col);
+  /// One pass over the top table's rows: the piece's count and its message.
+  void CountPiece(Plan* plan, int id) {
+    if (plan->pieces[static_cast<size_t>(id)].counted) return;
+    Piece& piece = plan->pieces[static_cast<size_t>(id)];
+    const int v = piece.top;
+    struct Input {
+      const uint64_t* message;
+      const uint32_t* slots;
+    };
+    Input inputs[32];
+    for (int k = 0; k < piece.num_inputs; ++k) {
+      const int in = plan->inputs[static_cast<size_t>(piece.first_input + k)];
+      CountPiece(plan, in);
+      const Piece& child = plan->pieces[static_cast<size_t>(in)];
+      inputs[k] = {child.message.data(),
+                   Slots(plan->tree.parent_edge[static_cast<size_t>(child.top)], v)};
     }
-    const auto [outer_key, inner_key] = residual.front();
-    residual.erase(residual.begin());
-    const qry::RelSet child = rels | qry::Bit(pos);
-    std::vector<int32_t> out_rid_tables;
-    for (qry::RelSet s = child; s != 0; s &= s - 1) {
-      const int p = __builtin_ctz(s);
-      if ((graph_.Neighbors(qry::Bit(p)) & ~child) != 0) {
-        out_rid_tables.push_back(query_.tables[p]);
+    const int up_edge = plan->tree.parent_edge[static_cast<size_t>(v)];
+    const bool has_parent = up_edge >= 0;
+    const uint32_t* up = nullptr;
+    if (has_parent) {
+      up = Slots(up_edge, v);
+      piece.message.assign(edges_[static_cast<size_t>(up_edge)].num_slots, 0);
+    }
+    const size_t rows = rows_[static_cast<size_t>(v)].size();
+    uint64_t* message = piece.message.data();
+    uint64_t count = 0;
+    auto pass = [&](auto product_of) {
+      for (size_t i = 0; i < rows; ++i) {
+        const uint64_t product = product_of(i);
+        count = SatAdd(count, product);
+        if (has_parent) message[up[i]] = SatAdd(message[up[i]], product);
       }
+    };
+    switch (piece.num_inputs) {
+      case 0:
+        pass([](size_t) -> uint64_t { return 1; });
+        break;
+      case 1:
+        pass([&](size_t i) { return inputs[0].message[inputs[0].slots[i]]; });
+        break;
+      case 2:
+        pass([&](size_t i) {
+          return SatMul(inputs[0].message[inputs[0].slots[i]],
+                        inputs[1].message[inputs[1].slots[i]]);
+        });
+        break;
+      default:
+        pass([&](size_t i) {
+          uint64_t product = 1;
+          for (int k = 0; k < piece.num_inputs; ++k) {
+            product = SatMul(product, inputs[k].message[inputs[k].slots[i]]);
+          }
+          return product;
+        });
     }
-    return exec::LateHashJoin(db_, outer, inner, outer_key, inner_key,
-                              residual, {}, out_rid_tables, max_rows_,
-                              overflow);
+    piece.count = count;
+    piece.counted = true;
   }
 
-  const db::Database& db_;
-  const qry::Query& query_;
-  const qry::JoinGraph graph_;
-  const size_t max_rows_;
-  const bool require_nonempty_;
-  std::unordered_map<qry::RelSet, uint64_t>* counts_;
-  std::vector<exec::RowSetPtr> scans_;  // by table position
+  /// Slots of table `pos`'s filtered rows on edge `edge`, translated the
+  /// first time the edge is used.
+  const uint32_t* Slots(int edge, int pos) {
+    Edge& e = edges_[static_cast<size_t>(edge)];
+    if (!e.translated) {
+      e.num_slots = TranslateKeys(
+          {e.col_a->data(), &rows_[static_cast<size_t>(e.a)], &e.slots_a},
+          {e.col_b->data(), &rows_[static_cast<size_t>(e.b)], &e.slots_b});
+      e.translated = true;
+    }
+    return e.a == pos ? e.slots_a.data() : e.slots_b.data();
+  }
+
+  const int n_;
+  std::vector<std::vector<std::pair<int, int>>> adjacent_;  // (table, edge)
+  std::vector<Edge> edges_;                    // by join index
+  std::vector<std::vector<uint32_t>> rows_;    // filtered rows by position
 };
+
+/// Every canonical-plan node's subset, children first.
+std::vector<qry::RelSet> CanonicalNodes(const qry::Query& query) {
+  const auto tree = qry::BuildCanonicalTree(query, query.AllRels());
+  std::vector<const qry::LogicalNode*> nodes;
+  qry::PostOrder(tree.get(), &nodes);
+  std::vector<qry::RelSet> out;
+  out.reserve(nodes.size());
+  for (const qry::LogicalNode* node : nodes) out.push_back(node->rels);
+  return out;
+}
+
+/// True when a counted subset stays within the row cap: scans are never
+/// capped, and a count that does not fit in 64 bits always exceeds it.
+bool WithinCap(qry::RelSet rels, uint64_t count, size_t max_node_rows) {
+  if (count == kSaturated) return false;
+  return qry::PopCount(rels) < 2 || max_node_rows == 0 || count <= max_node_rows;
+}
 
 }  // namespace
 
 bool CountConnectedSubsets(const db::Database& database, const qry::Query& query,
                            size_t max_node_rows, bool require_nonempty,
                            std::unordered_map<qry::RelSet, uint64_t>* counts) {
-  return SubsetCounter(database, query, max_node_rows, require_nonempty, counts)
-      .Run();
+  JoinTreeCounter counter(database, query);
+  return counter.Count(
+      counter.ConnectedSubsets(), [&](qry::RelSet rels, uint64_t count) {
+        if (count == kSaturated) return false;  // no exact count to record
+        (*counts)[rels] = count;
+        if (require_nonempty && count == 0) return false;
+        return WithinCap(rels, count, max_node_rows);
+      });
 }
 
 bool AcceptQuery(const db::Database& database, const GeneratorOptions& options,
                  LabeledQuery* labeled) {
   if (!options.validate_all_subsets || options.max_node_rows == 0) {
-    // The canonical plan's run bounds its own nodes and labels them.
+    // The canonical nodes bound and label themselves.
     if (!TryLabelQuery(database, labeled, options.max_node_rows)) return false;
     return !options.require_nonempty || labeled->FinalCard() > 0;
   }
   // Canonical-plan nodes are connected subsets and scans are uncapped, so
-  // the pass's decision is the canonical run's and every subset's together.
+  // the pass's decision is the canonical nodes' and every subset's together.
   std::unordered_map<qry::RelSet, uint64_t> counts;
   if (!CountConnectedSubsets(database, labeled->query, options.max_node_rows,
                              options.require_nonempty, &counts)) {
     return false;
   }
-  const auto tree =
-      qry::BuildCanonicalTree(labeled->query, labeled->query.AllRels());
-  std::vector<const qry::LogicalNode*> nodes;
-  qry::PostOrder(tree.get(), &nodes);
-  for (const qry::LogicalNode* node : nodes) {
-    labeled->true_cards[node->rels] = counts.at(node->rels);
+  for (qry::RelSet rels : CanonicalNodes(labeled->query)) {
+    labeled->true_cards[rels] = counts.at(rels);
   }
   return true;
 }
 
 void LabelQuery(const db::Database& database, LabeledQuery* out) {
   const bool ok = TryLabelQuery(database, out, /*max_node_rows=*/0);
-  LPCE_CHECK(ok);
+  LPCE_CHECK_MSG(ok, "a canonical-plan node's count overflows 64 bits");
 }
 
 bool TryLabelQuery(const db::Database& database, LabeledQuery* out,
                    size_t max_node_rows) {
-  auto plan = exec::BuildCanonicalHashPlan(out->query);
-  exec::Executor executor(&database, &out->query);
-  exec::Executor::Options options;
-  options.max_node_rows = max_node_rows;
-  exec::Executor::RunResult run = executor.Run(plan.get(), options);
-  if (run.aborted) return false;
-  std::vector<const exec::PlanNode*> nodes;
-  exec::PostOrderPlan(plan.get(), &nodes);
-  for (const exec::PlanNode* node : nodes) {
-    out->true_cards[node->rels] = node->actual_card;
-  }
+  std::unordered_map<qry::RelSet, uint64_t> cards;
+  const bool ok = JoinTreeCounter(database, out->query)
+                      .Count(CanonicalNodes(out->query),
+                             [&](qry::RelSet rels, uint64_t count) {
+                               cards[rels] = count;
+                               return WithinCap(rels, count, max_node_rows);
+                             });
+  if (!ok) return false;
+  for (const auto& [rels, card] : cards) out->true_cards[rels] = card;
   return true;
 }
 

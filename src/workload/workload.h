@@ -4,10 +4,12 @@
 // target number of joins, plus per-table filter predicates whose operands
 // are drawn from the live data (paper Sec. 7.1, following Kipf et al.).
 // Each query is labelled with the true cardinality of every node of its
-// canonical plan — the supervision the node-wise loss (Eq. 3) needs. The
-// labels come from the pass that accepted the query: the canonical plan's
-// run, or, when every connected subset is validated, one hash join per
-// connected subset (CountConnectedSubsets; DESIGN.md "Workload labelling").
+// canonical plan — the supervision the node-wise loss (Eq. 3) needs. Every
+// generated query is a tree, so the labels come from one counting pass over
+// its join tree (Yannakakis's acyclic counting): per-key counts flow from
+// the leaves to a root, and no join result is built. The same pass bounds
+// the canonical nodes or, when every connected subset is validated, every
+// connected subset (DESIGN.md "Workload labelling").
 #ifndef LPCE_WORKLOAD_WORKLOAD_H_
 #define LPCE_WORKLOAD_WORKLOAD_H_
 
@@ -39,13 +41,14 @@ struct GeneratorOptions {
   /// Re-draw a query whose final result is empty (used for test sets, where
   /// empty results make end-to-end comparisons degenerate).
   bool require_nonempty = false;
-  /// Re-draw a query if any canonical-plan node exceeds this many rows — an
+  /// Re-draw a query if any canonical-plan join exceeds this many rows — an
   /// in-memory materializing executor needs bounded intermediates (0 = off).
+  /// A count that does not fit in 64 bits always exceeds it.
   size_t max_node_rows = 4'000'000;
-  /// Additionally verify EVERY connected subset stays under max_node_rows,
-  /// so that any join order a (mis-)optimizer picks is executable. Used for
-  /// the end-to-end test workloads; costs one hash join per connected subset
-  /// of two or more tables instead of one per canonical-plan join.
+  /// Additionally verify EVERY connected subset of two or more tables stays
+  /// under max_node_rows, so that any join order a (mis-)optimizer picks is
+  /// executable. Used for the end-to-end test workloads; the counting pass
+  /// then counts every connected subset instead of the canonical nodes only.
   bool validate_all_subsets = false;
   int max_attempts = 400;
 };
@@ -56,9 +59,9 @@ using QueryValidator = bool (*)(const db::Database& database,
                                 const GeneratorOptions& options,
                                 LabeledQuery* labeled);
 
-/// The generator's validator: bounded canonical-plan nodes (every connected
+/// The generator's validator: bounded canonical-plan joins (every connected
 /// subset under validate_all_subsets) and, if required, a non-empty result.
-/// Labels come from the pass that decided.
+/// Labels come from the counting pass that decided.
 bool AcceptQuery(const db::Database& database, const GeneratorOptions& options,
                  LabeledQuery* labeled);
 
@@ -86,23 +89,25 @@ class QueryGenerator {
   Rng rng_;
 };
 
-/// Counts every connected subset of `query` in one depth-first pass: a
-/// subset of k >= 2 tables is its parent (k - 1 tables, materialized on the
-/// DFS path as row ids) hash-joined to one filtered base-table scan. Returns
-/// false at the first join that would emit more than `max_node_rows` rows
-/// (0 = unlimited; scans are never capped) and, under `require_nonempty`, at
-/// the first empty subset — an empty connected subset empties the query.
-/// `counts` receives every subset counted before the pass stopped.
+/// Counts every connected subset of the tree query `query` in one counting
+/// pass. Returns false at the first subset of two or more tables that counts
+/// more than `max_node_rows` rows (0 = unlimited; scans are never capped) or
+/// does not fit in 64 bits and, under `require_nonempty`, at the first empty
+/// subset — an empty connected subset empties the query. `counts` receives
+/// every subset counted before the pass stopped, each exact. Dies with a
+/// message if `query` is not a tree (k tables, k - 1 joins connecting them).
 bool CountConnectedSubsets(const db::Database& database, const qry::Query& query,
                            size_t max_node_rows, bool require_nonempty,
                            std::unordered_map<qry::RelSet, uint64_t>* counts);
 
-/// Executes the canonical hash plan and records every node's actual
-/// cardinality into `out->true_cards`.
+/// Counts every node of the tree query's canonical plan into
+/// `out->true_cards`. Dies if a count does not fit in 64 bits or the query
+/// is not a tree.
 void LabelQuery(const db::Database& database, LabeledQuery* out);
 
-/// As LabelQuery, but aborts (returning false) if any plan node would
-/// materialize more than `max_node_rows` rows (0 = unlimited).
+/// As LabelQuery, but returns false, recording nothing, if a canonical-plan
+/// join counts more than `max_node_rows` rows (0 = unlimited) or a count
+/// does not fit in 64 bits.
 bool TryLabelQuery(const db::Database& database, LabeledQuery* out,
                    size_t max_node_rows);
 

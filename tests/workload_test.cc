@@ -1,8 +1,12 @@
 // Workload generator and labeling tests, including the differential suite
-// of the connected-subset pass (wk::AcceptQuery under validate_all_subsets)
-// against the reference validator and the exact-cardinality oracle kept with
-// the tests.
+// of the counting pass over the join tree (wk::AcceptQuery,
+// wk::CountConnectedSubsets, wk::TryLabelQuery) against the oracles kept with
+// the tests: the hash-join DFS and the canonical-plan run
+// (testing/reference_generator.h) and the exact-cardinality oracle. Counts
+// that overflow 64 bits and queries that are not trees fail closed.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "exec/executor.h"
 #include "query/join_graph.h"
@@ -232,16 +236,18 @@ TEST_F(SubsetValidationTest, ZeroRowCapTurnsValidationOff) {
   for (const auto& labeled : ExpectSameGeneration(opts, 12, 1, 6)) {
     LabeledQuery relabeled;
     relabeled.query = labeled.query;
-    LabelQuery(*database_, &relabeled);
+    ASSERT_TRUE(testing::CanonicalPlanLabel(*database_, &relabeled, 0));
     EXPECT_EQ(labeled.true_cards, relabeled.true_cards);
   }
 }
 
 TEST_F(SubsetValidationTest, DecisionsLabelsAndCountsMatchReferenceAndOracle) {
   // Seeds x 1-8 joins x row caps (the small ones reject) x require_nonempty:
-  // the production decision and labels must equal the reference's, and
-  // every subset the pass counted must equal the exact oracle; an accepting
-  // pass must have counted every connected subset.
+  // the production decision and labels must equal the reference's, the
+  // counting pass must decide as the hash-join DFS does and, when both
+  // accept, count the same subsets; every subset it counted must equal the
+  // exact oracle, and an accepting pass must have counted every connected
+  // subset.
   const size_t kCaps[] = {40, 400, 4000};
   int accepted = 0, rejected = 0;
   int accepted_scan_over_cap = 0;     // scans are not capped
@@ -271,9 +277,13 @@ TEST_F(SubsetValidationTest, DecisionsLabelsAndCountsMatchReferenceAndOracle) {
                 << context;
             EXPECT_EQ(prod.true_cards, ref.true_cards) << context;
 
-            std::unordered_map<qry::RelSet, uint64_t> counts;
+            std::unordered_map<qry::RelSet, uint64_t> counts, dfs_counts;
             EXPECT_EQ(CountConnectedSubsets(*database_, query, cap, nonempty,
                                             &counts),
+                      ok)
+                << context;
+            EXPECT_EQ(testing::HashJoinCountConnectedSubsets(
+                          *database_, query, cap, nonempty, &dfs_counts),
                       ok)
                 << context;
             bool scan_over_cap = false, empty_subset = false;
@@ -290,6 +300,7 @@ TEST_F(SubsetValidationTest, DecisionsLabelsAndCountsMatchReferenceAndOracle) {
             }
             ++accepted;
             EXPECT_EQ(counts.size(), static_cast<size_t>(connected)) << context;
+            EXPECT_EQ(counts, dfs_counts) << context;
             accepted_scan_over_cap += scan_over_cap ? 1 : 0;
             accepted_with_empty_subset += empty_subset ? 1 : 0;
           }
@@ -302,6 +313,251 @@ TEST_F(SubsetValidationTest, DecisionsLabelsAndCountsMatchReferenceAndOracle) {
   EXPECT_GT(rejected, 0);
   EXPECT_GT(accepted_scan_over_cap, 0);
   EXPECT_GT(accepted_with_empty_subset, 0);
+}
+
+TEST_F(SubsetValidationTest, ValidationOffMatchesTheCanonicalPlan) {
+  // Without validate_all_subsets only the canonical plan's joins are capped,
+  // and require_nonempty looks at the final count only: decisions and labels
+  // must equal the canonical plan's run through the executor.
+  const size_t kCaps[] = {0, 40, 400, 4000};
+  int accepted = 0, rejected = 0;
+  int accepted_with_subset_over_cap = 0;  // a non-canonical subset only
+  for (uint64_t seed : {4, 23}) {
+    for (int joins = 1; joins <= 8; ++joins) {
+      for (const qry::Query& query : Candidates(seed, joins, 5)) {
+        std::unordered_map<qry::RelSet, uint64_t> all;
+        ASSERT_TRUE(CountConnectedSubsets(*database_, query, 0, false, &all));
+        for (size_t cap : kCaps) {
+          const std::string context = "seed " + std::to_string(seed) +
+                                      " joins " + std::to_string(joins) +
+                                      " cap " + std::to_string(cap);
+          LabeledQuery prod, ref;
+          prod.query = ref.query = query;
+          const bool ok = TryLabelQuery(*database_, &prod, cap);
+          ASSERT_EQ(ok, testing::CanonicalPlanLabel(*database_, &ref, cap))
+              << context;
+          EXPECT_EQ(prod.true_cards, ref.true_cards) << context;
+          for (bool nonempty : {false, true}) {
+            GeneratorOptions opts;
+            opts.max_node_rows = cap;
+            opts.require_nonempty = nonempty;
+            LabeledQuery accept_prod, accept_ref;
+            accept_prod.query = accept_ref.query = query;
+            const bool accept = AcceptQuery(*database_, opts, &accept_prod);
+            ASSERT_EQ(accept, testing::ReferenceAcceptQuery(*database_, opts,
+                                                            &accept_ref))
+                << context << (nonempty ? " nonempty" : "");
+            if (accept) {
+              EXPECT_EQ(accept_prod.true_cards, accept_ref.true_cards)
+                  << context;
+            }
+          }
+          if (!ok) {
+            ++rejected;
+            continue;
+          }
+          ++accepted;
+          bool subset_over_cap = false;
+          for (const auto& [rels, count] : all) {
+            subset_over_cap |= cap > 0 && qry::PopCount(rels) > 1 && count > cap;
+          }
+          accepted_with_subset_over_cap += subset_over_cap ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted_with_subset_over_cap, 0);
+}
+
+TEST_F(SubsetValidationTest, ArbitraryInt64KeysMatchTheOracles) {
+  // The same data with every key column sent through a bijection of int64
+  // (odd multiplier, wrapping): keys spread over the whole range, negative
+  // ones included, so slots come from hashing instead of key offsets.
+  auto spread = std::make_unique<db::Database>();
+  const db::Catalog& catalog = database_->catalog();
+  auto is_key = [&](int32_t table, int32_t column) {
+    if (column == 0) return true;
+    for (const auto& edge : catalog.join_edges()) {
+      if ((edge.left.table == table && edge.left.column == column) ||
+          (edge.right.table == table && edge.right.column == column)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (int32_t t = 0; t < catalog.num_tables(); ++t) {
+    const int32_t id = spread->AddTable(catalog.table(t));
+    const db::Table& src = database_->table(t);
+    for (int32_t c = 0; c < static_cast<int32_t>(src.num_columns()); ++c) {
+      std::vector<int64_t>& dst = spread->table(id).mutable_column(c);
+      dst = src.column(static_cast<size_t>(c));
+      if (!is_key(t, c)) continue;
+      for (int64_t& v : dst) {
+        v = static_cast<int64_t>(static_cast<uint64_t>(v) * 0x9E3779B97F4A7C15ull +
+                                 0x7F4A7C15ull);
+      }
+    }
+  }
+  for (const auto& edge : catalog.join_edges()) {
+    spread->catalog().AddJoinEdge(edge.left, edge.right);
+  }
+  spread->BuildAllIndexes();
+
+  GeneratorOptions draw;
+  int accepted = 0;
+  for (int joins = 1; joins <= 7; ++joins) {
+    draw.seed = 40 + static_cast<uint64_t>(joins);
+    QueryGenerator generator(
+        spread.get(), draw,
+        [](const db::Database&, const GeneratorOptions&, LabeledQuery*) {
+          return true;
+        });
+    for (int i = 0; i < 5; ++i) {
+      const qry::Query query = generator.Generate(joins);
+      std::unordered_map<qry::RelSet, uint64_t> counts, dfs_counts;
+      const bool ok = CountConnectedSubsets(*spread, query, 4000, false, &counts);
+      ASSERT_EQ(ok, testing::HashJoinCountConnectedSubsets(*spread, query, 4000,
+                                                           false, &dfs_counts));
+      for (const auto& [rels, count] : counts) {
+        EXPECT_EQ(count, testing::ExactCardinality(*spread, query, rels))
+            << "joins " << joins << " rels " << rels;
+      }
+      if (ok) {
+        ++accepted;
+        EXPECT_EQ(counts, dfs_counts) << "joins " << joins;
+      }
+      LabeledQuery prod, ref;
+      prod.query = ref.query = query;
+      ASSERT_EQ(TryLabelQuery(*spread, &prod, 4000),
+                testing::CanonicalPlanLabel(*spread, &ref, 4000));
+      EXPECT_EQ(prod.true_cards, ref.true_cards) << "joins " << joins;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+}
+
+// ---- Fail-closed shapes and overflow -----------------------------------------
+
+TEST_F(SubsetValidationTest, NonTreeQueriesFailClosed) {
+  const db::Catalog& catalog = database_->catalog();
+  const int32_t mi = catalog.FindTable("movie_info");
+  const int32_t midx = catalog.FindTable("movie_info_idx");
+  const int32_t title = catalog.FindTable("title");
+  // Parallel edges: movie_id = movie_id AND info_type_id = info_type_id.
+  qry::Query parallel;
+  parallel.tables = {mi, midx};
+  parallel.joins.push_back({{mi, 1}, {midx, 1}});
+  parallel.joins.push_back({{mi, 2}, {midx, 2}});
+  // A cycle: title joins both satellites, which also join each other.
+  qry::Query triangle;
+  triangle.tables = {title, mi, midx};
+  triangle.joins.push_back({{mi, 1}, {title, 0}});
+  triangle.joins.push_back({{midx, 1}, {title, 0}});
+  triangle.joins.push_back({{mi, 2}, {midx, 2}});
+  for (const qry::Query& query : {parallel, triangle}) {
+    LabeledQuery labeled;
+    labeled.query = query;
+    std::unordered_map<qry::RelSet, uint64_t> counts;
+    EXPECT_DEATH(CountConnectedSubsets(*database_, query, 0, false, &counts),
+                 "counting needs a tree query");
+    EXPECT_DEATH(TryLabelQuery(*database_, &labeled, 0),
+                 "counting needs a tree query");
+    EXPECT_DEATH(LabelQuery(*database_, &labeled),
+                 "counting needs a tree query");
+    GeneratorOptions opts;
+    opts.validate_all_subsets = true;
+    opts.max_node_rows = 1000;
+    EXPECT_DEATH(AcceptQuery(*database_, opts, &labeled),
+                 "counting needs a tree query");
+    // The oracles take any shape.
+    EXPECT_TRUE(testing::HashJoinCountConnectedSubsets(*database_, query, 0,
+                                                       false, &counts));
+    EXPECT_EQ(counts.at(query.AllRels()),
+              testing::ExactCardinality(*database_, query, query.AllRels()));
+  }
+}
+
+/// A star of `leaves` tables around a two-row hub, every table joined on a
+/// key that takes two values far apart (so slots come from hashing): each
+/// leaf has `rows` rows, half per key, so the whole query counts
+/// 2 * (rows / 2)^leaves rows.
+class CountOverflowTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kKeys[2] = {std::numeric_limits<int64_t>::min() + 7,
+                                       (int64_t{1} << 62) + 12345};
+
+  void SetUp() override {
+    database_ = std::make_unique<db::Database>();
+    hub_ = AddTable("hub", 2);
+    for (int i = 0; i < 7; ++i) leaves_.push_back(AddTable("leaf", 3000));
+  }
+
+  int32_t AddTable(const std::string& name, size_t rows) {
+    const int32_t id = database_->AddTable({name, {{"id"}, {"key"}}});
+    for (size_t r = 0; r < rows; ++r) {
+      database_->table(id).AppendRow({static_cast<int64_t>(r), kKeys[r % 2]});
+    }
+    return id;
+  }
+
+  qry::Query Star(int leaves) const {
+    qry::Query query;
+    query.tables = {hub_};
+    for (int i = 0; i < leaves; ++i) {
+      query.tables.push_back(leaves_[static_cast<size_t>(i)]);
+      query.joins.push_back({{leaves_[static_cast<size_t>(i)], 1}, {hub_, 1}});
+    }
+    return query;
+  }
+
+  std::unique_ptr<db::Database> database_;
+  int32_t hub_ = -1;
+  std::vector<int32_t> leaves_;
+};
+
+TEST_F(CountOverflowTest, CountsThatFitAreExact) {
+  // 2 * 1500^5 < 2^64: labelled exactly, through the hashed slots.
+  LabeledQuery labeled;
+  labeled.query = Star(5);
+  LabelQuery(*database_, &labeled);
+  uint64_t expected = 2;
+  for (int i = 0; i < 5; ++i) expected *= 1500;
+  EXPECT_EQ(labeled.FinalCard(), expected);
+  EXPECT_EQ(labeled.true_cards.at(qry::Bit(0) | qry::Bit(1)), 3000u);
+}
+
+TEST_F(CountOverflowTest, OverflowingCountsFailClosed) {
+  // 2 * 1500^7 > 2^64: the whole query's product overflows.
+  const qry::Query query = Star(7);
+  for (bool validate : {false, true}) {
+    GeneratorOptions opts;
+    opts.validate_all_subsets = validate;
+    opts.max_node_rows = validate ? std::numeric_limits<size_t>::max() : 0;
+    LabeledQuery labeled;
+    labeled.query = query;
+    EXPECT_FALSE(AcceptQuery(*database_, opts, &labeled)) << validate;
+    EXPECT_TRUE(labeled.true_cards.empty());
+  }
+  LabeledQuery labeled;
+  labeled.query = query;
+  EXPECT_FALSE(TryLabelQuery(*database_, &labeled, 0));
+  EXPECT_TRUE(labeled.true_cards.empty());
+  EXPECT_DEATH(LabelQuery(*database_, &labeled), "overflows 64 bits");
+
+  // Every count recorded before the pass stopped is exact: the hub with j
+  // leaves counts 2 * 1500^j.
+  std::unordered_map<qry::RelSet, uint64_t> counts;
+  EXPECT_FALSE(CountConnectedSubsets(*database_, query, 0, false, &counts));
+  EXPECT_EQ(counts.count(query.AllRels()), 0u);
+  for (const auto& [rels, count] : counts) {
+    uint64_t expected = qry::PopCount(rels) == 1 && rels != qry::Bit(0) ? 3000 : 2;
+    if (qry::Contains(rels, 0)) {
+      for (int j = 1; j < qry::PopCount(rels); ++j) expected *= 1500;
+    }
+    EXPECT_EQ(count, expected) << "rels " << rels;
+  }
 }
 
 }  // namespace
