@@ -31,9 +31,10 @@ void Run() {
               "train(s)", "epochs", "final loss", "e2e eval(s)");
   for (int n : sweep) {
     if (n < 8) continue;
-    // Sample collection: re-label the n training queries from scratch
-    // (execution of the canonical plans; paper Sec. 7.3 observes this
-    // dominates training cost).
+    // Sample collection: re-label the n training queries from scratch.
+    // Paper Sec. 7.3 executes the canonical plans and observes that this
+    // dominates training cost; here labels come from the counting pass over
+    // each query's join tree, which builds no join result.
     WallTimer collect_timer;
     std::vector<wk::LabeledQuery> subset(world.train.begin(),
                                          world.train.begin() + n);

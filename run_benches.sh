@@ -6,8 +6,9 @@
 # bench_parallel_scaling (training matmul speedup at pool caps 1/2/4/8,
 # identical results),
 # bench_planner_dp (DP search us per plan vs the reference DP, bit-identity),
-# bench_workload_label (validated generation ms per query vs the reference
-# validator, identical queries, decisions and labels), bench_train_level
+# bench_workload_label (generation ms per query, counting pass vs the
+# hash-join labelling and the reference validator, identical queries,
+# decisions and labels), bench_train_level
 # (ms per epoch of the level-batched trainers vs the taped oracle, identical
 # parameter bits),
 # bench_plancache, and bench_serving.
