@@ -3,10 +3,12 @@
 //
 // Each kernel streams its input in fixed-size batches of kDefaultBatchSize
 // candidates: scans drive every filter predicate through a branch-free
-// selection vector (common/selvec.h), and the hash join builds a flattened
-// bucket-segment table probed batch-at-a-time. Intermediates carry one
-// row-id column per still-referenced base table instead of payload columns
-// (late materialization, see exec/rowset.h); payload values — join keys,
+// selection vector (common/selvec.h), and the hash join maps inner keys to
+// dense slots with one row segment per distinct key, locates every outer
+// candidate's segment batch-at-a-time, then writes each output column once
+// at its exact size. Intermediates carry one row-id column per
+// still-referenced base table instead of payload columns (late
+// materialization, see exec/rowset.h); payload values — join keys,
 // residual keys — are read through the row ids at the operator that needs
 // them. Every kernel runs sequentially on the calling thread, and row order is
 // bit-identical to the row-at-a-time oracle kept with the tests
@@ -30,16 +32,6 @@ namespace lpce::exec {
 /// cache-resident.
 inline constexpr int kDefaultBatchSize = 1024;
 
-/// splitmix64 finalizer — spreads join keys across hash buckets even when
-/// they are small consecutive integers.
-inline uint64_t MixJoinKey(int64_t key) {
-  uint64_t x = static_cast<uint64_t>(key);
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// Batch scan: drives the table (or, for index scans, the row list the
 /// driving index produced) through `residual` predicates batch-at-a-time
 /// with selection vectors. The surviving selection vector becomes the
@@ -51,16 +43,23 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
                     const std::vector<qry::Predicate>& residual,
                     const std::vector<db::ColRef>& required);
 
-/// Hash join on row-id intermediates: the build gathers inner keys through
-/// the inner side's row ids into a flattened bucket-segment table (per-key
-/// matches enumerate in ascending inner-row order), the probe gathers outer
-/// keys batch-at-a-time and refines candidates branch-free against
-/// `residual_keys` (both sides read through their row ids). The output
-/// carries one row-id column per table in `out_rid_tables`; `required` is
-/// recorded in its schema unmaterialized. Sets *overflow when more than
-/// `max_rows` rows would be emitted (0 = unlimited) — checked before any
-/// buffer grows past one bucket segment or any row past the budget is
-/// emitted, so an exploding join never materializes its explosion.
+/// Hash join on row-id intermediates, in two passes over a key-slot build.
+/// The build gathers the inner keys through the inner side's row ids once,
+/// maps each distinct key to a slot (exec/key_slots.h: by offset for dense
+/// keys, else a dictionary) and counting-sorts the inner rows into one
+/// segment per slot, in ascending inner-row order. The first probe pass
+/// gathers outer keys batch-at-a-time and records, per matching candidate,
+/// its segment (start, count); their sum is the output size. The second
+/// pass allocates each output row-id column once at that size and fills it
+/// (count-only root joins stop after the first pass); with `residual_keys`
+/// it instead expands the matches a batch of pairs at a time, refines them
+/// branch-free (both sides read through their row ids) and appends the
+/// survivors. The output carries one row-id column per table in
+/// `out_rid_tables`; `required` is recorded in its schema unmaterialized.
+/// Sets *overflow iff more than `max_rows` rows would be emitted
+/// (0 = unlimited) — tested on the counts before any output column is
+/// allocated, or per refined batch before any survivor past the budget is
+/// appended, so an exploding join never materializes its explosion.
 RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
                        const RowSet& inner, db::ColRef outer_key,
                        db::ColRef inner_key,

@@ -30,25 +30,27 @@ void SortedIndex::Build(const Table& table, size_t col) {
   std::sort(entries_.begin(), entries_.end());
 }
 
-std::vector<uint32_t> SortedIndex::RangeLookup(int64_t lo, int64_t hi) const {
-  std::vector<uint32_t> out;
-  if (lo > hi) return out;
+std::pair<size_t, size_t> SortedIndex::Range(int64_t lo, int64_t hi) const {
+  if (lo > hi) return {0, 0};
   auto begin = std::lower_bound(entries_.begin(), entries_.end(),
                                 std::make_pair(lo, uint32_t{0}));
-  for (auto it = begin; it != entries_.end() && it->first <= hi; ++it) {
-    out.push_back(it->second);
-  }
+  auto end = std::upper_bound(
+      begin, entries_.end(),
+      std::make_pair(hi, std::numeric_limits<uint32_t>::max()));
+  return {static_cast<size_t>(begin - entries_.begin()),
+          static_cast<size_t>(end - entries_.begin())};
+}
+
+std::vector<uint32_t> SortedIndex::RangeLookup(int64_t lo, int64_t hi) const {
+  const auto [begin, end] = Range(lo, hi);
+  std::vector<uint32_t> out(end - begin);
+  for (size_t i = begin; i < end; ++i) out[i - begin] = entries_[i].second;
   return out;
 }
 
 size_t SortedIndex::RangeCount(int64_t lo, int64_t hi) const {
-  if (lo > hi) return 0;
-  auto begin = std::lower_bound(entries_.begin(), entries_.end(),
-                                std::make_pair(lo, uint32_t{0}));
-  auto end = std::upper_bound(
-      entries_.begin(), entries_.end(),
-      std::make_pair(hi, std::numeric_limits<uint32_t>::max()));
-  return static_cast<size_t>(end - begin);
+  const auto [begin, end] = Range(lo, hi);
+  return end - begin;
 }
 
 }  // namespace lpce::db

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -82,6 +83,9 @@ class SortedIndex {
   const std::vector<std::pair<int64_t, uint32_t>>& entries() const { return entries_; }
 
  private:
+  /// [begin, end) positions in entries_ of the values in [lo, hi].
+  std::pair<size_t, size_t> Range(int64_t lo, int64_t hi) const;
+
   std::vector<std::pair<int64_t, uint32_t>> entries_;
 };
 

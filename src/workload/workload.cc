@@ -5,6 +5,8 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/selvec.h"
+#include "exec/key_slots.h"
 #include "exec/vectorized.h"
 
 namespace lpce::wk {
@@ -129,64 +131,6 @@ uint64_t SatAdd(uint64_t a, uint64_t b) {
   return __builtin_add_overflow(a, b, &r) ? kSaturated : r;
 }
 
-/// One side of a join edge: the key column and the table's filtered rows.
-struct KeySide {
-  const int64_t* col;
-  const std::vector<uint32_t>* rows;
-  std::vector<uint32_t>* slots;  // out: one slot per filtered row
-};
-
-/// Translates an edge's join keys into dense slots once: every filtered row
-/// of either side gets its key's slot, and equal keys share one. Keys whose
-/// range is at most a few times the row count map by offset; any other int64
-/// keys go through an open-addressing table. Returns the slot count.
-uint32_t TranslateKeys(KeySide a, KeySide b) {
-  int64_t lo = std::numeric_limits<int64_t>::max();
-  int64_t hi = std::numeric_limits<int64_t>::min();
-  uint64_t n = 0;
-  for (const KeySide& side : {a, b}) {
-    for (uint32_t r : *side.rows) {
-      lo = std::min(lo, side.col[r]);
-      hi = std::max(hi, side.col[r]);
-    }
-    n += side.rows->size();
-    side.slots->resize(side.rows->size());
-  }
-  if (n == 0) return 0;
-  LPCE_CHECK(n < std::numeric_limits<uint32_t>::max());  // slots are uint32
-  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-  if (span <= 4 * n + 64 && span < std::numeric_limits<uint32_t>::max()) {
-    for (const KeySide& side : {a, b}) {
-      uint32_t* out = side.slots->data();
-      for (uint32_t r : *side.rows) {
-        *out++ = static_cast<uint32_t>(static_cast<uint64_t>(side.col[r]) -
-                                       static_cast<uint64_t>(lo));
-      }
-    }
-    return static_cast<uint32_t>(span + 1);
-  }
-  uint64_t capacity = 16;
-  while (capacity < 2 * n) capacity <<= 1;
-  const int shift = __builtin_clzll(capacity) + 1;
-  std::vector<int64_t> keys(capacity);
-  std::vector<uint32_t> ids(capacity, 0);  // slot + 1; 0 = empty
-  uint32_t next = 0;
-  for (const KeySide& side : {a, b}) {
-    uint32_t* out = side.slots->data();
-    for (uint32_t r : *side.rows) {
-      const int64_t key = side.col[r];
-      uint64_t h = (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift;
-      while (ids[h] != 0 && keys[h] != key) h = (h + 1) & (capacity - 1);
-      if (ids[h] == 0) {
-        keys[h] = key;
-        ids[h] = ++next;
-      }
-      *out++ = ids[h] - 1;
-    }
-  }
-  return next;
-}
-
 /// The counting pass behind CountConnectedSubsets and TryLabelQuery, over
 /// one tree query. With the tree rooted, every connected subset S has one
 /// top table v (the one nearest the root), and
@@ -270,7 +214,7 @@ class JoinTreeCounter {
     const std::vector<int64_t>* col_b = nullptr;
     bool translated = false;
     uint32_t num_slots = 0;
-    std::vector<uint32_t> slots_a, slots_b;  // by filtered row of a, of b
+    std::vector<uint32_t> slots;  // by filtered row of a, then of b
   };
 
   /// The query's tree hung from one table.
@@ -478,17 +422,26 @@ class JoinTreeCounter {
     piece.counted = true;
   }
 
-  /// Slots of table `pos`'s filtered rows on edge `edge`, translated the
-  /// first time the edge is used.
+  /// Slots of table `pos`'s filtered rows on edge `edge`. The first use
+  /// gathers both sides' keys through their filtered rows once and maps
+  /// them into one slot space, so equal keys share a slot across the edge.
   const uint32_t* Slots(int edge, int pos) {
     Edge& e = edges_[static_cast<size_t>(edge)];
+    const std::vector<uint32_t>& rows_a = rows_[static_cast<size_t>(e.a)];
     if (!e.translated) {
-      e.num_slots = TranslateKeys(
-          {e.col_a->data(), &rows_[static_cast<size_t>(e.a)], &e.slots_a},
-          {e.col_b->data(), &rows_[static_cast<size_t>(e.b)], &e.slots_b});
+      const std::vector<uint32_t>& rows_b = rows_[static_cast<size_t>(e.b)];
+      std::vector<int64_t> keys(rows_a.size() + rows_b.size());
+      common::GatherSelected(e.col_a->data(), rows_a.data(), rows_a.size(),
+                             keys.data());
+      common::GatherSelected(e.col_b->data(), rows_b.data(), rows_b.size(),
+                             keys.data() + rows_a.size());
+      e.slots.resize(keys.size());
+      exec::KeySlots slots;
+      slots.Build(keys.data(), keys.size(), e.slots.data());
+      e.num_slots = slots.num_slots();
       e.translated = true;
     }
-    return e.a == pos ? e.slots_a.data() : e.slots_b.data();
+    return e.a == pos ? e.slots.data() : e.slots.data() + rows_a.size();
   }
 
   const int n_;
