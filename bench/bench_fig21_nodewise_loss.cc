@@ -27,6 +27,7 @@ void RunSet(const World& world, int joins) {
               "all-nodes mean q");
   for (const auto& variant : variants) {
     std::vector<double> root_q;
+    std::vector<std::vector<model::TreeModel::InferNodeOutput>> outputs;
     double node_total = 0.0;
     int node_count = 0;
     for (const auto& labeled : world.test_by_joins.at(joins)) {
@@ -34,12 +35,11 @@ void RunSet(const World& world, int joins) {
           qry::BuildCanonicalTree(labeled.query, labeled.query.AllRels());
       auto tree = model::MakeEstTree(labeled.query, logical.get(),
                                      *world.database, &labeled.true_cards);
-      auto outputs = variant.tree_model->Forward(labeled.query, tree.get());
-      for (const auto& out : outputs) {
+      variant.tree_model->InferTrees({{&labeled.query, tree.get()}},
+                                     &outputs);
+      for (const auto& out : outputs[0]) {
         if (out.node->true_card < 0) continue;
-        const double est = variant.tree_model->YToCard(
-            static_cast<double>(out.y->value().at(0, 0)));
-        const double q = exec::QError(est, out.node->true_card);
+        const double q = exec::QError(out.card, out.node->true_card);
         node_total += q;
         ++node_count;
         if (out.node->rels == labeled.query.AllRels()) root_q.push_back(q);

@@ -8,6 +8,7 @@
 #include "nn/adam.h"
 #include "nn/cells.h"
 #include "nn/kernels.h"
+#include "testing/tape.h"
 
 namespace lpce::nn {
 namespace {
@@ -80,7 +81,7 @@ void BM_SruStepGraph(benchmark::State& state) {
   Tensor x = MakeTensor(RandomMatrix(&rng, 1, dim));
   Tensor cl = MakeTensor(RandomMatrix(&rng, 1, dim));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.Step(x, cl, nullptr));
+    benchmark::DoNotOptimize(Step(cell, x, cl, nullptr));
   }
 }
 BENCHMARK(BM_SruStepGraph)->Arg(32)->Arg(96);
@@ -94,14 +95,14 @@ void BM_LstmStepGraph(benchmark::State& state) {
   Tensor cl = MakeTensor(RandomMatrix(&rng, 1, dim));
   Tensor hl = MakeTensor(RandomMatrix(&rng, 1, dim));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.Step(x, cl, hl, nullptr, nullptr));
+    benchmark::DoNotOptimize(Step(cell, x, cl, hl, nullptr, nullptr));
   }
 }
 BENCHMARK(BM_LstmStepGraph)->Arg(32)->Arg(96);
 
 void BM_TrainStepChain(benchmark::State& state) {
-  // One forward+backward+Adam step through an 8-deep SRU chain — the inner
-  // loop of LPCE-I training.
+  // One forward+backward+Adam step through an 8-deep SRU chain on the tests'
+  // autograd tape (the training oracle's inner loop).
   const size_t dim = static_cast<size_t>(state.range(0));
   Rng rng(5);
   ParamStore store;
@@ -114,7 +115,7 @@ void BM_TrainStepChain(benchmark::State& state) {
   for (auto _ : state) {
     Tensor c, h;
     for (const Tensor& x : inputs) {
-      CellOutput out = cell.Step(x, c, nullptr);
+      CellOutput out = Step(cell, x, c, nullptr);
       c = out.c;
       h = out.h;
     }

@@ -1,11 +1,15 @@
-// Training bench: ms per epoch of the level-batched trainers against the
-// taped oracle kept with the tests (tests/testing/taped_trainer.h: every tree
-// alone through TreeModel::Forward and nn::Backward), for the three trainers
-// perfbench's set-up runs: the dim-96 node-wise teacher (TrainTreeModel),
-// distillation into the dim-32 student (DistillTreeModel, one hint and one
-// prediction epoch) and LPCE-R's stage 2 (TrainLpceR, kFull). Alongside, the
-// pin the speedup rides on: both trainers must leave every parameter bit,
-// epoch loss and gradient norm equal.
+// Training bench: ms per epoch of the explicit-backward trainers against the
+// taped oracle kept with the tests (tests/testing/taped_trainer.h: every
+// sample alone through testing::TapedForward and nn::Backward), for the
+// three trainers perfbench's set-up runs: the dim-96 node-wise teacher
+// (TrainTreeModel), distillation into the dim-32 student (DistillTreeModel,
+// one hint and one prediction epoch) and LPCE-R's stage 2 (TrainLpceR,
+// kFull); plus two that only the paper benches train: a dim-96 query-wise
+// TLSTM (TrainTreeModel on the LSTM cell) and MSCN (card::TrainMscn).
+// Alongside, the pin the speedup rides on: both trainers must leave every
+// parameter bit, epoch loss and gradient norm equal (MSCN reports only its
+// last epoch's mean loss, compared to a relative 1e-12: its division may
+// compile to a reciprocal multiply in one trainer only).
 //
 // Self-contained like bench_workload_label: builds its own synthetic
 // database and runs in seconds.
@@ -27,7 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "card/mscn.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "lpce/lpce_r.h"
 #include "lpce/tree_model.h"
 #include "stats/column_stats.h"
@@ -140,7 +146,17 @@ int Run(int argc, char** argv) {
   std::printf("Training bench: %d queries (2-8 joins), scale %.2f, "
               "min of %d repeats\n",
               kQueries, kScale, kRepeats);
-  Row rows[3] = {{"teacher"}, {"distill"}, {"lpce_r_refine"}};
+  constexpr int kRows = 5;
+  Row rows[kRows] = {{"teacher"}, {"distill"}, {"lpce_r_refine"}, {"tlstm"},
+                     {"mscn"}};
+  model::TreeModelConfig tlstm_config = teacher_config;
+  tlstm_config.use_lstm = true;
+  model::TrainOptions query_wise = node_wise;
+  query_wise.node_wise = false;
+  card::MscnConfig mscn_config;
+  mscn_config.log_max_card = student.log_max_card;
+  card::MscnTrainOptions mscn_options;
+  mscn_options.epochs = 2;
   // The teacher the distillation and LPCE-R rows start from.
   model::TreeModel teacher(&encoder, teacher_config);
   model::TrainTreeModel(&teacher, *database, train, node_wise);
@@ -151,8 +167,8 @@ int Run(int argc, char** argv) {
   model::DistillTreeModel(&distilled, teacher, *database, train, distill);
 
   for (int r = 0; r < kRepeats; ++r) {
-    double ms[3][2];
-    bool same[3];
+    double ms[kRows][2];
+    bool same[kRows];
     {
       model::TreeModel level(&encoder, teacher_config);
       model::TreeModel taped(&encoder, teacher_config);
@@ -197,7 +213,34 @@ int Run(int argc, char** argv) {
                                   &taped.cardinality().params()}),
                         a, b);
     }
-    for (int i = 0; i < 3; ++i) {
+    {
+      model::TreeModel level(&encoder, tlstm_config);
+      model::TreeModel taped(&encoder, tlstm_config);
+      const auto a = model::TrainTreeModel(&level, *database, train, query_wise);
+      const auto b =
+          testing::TapedTrainTreeModel(&taped, *database, train, query_wise);
+      ms[3][0] = MsPerEpoch(a);
+      ms[3][1] = MsPerEpoch(b);
+      same[3] = SameRun(Snapshot({&level.params()}),
+                        Snapshot({&taped.params()}), a, b);
+    }
+    {
+      card::MscnModel level(&database->catalog(), &encoder, mscn_config);
+      card::MscnModel taped(&database->catalog(), &encoder, mscn_config);
+      WallTimer level_timer;
+      const double a = card::TrainMscn(&level, train, mscn_options);
+      ms[4][0] = level_timer.ElapsedSeconds() * 1e3 / mscn_options.epochs;
+      WallTimer taped_timer;
+      const double b = testing::TapedTrainMscn(&taped, train, mscn_options);
+      ms[4][1] = taped_timer.ElapsedSeconds() * 1e3 / mscn_options.epochs;
+      const std::vector<float> pa = Snapshot({&level.params()});
+      const std::vector<float> pb = Snapshot({&taped.params()});
+      same[4] = pa.size() == pb.size() &&
+                std::memcmp(pa.data(), pb.data(), pa.size() * sizeof(float)) ==
+                    0 &&
+                std::fabs(a - b) <= 1e-12 * std::fabs(b);
+    }
+    for (int i = 0; i < kRows; ++i) {
       if (r == 0 || ms[i][0] < rows[i].level_ms) rows[i].level_ms = ms[i][0];
       if (r == 0 || ms[i][1] < rows[i].taped_ms) rows[i].taped_ms = ms[i][1];
       rows[i].same = rows[i].same && same[i];
@@ -219,7 +262,7 @@ int Run(int argc, char** argv) {
   }
   if (!metrics_json.empty()) {
     std::ofstream metrics_out(metrics_json, std::ios::app);
-    char line[512];
+    char line[768];
     std::snprintf(
         line, sizeof(line),
         "{\"bench\":\"train_level\",\"queries\":%d,\"scale\":%.3f,"
@@ -227,10 +270,13 @@ int Run(int argc, char** argv) {
         "\"teacher_ms_per_epoch\":%.3f,\"teacher_taped_ms_per_epoch\":%.3f,"
         "\"distill_ms_per_epoch\":%.3f,\"distill_taped_ms_per_epoch\":%.3f,"
         "\"lpce_r_refine_ms_per_epoch\":%.3f,"
-        "\"lpce_r_refine_taped_ms_per_epoch\":%.3f}\n",
+        "\"lpce_r_refine_taped_ms_per_epoch\":%.3f,"
+        "\"tlstm_ms_per_epoch\":%.3f,\"tlstm_taped_ms_per_epoch\":%.3f,"
+        "\"mscn_ms_per_epoch\":%.3f,\"mscn_taped_ms_per_epoch\":%.3f}\n",
         kQueries, kScale, kRepeats, mismatches, rows[0].level_ms,
         rows[0].taped_ms, rows[1].level_ms, rows[1].taped_ms,
-        rows[2].level_ms, rows[2].taped_ms);
+        rows[2].level_ms, rows[2].taped_ms, rows[3].level_ms,
+        rows[3].taped_ms, rows[4].level_ms, rows[4].taped_ms);
     metrics_out << line;
   }
   return mismatches > 0 ? 1 : 0;

@@ -1,11 +1,14 @@
 #include "engine/finetune.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/fpclass.h"
 #include "common/metrics.h"
 #include "engine/drift_monitor.h"
 
@@ -37,23 +40,36 @@ const FineTuneMetrics& Metrics() {
 
 }  // namespace
 
+namespace {
+
+/// Parses `name`'s value as a whole number or a finite decimal, all of it,
+/// through std::from_chars. Anything else, and any value <= 0, is a fatal
+/// error naming the knob and its value. The finiteness test reads the bits
+/// (common/fpclass.h): -ffast-math folds std::isfinite to true.
+template <typename T>
+T PositiveFromEnv(const char* name, T fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || value[0] == '\0') return fallback;
+  const std::string_view text(value);
+  T parsed{};
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  const bool ok = ec == std::errc() && ptr == text.data() + text.size() &&
+                  common::IsFinite(static_cast<double>(parsed)) && parsed > T{0};
+  const std::string msg = std::string(name) + "=\"" + value +
+                          "\" is not a finite positive number";
+  LPCE_CHECK_MSG(ok, msg.c_str());
+  return parsed;
+}
+
+}  // namespace
+
 FineTuneOptions FineTuneOptions::FromEnv() {
   FineTuneOptions options;
-  if (const char* v = std::getenv("LPCE_FINETUNE_EPOCHS");
-      v != nullptr && v[0] != '\0') {
-    const int parsed = std::atoi(v);
-    if (parsed > 0) options.epochs = parsed;
-  }
-  if (const char* v = std::getenv("LPCE_FINETUNE_LR");
-      v != nullptr && v[0] != '\0') {
-    const double parsed = std::atof(v);
-    if (parsed > 0.0) options.lr = static_cast<float>(parsed);
-  }
-  if (const char* v = std::getenv("LPCE_FINETUNE_MIN_RECORDS");
-      v != nullptr && v[0] != '\0') {
-    const long parsed = std::atol(v);
-    if (parsed > 0) options.min_records = static_cast<size_t>(parsed);
-  }
+  options.epochs = PositiveFromEnv("LPCE_FINETUNE_EPOCHS", options.epochs);
+  options.lr = PositiveFromEnv("LPCE_FINETUNE_LR", options.lr);
+  options.min_records =
+      PositiveFromEnv("LPCE_FINETUNE_MIN_RECORDS", options.min_records);
   return options;
 }
 

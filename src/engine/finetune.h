@@ -50,7 +50,9 @@ struct FineTuneOptions {
   uint64_t seed = 4242;
 
   /// epochs/lr from LPCE_FINETUNE_EPOCHS / LPCE_FINETUNE_LR,
-  /// min_records from LPCE_FINETUNE_MIN_RECORDS.
+  /// min_records from LPCE_FINETUNE_MIN_RECORDS. Each set value must parse
+  /// whole (std::from_chars) to a finite positive number; anything else is
+  /// a fatal error naming the knob.
   static FineTuneOptions FromEnv();
 };
 

@@ -240,12 +240,13 @@ void LpceREstimator::ObserveActual(const qry::Query& query, qry::RelSet rels,
   roots_[rels] = std::move(node);
 }
 
-nn::Tensor LpceREstimator::EncodingFor(const qry::Query& query, qry::RelSet rels) {
+std::shared_ptr<const nn::Matrix> LpceREstimator::EncodingFor(
+    const qry::Query& query, qry::RelSet rels) {
   auto it = encoding_cache_.find(rels);
   if (it != encoding_cache_.end()) return it->second;
   auto root_it = roots_.find(rels);
   LPCE_CHECK(root_it != roots_.end());
-  nn::Tensor enc = nn::MakeTensor(
+  auto enc = std::make_shared<const nn::Matrix>(
       model_->EncodeExecutedFast(query, root_it->second.get()));
   encoding_cache_[rels] = enc;
   return enc;
@@ -263,7 +264,7 @@ void LpceREstimator::RunRoundPass(const qry::Query& query) {
   injected.reserve(roots_.size());
   for (const auto& [rels, tree] : roots_) {
     injected.push_back(
-        {rels, EncodingFor(query, rels)->value().data(), tree->true_card});
+        {rels, EncodingFor(query, rels)->data(), tree->true_card});
   }
   RunChainPass(model_->refine(), query, injected, &round_cards_);
   round_query_ = query;

@@ -101,7 +101,8 @@ class LpceREstimator : public card::CardinalityEstimator {
 
  private:
   /// Lazily computes/caches c_AB for an executed root.
-  nn::Tensor EncodingFor(const qry::Query& query, qry::RelSet rels);
+  std::shared_ptr<const nn::Matrix> EncodingFor(const qry::Query& query,
+                                                qry::RelSet rels);
 
   /// Fills round_cards_ with the refined card of every connected subset.
   void RunRoundPass(const qry::Query& query);
@@ -111,7 +112,7 @@ class LpceREstimator : public card::CardinalityEstimator {
   // Maximal executed subtrees, keyed by their covered relation set; pairwise
   // disjoint. std::map: deterministic iteration order.
   std::map<qry::RelSet, std::unique_ptr<EstNode>> roots_;
-  std::map<qry::RelSet, nn::Tensor> encoding_cache_;
+  std::map<qry::RelSet, std::shared_ptr<const nn::Matrix>> encoding_cache_;
 
   // The round pass: refined card per RelSet (< 0: not a connected subset),
   // valid while round_valid_ is set and the query equals round_query_,

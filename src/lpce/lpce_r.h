@@ -48,19 +48,37 @@ class LpceR {
   nn::ParamStore& connect_params() { return connect_params_; }
   const nn::ParamStore& connect_params() const { return connect_params_; }
 
-  /// Connect layer (Eq. 6) on the autograd tape: stage-2 training
-  /// backpropagates the injected leaf's gradient through it.
-  nn::Tensor Connect(const nn::Tensor& c_content, const nn::Tensor& c_card) const;
+  /// What Connect keeps for ConnectBackward, one row per encoding.
+  struct ConnectActs {
+    nn::Matrix c_content;
+    nn::Matrix c_card;
+    nn::Matrix w_a;  // sigmoid(c_content W_a + b_a)
+    nn::Matrix w_b;  // sigmoid(c_card W_b + b_b)
+    nn::Matrix merged;
+    nn::Matrix out;
+  };
+  /// Connect layer (Eq. 6) over n rows of executed-sub-plan encodings:
+  /// c_AB = relu((w_a (.) c_content + w_b (.) c_card) W_ab + b_ab). Rows do
+  /// not interact. `acts` (optional) keeps what ConnectBackward reads.
+  nn::Matrix Connect(const nn::Matrix& c_content, const nn::Matrix& c_card,
+                     ConnectActs* acts = nullptr) const;
+  /// Adds the connect layer's parameter gradients for d(loss)/d(c_AB) =
+  /// `d_out` ([n x dim]), row after row, as n single-row reverse-mode
+  /// passes would.
+  void ConnectBackward(const ConnectActs& acts, const nn::Matrix& d_out) const;
 
   /// c_AB for an executed sub-plan tree whose child_card_* fields carry the
-  /// real cardinalities (no autograd graph).
+  /// real cardinalities.
   nn::Matrix EncodeExecutedFast(const qry::Query& query,
                                 const EstNode* executed) const;
   /// Estimates the cardinality of the subtree root of `tree`, which may
   /// contain injected leaves carrying EncodeExecutedFast encodings.
   double EstimateTreeFast(const qry::Query& query, const EstNode* tree) const;
-  nn::Matrix ConnectFast(const nn::Matrix& c_content,
-                         const nn::Matrix& c_card) const;
+
+  /// Connect layer views (the tests' taped oracle runs from these).
+  const nn::Linear& wa() const { return wa_; }
+  const nn::Linear& wb() const { return wb_; }
+  const nn::Linear& wab() const { return wab_; }
 
   double CardToY(double card) const { return refine_->CardToY(card); }
   double YToCard(double y) const { return refine_->YToCard(y); }
@@ -105,7 +123,8 @@ struct LpceRTrainOptions {
 /// telemetry for the stage-2 refine loop (stage "refine"); the stage-1
 /// pre-training runs report their own TrainStats via TrainTreeModel. Stage 2
 /// trains each mini-batch of refine trees as one level-batched pass
-/// (LevelTrainer). SRU configurations only.
+/// (LevelTrainer), then backpropagates each injected leaf's gradient through
+/// Connect (kFull). SRU and LSTM configurations alike.
 TrainStats TrainLpceR(LpceR* model, const db::Database& database,
                       const std::vector<wk::LabeledQuery>& train,
                       const LpceRTrainOptions& options);

@@ -1,4 +1,4 @@
-// Per-thread bump arena backing the tape-free inference path.
+// Per-thread bump arena backing the level-batched forward and backward.
 //
 // TreeModel::Infer and the batched estimator preparation allocate every
 // intermediate ([N x d] activations, gather buffers, index scratch) from this

@@ -7,22 +7,18 @@
 //
 // TreeLstmCell is a child-sum binary tree LSTM (Tai et al. style) used by the
 // TLSTM baseline and the LPCE-T ablation.
+//
+// The cells own their gate layers only. The level kernels in
+// lpce/tree_model.cc run their forward and backward passes over a whole
+// level of plan nodes at once.
 #ifndef LPCE_NN_CELLS_H_
 #define LPCE_NN_CELLS_H_
 
 #include <string>
 
 #include "nn/layers.h"
-#include "nn/tensor.h"
 
 namespace lpce::nn {
-
-/// Result of one recurrent step: the node encoding c (passed to the parent)
-/// and the node representation h (fed to the output module).
-struct CellOutput {
-  Tensor c;
-  Tensor h;
-};
 
 /// Tree SRU (paper Eq. 1):
 ///   x~ = W_x x
@@ -30,20 +26,16 @@ struct CellOutput {
 ///   r  = sigmoid(W_r x + b_r)
 ///   c  = f (.) (c_l + c_r) + (1 - f) (.) x~
 ///   h  = r (.) tanh(c) + (1 - r) (.) x
-/// x, c and h all have the same dimensionality `dim`.
+/// x, c and h all have the same dimensionality `dim`. A missing child
+/// contributes a zero encoding.
 class TreeSruCell {
  public:
   TreeSruCell() = default;
   TreeSruCell(ParamStore* store, const std::string& prefix, size_t dim, Rng* rng);
 
-  /// One step. Either child tensor may be null (leaf / unary node); missing
-  /// children contribute a zero encoding.
-  CellOutput Step(const Tensor& x, const Tensor& c_left,
-                  const Tensor& c_right) const;
-
   size_t dim() const { return dim_; }
 
-  /// Gate layers, exposed for the level-batched tape-free inference path.
+  /// Gate layers, for the level kernels.
   const Linear& wx() const { return wx_; }
   const Linear& wf() const { return wf_; }
   const Linear& wr() const { return wr_; }
@@ -62,18 +54,16 @@ class TreeSruCell {
 ///   g = tanh(W_g x + U_g (h_l + h_r) + b_g)
 ///   c = i (.) g + f_l (.) c_l + f_r (.) c_r
 ///   h = o (.) tanh(c)
+/// A missing child contributes no forget term; an injected child (an
+/// encoding without an h) contributes one with h_k = 0.
 class TreeLstmCell {
  public:
   TreeLstmCell() = default;
   TreeLstmCell(ParamStore* store, const std::string& prefix, size_t dim, Rng* rng);
 
-  /// One step; children pass both their c and h. Null children are zeros.
-  CellOutput Step(const Tensor& x, const Tensor& c_left, const Tensor& h_left,
-                  const Tensor& c_right, const Tensor& h_right) const;
-
   size_t dim() const { return dim_; }
 
-  /// Gate layers, exposed for the level-batched tape-free inference path.
+  /// Gate layers, for the level kernels.
   const Linear& wi() const { return wi_; }
   const Linear& ui() const { return ui_; }
   const Linear& wf() const { return wf_; }

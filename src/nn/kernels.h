@@ -1,14 +1,15 @@
 // Raw-float kernels shared by every numeric path in the repo.
 //
-// The taped training forward (nn/tensor.cc), the Matrix convenience methods
-// (nn/matrix.cc), and the tape-free batched inference path (lpce/tree_model.cc)
+// The Matrix convenience methods (nn/matrix.cc), the layers' forward and
+// backward (nn/layers.cc), the level-batched forward and backward passes
+// (lpce/tree_model.cc), and the tests' autograd oracle (tests/testing/tape.h)
 // all funnel through these single out-of-line definitions. That is a
 // correctness contract, not a style choice: the build uses -ffast-math, so two
 // textually identical loops compiled in different translation units (or
 // inlined into different callers) may vectorize or contract into FMAs
 // differently and produce different bits. One definition per operation means
-// the autograd forward and the arena fast path perform the exact same rounded
-// operations, which is what lets tests assert Infer == Forward bit-exactly.
+// every path performs the exact same rounded operations, which is what lets
+// the tests pin the production passes to the taped oracle bit-exactly.
 //
 // Determinism contract: Gemm accumulates each output element in strictly
 // increasing k order, independent of blocking, unrolling, and the row range a
@@ -59,10 +60,10 @@ void Zero(float* x, size_t n);
 /// Sum of n floats in one fixed (vectorized) reduction order — the Sum op.
 float Sum(const float* x, size_t n);
 
-// Backward kernels. The autograd ops' backward closures (nn/tensor.cc) and
-// the level-batched trainer (lpce/tree_model.cc) both call these, so a
-// gradient computed either way goes through the same rounded operations.
-// Each accumulates into dst, as the tape's grad buffers do.
+// Backward kernels. The production backward passes and the tests' autograd
+// oracle both call these, so a gradient computed either way goes through the
+// same rounded operations. Each accumulates into dst, as reverse-mode
+// gradient buffers do.
 
 /// dst[i] += g[i] * b[i] — Mul's backward into one operand.
 void MulAccumulate(float* dst, const float* g, const float* b, size_t n);

@@ -3,55 +3,61 @@
 #include <cmath>
 #include <cstdio>
 
+#include <sys/stat.h>
+
 #include "nn/kernels.h"
 
 namespace lpce::nn {
 
-Tensor ParamStore::GetOrCreate(const std::string& name, size_t rows, size_t cols,
-                               float limit, Rng* rng) {
+Param* ParamStore::GetOrCreate(const std::string& name, size_t rows, size_t cols,
+                              float limit, Rng* rng) {
   auto it = params_.find(name);
   if (it != params_.end()) {
-    LPCE_CHECK_MSG(it->second->value().rows() == rows &&
-                       it->second->value().cols() == cols,
+    LPCE_CHECK_MSG(it->second.value().rows() == rows &&
+                       it->second.value().cols() == cols,
                    "parameter re-created with a different shape");
-    return it->second;
+    return &it->second;
   }
   Matrix m(rows, cols);
   for (size_t i = 0; i < m.size(); ++i) {
     m.data()[i] = static_cast<float>(rng->UniformDouble(-limit, limit));
   }
-  Tensor t = MakeTensor(std::move(m), /*requires_grad=*/true);
-  params_.emplace(name, t);
+  Param* param = &params_.emplace(name, Param(std::move(m))).first->second;
   names_.push_back(name);
-  return t;
+  return param;
 }
 
-Tensor ParamStore::Get(const std::string& name) const {
+Param* ParamStore::Get(const std::string& name) {
   auto it = params_.find(name);
   LPCE_CHECK_MSG(it != params_.end(), "unknown parameter");
-  return it->second;
+  return &it->second;
+}
+
+const Param* ParamStore::Get(const std::string& name) const {
+  auto it = params_.find(name);
+  LPCE_CHECK_MSG(it != params_.end(), "unknown parameter");
+  return &it->second;
 }
 
 size_t ParamStore::NumParams() const {
   size_t n = 0;
-  for (const auto& [name, t] : params_) n += t->value().size();
+  for (const auto& [name, p] : params_) n += p.value().size();
   return n;
 }
 
 void ParamStore::ZeroGrads() {
-  for (auto& [name, t] : params_) t->ZeroGrad();
+  for (auto& [name, p] : params_) p.grad().Zero();
 }
 
 void ParamStore::ScaleGrads(float scale) {
-  for (auto& [name, t] : params_) {
-    Matrix& g = t->grad();
-    for (size_t i = 0; i < g.size(); ++i) g.data()[i] *= scale;
+  for (auto& [name, p] : params_) {
+    kernels::ScaleInPlace(p.grad().data(), scale, p.grad().size());
   }
 }
 
 float ParamStore::GradNorm() const {
   float sq = 0.0f;
-  for (const auto& [name, t] : params_) sq += t->grad().SumSquares();
+  for (const auto& [name, p] : params_) sq += p.grad().SumSquares();
   return std::sqrt(sq);
 }
 
@@ -64,21 +70,31 @@ void ParamStore::ClipGradNorm(float max_norm) {
 Status ParamStore::SaveToFile(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return Status::IoError("cannot open for write: " + path);
+  auto put = [f](const void* data, size_t size, size_t count) {
+    return std::fwrite(data, size, count, f) == count;
+  };
+  bool ok = true;
   const uint64_t count = names_.size();
-  std::fwrite(&count, sizeof(count), 1, f);
+  ok = ok && put(&count, sizeof(count), 1);
   for (const auto& name : names_) {
-    const Tensor& t = params_.at(name);
+    const Matrix& value = params_.at(name).value();
     const uint64_t len = name.size();
-    const uint64_t rows = t->value().rows();
-    const uint64_t cols = t->value().cols();
-    std::fwrite(&len, sizeof(len), 1, f);
-    std::fwrite(name.data(), 1, len, f);
-    std::fwrite(&rows, sizeof(rows), 1, f);
-    std::fwrite(&cols, sizeof(cols), 1, f);
-    std::fwrite(t->value().data(), sizeof(float), t->value().size(), f);
+    const uint64_t rows = value.rows();
+    const uint64_t cols = value.cols();
+    ok = ok && put(&len, sizeof(len), 1) && put(name.data(), 1, len) &&
+         put(&rows, sizeof(rows), 1) && put(&cols, sizeof(cols), 1) &&
+         put(value.data(), sizeof(float), value.size());
   }
-  std::fclose(f);
-  return Status::Ok();
+  // Buffered writes may fail only at the flush.
+  ok = std::fflush(f) == 0 && ok;
+  struct stat st;
+  const bool regular = fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode);
+  ok = std::fclose(f) == 0 && ok;
+  if (ok) return Status::Ok();
+  // Never leave a truncated file where a reader (or a rename) expects a
+  // whole one. Only regular files are removed, not devices.
+  if (regular) std::remove(path.c_str());
+  return Status::IoError("write failed: " + path);
 }
 
 Status ParamStore::LoadFromFile(const std::string& path) {
@@ -107,7 +123,7 @@ Status ParamStore::LoadFromFile(const std::string& path) {
       std::fclose(f);
       return Status::InvalidArgument("parameter not in model: " + name);
     }
-    Matrix& m = it->second->mutable_value();
+    Matrix& m = it->second.mutable_value();
     if (m.rows() != rows || m.cols() != cols) {
       std::fclose(f);
       return Status::InvalidArgument("shape mismatch for parameter: " + name);
@@ -130,11 +146,6 @@ Linear::Linear(ParamStore* store, const std::string& prefix, size_t in, size_t o
   b_ = store->GetOrCreate(prefix + ".b", 1, out, 0.0f, rng);
 }
 
-Tensor Linear::Forward(const Tensor& x) const {
-  LPCE_CHECK_MSG(w_ != nullptr, "Linear used before construction");
-  return AddRowBroadcast(MatMul(x, w_), b_);
-}
-
 Matrix Linear::Apply(const Matrix& x) const {
   LPCE_DCHECK(w_ != nullptr);
   Matrix out = x.MatMul(w_->value());
@@ -142,31 +153,42 @@ Matrix Linear::Apply(const Matrix& x) const {
   return out;
 }
 
+void Linear::BackwardInput(const float* dy, size_t n, float* dx) const {
+  kernels::GemmNT(dy, n, out_, w_->value().data(), in_, dx);
+}
+
+void Linear::AccumulateGrads(const float* x, const float* dy, const int* rows,
+                             size_t count) const {
+  if (count == 0) return;
+  kernels::AccumulateOuterRows(x, in_, dy, out_, rows, count,
+                               w_->grad().data());
+  float* bias_grad = b_->grad().data();
+  for (size_t r = 0; r < count; ++r) {
+    kernels::AddInPlace(bias_grad, dy + static_cast<size_t>(rows[r]) * out_,
+                        out_);
+  }
+}
+
 Mlp2::Mlp2(ParamStore* store, const std::string& prefix, size_t in, size_t hidden,
            size_t out, Rng* rng)
     : l1_(store, prefix + ".l1", in, hidden, rng),
       l2_(store, prefix + ".l2", hidden, out, rng) {}
 
-namespace {
-Tensor Activate(const Tensor& x, Mlp2::Activation act) {
-  switch (act) {
-    case Mlp2::Activation::kRelu:
-      return Relu(x);
-    case Mlp2::Activation::kSigmoid:
-      return Sigmoid(x);
-    case Mlp2::Activation::kNone:
-      return x;
-  }
-  return x;
-}
-}  // namespace
-
-Tensor Mlp2::Forward(const Tensor& x, Activation inner, Activation outer) const {
-  return Activate(l2_.Forward(Activate(l1_.Forward(x), inner)), outer);
+void Mlp2::Backward(const float* h1, const float* dy, size_t n, float* d_h1,
+                    float* dx, InferArena* arena) const {
+  const size_t hidden = l1_.out_dim();
+  float* d_h1_raw = arena->Alloc(n * hidden);
+  l2_.BackwardInput(dy, n, d_h1_raw);
+  kernels::Zero(d_h1, n * hidden);
+  kernels::ReluBackwardAccumulate(d_h1, d_h1_raw, h1, n * hidden);
+  if (dx != nullptr) l1_.BackwardInput(d_h1, n, dx);
 }
 
-Tensor Mlp2::ForwardLogit(const Tensor& x, Activation inner) const {
-  return l2_.Forward(Activate(l1_.Forward(x), inner));
+void Mlp2::AccumulateGrads(const float* x, const float* h1, const float* dy,
+                           const float* d_h1, const int* rows,
+                           size_t count) const {
+  l2_.AccumulateGrads(h1, dy, rows, count);
+  l1_.AccumulateGrads(x, d_h1, rows, count);
 }
 
 namespace {

@@ -1,9 +1,9 @@
-// Dense row-major float matrix — the numeric workhorse under the autograd
-// tensors in nn/tensor.h. Cache-friendly loops; the three matrix products go
-// row-blocked parallel (common/thread_pool.h) above a flop cutoff, with a
-// per-output-element accumulation order identical to the sequential loops, so
-// results are bit-identical at every thread count. Sized for the small models
-// the paper uses (hidden dims 64-1024).
+// Dense row-major float matrix — the numeric workhorse under the parameters
+// (nn/layers.h) and the models' forward passes. Cache-friendly loops; the
+// three matrix products go row-blocked parallel (common/thread_pool.h) above
+// a flop cutoff, with a per-output-element accumulation order identical to
+// the sequential loops, so results are bit-identical at every thread count.
+// Sized for the small models the paper uses (hidden dims 64-1024).
 #ifndef LPCE_NN_MATRIX_H_
 #define LPCE_NN_MATRIX_H_
 

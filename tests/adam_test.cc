@@ -26,7 +26,7 @@ TEST(AdamTest, TenThousandStepsMatchDoubleReference) {
 
   Rng rng(3);
   ParamStore store;
-  Tensor param = store.GetOrCreate("w", 1, n, 0.5f, &rng);
+  Param* param = store.GetOrCreate("w", 1, n, 0.5f, &rng);
   const Matrix initial = param->value();
   Adam adam(&store);
 
@@ -70,7 +70,7 @@ TEST(AdamTest, EarlyStepBiasCorrectionIsExact) {
   // directly. Checks the cancellation-prone small-t regime.
   Rng rng(4);
   ParamStore store;
-  Tensor param = store.GetOrCreate("w", 1, 1, 0.0f, &rng);
+  Param* param = store.GetOrCreate("w", 1, 1, 0.0f, &rng);
   param->mutable_value().at(0, 0) = 1.0f;
   Adam::Options opts;
   opts.lr = 0.01f;

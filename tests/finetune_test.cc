@@ -2,7 +2,8 @@
 // fine-tuning on harvested post-drift feedback restores estimator accuracy
 // (the EXPERIMENTS.md drift scenario), drift flags kick the background
 // worker end-to-end (telemetry windows -> monitor -> listener -> publish),
-// and a fine-tune racing a live workload never rejects or drops a query.
+// a fine-tune racing a live workload never rejects or drops a query, and
+// a malformed fine-tune knob is a fatal error, not a silent default.
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -312,6 +313,36 @@ TEST(FineTuneTest, BackgroundFineTuneDropsNoConcurrentQueries) {
   ::unsetenv("LPCE_FINETUNE_EPOCHS");
   ::unsetenv("LPCE_FINETUNE_MIN_RECORDS");
   common::SetGlobalPoolSize(0);
+}
+
+TEST(FineTuneTest, KnobsParseWholeValues) {
+  ::setenv("LPCE_FINETUNE_EPOCHS", "3", 1);
+  ::setenv("LPCE_FINETUNE_LR", "1e-3", 1);
+  ::setenv("LPCE_FINETUNE_MIN_RECORDS", "7", 1);
+  const FineTuneOptions options = FineTuneOptions::FromEnv();
+  EXPECT_EQ(options.epochs, 3);
+  EXPECT_EQ(options.lr, 1e-3f);
+  EXPECT_EQ(options.min_records, 7u);
+  ::unsetenv("LPCE_FINETUNE_EPOCHS");
+  ::unsetenv("LPCE_FINETUNE_LR");
+  ::unsetenv("LPCE_FINETUNE_MIN_RECORDS");
+  const FineTuneOptions defaults = FineTuneOptions::FromEnv();
+  EXPECT_EQ(defaults.epochs, FineTuneOptions().epochs);
+  EXPECT_EQ(defaults.lr, FineTuneOptions().lr);
+  EXPECT_EQ(defaults.min_records, FineTuneOptions().min_records);
+}
+
+TEST(FineTuneDeathTest, MalformedKnobsAreFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* knob : {"LPCE_FINETUNE_EPOCHS", "LPCE_FINETUNE_LR",
+                           "LPCE_FINETUNE_MIN_RECORDS"}) {
+    for (const char* value : {"3x", "abc", "0", "-1", "nan", "inf"}) {
+      SCOPED_TRACE(std::string(knob) + "=" + value);
+      ::setenv(knob, value, 1);
+      EXPECT_DEATH(FineTuneOptions::FromEnv(), knob);
+      ::unsetenv(knob);
+    }
+  }
 }
 
 }  // namespace

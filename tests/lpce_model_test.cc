@@ -133,7 +133,7 @@ TEST_F(ModelTest, NodeWiseBeatsQueryWiseOnInternalNodes) {
           qry::BuildCanonicalTree(labeled.query, labeled.query.AllRels());
       auto tree = MakeEstTree(labeled.query, logical.get(), *database_,
                               &labeled.true_cards);
-      auto outputs = model.Forward(labeled.query, tree.get());
+      auto outputs = testing::TapedForward(model, labeled.query, tree.get());
       for (const auto& out : outputs) {
         if (out.node->true_card < 0) continue;
         const double est =
@@ -354,7 +354,8 @@ TEST_F(ModelTest, MscnFastPredictMatchesGraphForward) {
   card::TrainMscn(&mscn, train_, options);
   for (size_t i = 0; i < 3; ++i) {
     const auto& labeled = test_[i];
-    nn::Tensor y = mscn.Forward(labeled.query, labeled.query.AllRels());
+    nn::Tensor y =
+        testing::TapedMscnForward(mscn, labeled.query, labeled.query.AllRels());
     const double slow = mscn.YToCard(static_cast<double>(y->value().at(0, 0)));
     const double fast =
         mscn.PredictCard(labeled.query, labeled.query.AllRels());

@@ -1,6 +1,7 @@
-// Parameterized sweeps over the nn substrate: forward/backward consistency
-// and gradient correctness across cell types, dimensions, and tree depths —
-// the configurations the LPCE models actually instantiate.
+// Parameterized sweeps over the nn substrate on the tests' autograd tape:
+// forward/backward consistency and gradient correctness across cell types,
+// dimensions, and tree depths — the configurations the LPCE models actually
+// instantiate.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "common/rng.h"
 #include "nn/adam.h"
 #include "nn/cells.h"
+#include "testing/tape.h"
 
 namespace lpce::nn {
 namespace {
@@ -35,11 +37,11 @@ Tensor ChainLoss(bool lstm, const TreeSruCell& sru, const TreeLstmCell& lstm_cel
   Tensor c, h;
   for (const Tensor& x : inputs) {
     if (lstm) {
-      CellOutput out = lstm_cell.Step(x, c, h, nullptr, nullptr);
+      CellOutput out = Step(lstm_cell, x, c, h, nullptr, nullptr);
       c = out.c;
       h = out.h;
     } else {
-      CellOutput out = sru.Step(x, c, nullptr);
+      CellOutput out = Step(sru, x, c, nullptr);
       c = out.c;
       h = out.h;
     }

@@ -1,6 +1,9 @@
-// Unit tests for the autograd engine: op forward values and numerical
-// gradient checks for every differentiable op and both recurrent cells.
+// Unit tests for the tests' autograd oracle (testing/tape.h): op forward
+// values and numerical gradient checks for every differentiable op, the
+// taped layers and both recurrent cells; plus the optimizer and the
+// parameter store.
 #include <cmath>
+#include <cstdio>
 #include <functional>
 
 #include <gtest/gtest.h>
@@ -9,33 +12,45 @@
 #include "nn/adam.h"
 #include "nn/cells.h"
 #include "nn/layers.h"
-#include "nn/tensor.h"
+#include "testing/tape.h"
 
 namespace lpce::nn {
 namespace {
 
-// Numerically checks d(loss)/d(param[i]) against autograd for every element
-// of `param`, where `loss_fn` rebuilds the graph from scratch each call.
-void CheckGradients(const Tensor& param, const std::function<Tensor()>& loss_fn,
+// Numerically checks d(loss)/d(value[i]) against autograd for every element
+// of a trainable `value` whose gradient lands in `grad`, where `loss_fn`
+// rebuilds the graph from scratch each call.
+void CheckGradients(Matrix* value, Matrix* grad,
+                    const std::function<Tensor()>& loss_fn,
                     float tol = 2e-2f) {
   Tensor loss = loss_fn();
   Backward(loss);
-  Matrix analytic = param->grad();
+  Matrix analytic = *grad;
 
   const float eps = 1e-2f;
-  for (size_t i = 0; i < param->value().size(); ++i) {
-    const float orig = param->mutable_value().data()[i];
-    param->mutable_value().data()[i] = orig + eps;
+  for (size_t i = 0; i < value->size(); ++i) {
+    const float orig = value->data()[i];
+    value->data()[i] = orig + eps;
     const float up = loss_fn()->value().at(0, 0);
-    param->mutable_value().data()[i] = orig - eps;
+    value->data()[i] = orig - eps;
     const float down = loss_fn()->value().at(0, 0);
-    param->mutable_value().data()[i] = orig;
+    value->data()[i] = orig;
     const float numeric = (up - down) / (2.0f * eps);
     EXPECT_NEAR(analytic.data()[i], numeric,
                 tol * std::max(1.0f, std::fabs(numeric)))
         << "element " << i;
   }
-  param->ZeroGrad();
+  grad->Zero();
+}
+
+void CheckGradients(const Tensor& leaf, const std::function<Tensor()>& loss_fn,
+                    float tol = 2e-2f) {
+  CheckGradients(&leaf->mutable_value(), &leaf->grad(), loss_fn, tol);
+}
+
+void CheckGradients(Param* param, const std::function<Tensor()>& loss_fn,
+                    float tol = 2e-2f) {
+  CheckGradients(&param->mutable_value(), &param->grad(), loss_fn, tol);
 }
 
 Tensor RandomInput(Rng* rng, size_t rows, size_t cols) {
@@ -126,7 +141,7 @@ TEST(LayersTest, LinearForwardShape) {
   ParamStore store;
   Linear lin(&store, "lin", 5, 3, &rng);
   Tensor x = RandomInput(&rng, 2, 5);
-  Tensor y = lin.Forward(x);
+  Tensor y = Forward(lin, x);
   EXPECT_EQ(y->value().rows(), 2u);
   EXPECT_EQ(y->value().cols(), 3u);
   EXPECT_EQ(store.names().size(), 2u);
@@ -137,9 +152,9 @@ TEST(LayersTest, LinearGradients) {
   ParamStore store;
   Linear lin(&store, "lin", 3, 2, &rng);
   Tensor x = RandomInput(&rng, 1, 3);
-  CheckGradients(store.Get("lin.W"), [&] { return Sum(Tanh(lin.Forward(x))); });
+  CheckGradients(store.Get("lin.W"), [&] { return Sum(Tanh(Forward(lin, x))); });
   store.ZeroGrads();
-  CheckGradients(store.Get("lin.b"), [&] { return Sum(Tanh(lin.Forward(x))); });
+  CheckGradients(store.Get("lin.b"), [&] { return Sum(Tanh(Forward(lin, x))); });
 }
 
 TEST(CellsTest, SruStepMatchesEquation) {
@@ -149,7 +164,7 @@ TEST(CellsTest, SruStepMatchesEquation) {
   Tensor x = RandomInput(&rng, 1, 4);
   Tensor cl = RandomInput(&rng, 1, 4);
   Tensor cr = RandomInput(&rng, 1, 4);
-  CellOutput out = cell.Step(x, cl, cr);
+  CellOutput out = Step(cell, x, cl, cr);
   ASSERT_EQ(out.c->value().cols(), 4u);
   ASSERT_EQ(out.h->value().cols(), 4u);
 
@@ -184,9 +199,9 @@ TEST(CellsTest, SruGradientsThroughTree) {
   Tensor x2 = RandomInput(&rng, 1, 3);
   Tensor x3 = RandomInput(&rng, 1, 3);
   auto loss_fn = [&] {
-    CellOutput leaf1 = cell.Step(x1, nullptr, nullptr);
-    CellOutput leaf2 = cell.Step(x2, nullptr, nullptr);
-    CellOutput root = cell.Step(x3, leaf1.c, leaf2.c);
+    CellOutput leaf1 = Step(cell, x1, nullptr, nullptr);
+    CellOutput leaf2 = Step(cell, x2, nullptr, nullptr);
+    CellOutput root = Step(cell, x3, leaf1.c, leaf2.c);
     return Sum(Add(root.h, root.c));
   };
   CheckGradients(store.Get("sru.wf.W"), loss_fn);
@@ -201,8 +216,8 @@ TEST(CellsTest, LstmGradientsThroughTree) {
   Tensor x1 = RandomInput(&rng, 1, 3);
   Tensor x2 = RandomInput(&rng, 1, 3);
   auto loss_fn = [&] {
-    CellOutput leaf = cell.Step(x1, nullptr, nullptr, nullptr, nullptr);
-    CellOutput root = cell.Step(x2, leaf.c, leaf.h, nullptr, nullptr);
+    CellOutput leaf = Step(cell, x1, nullptr, nullptr, nullptr, nullptr);
+    CellOutput root = Step(cell, x2, leaf.c, leaf.h, nullptr, nullptr);
     return Sum(root.h);
   };
   CheckGradients(store.Get("lstm.ui.W"), loss_fn);
@@ -214,11 +229,11 @@ TEST(AdamTest, ConvergesOnQuadratic) {
   // Minimize sum((w - target)^2) — Adam should reach the target.
   Rng rng(10);
   ParamStore store;
-  Tensor w = store.GetOrCreate("w", 1, 3, 1.0f, &rng);
+  Param* w = store.GetOrCreate("w", 1, 3, 1.0f, &rng);
   Matrix target(1, 3, {0.3f, -1.2f, 2.5f});
   Adam adam(&store, {.lr = 5e-2f});
   for (int step = 0; step < 500; ++step) {
-    Tensor diff = Sub(w, MakeTensor(target));
+    Tensor diff = Sub(Leaf(w), MakeTensor(target));
     Tensor loss = Sum(Mul(diff, diff));
     Backward(loss);
     adam.Step();
@@ -231,15 +246,15 @@ TEST(AdamTest, ConvergesOnQuadratic) {
 TEST(ParamStoreTest, SaveLoadRoundTrip) {
   Rng rng(11);
   ParamStore store;
-  Tensor a = store.GetOrCreate("a", 2, 3, 1.0f, &rng);
-  Tensor b = store.GetOrCreate("b", 1, 4, 1.0f, &rng);
+  const Param* a = store.GetOrCreate("a", 2, 3, 1.0f, &rng);
+  const Param* b = store.GetOrCreate("b", 1, 4, 1.0f, &rng);
   const std::string path = ::testing::TempDir() + "/params.bin";
   ASSERT_TRUE(store.SaveToFile(path).ok());
 
   Rng rng2(99);
   ParamStore store2;
-  Tensor a2 = store2.GetOrCreate("a", 2, 3, 1.0f, &rng2);
-  Tensor b2 = store2.GetOrCreate("b", 1, 4, 1.0f, &rng2);
+  const Param* a2 = store2.GetOrCreate("a", 2, 3, 1.0f, &rng2);
+  const Param* b2 = store2.GetOrCreate("b", 1, 4, 1.0f, &rng2);
   ASSERT_TRUE(store2.LoadFromFile(path).ok());
   for (size_t i = 0; i < a->value().size(); ++i) {
     EXPECT_FLOAT_EQ(a2->value().data()[i], a->value().data()[i]);
@@ -259,6 +274,20 @@ TEST(ParamStoreTest, LoadRejectsShapeMismatch) {
   ParamStore other;
   other.GetOrCreate("a", 3, 3, 1.0f, &rng);
   EXPECT_FALSE(other.LoadFromFile(path).ok());
+}
+
+TEST(ParamStoreTest, SaveReportsAFailedWrite) {
+  // /dev/full accepts the open and fails every write with ENOSPC, as a full
+  // disk does; the device itself must survive the failed save.
+  Rng rng(13);
+  ParamStore store;
+  store.GetOrCreate("a", 64, 64, 1.0f, &rng);
+  const Status status = store.SaveToFile("/dev/full");
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  std::FILE* f = std::fopen("/dev/full", "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
 }
 
 }  // namespace
