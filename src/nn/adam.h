@@ -3,8 +3,11 @@
 #ifndef LPCE_NN_ADAM_H_
 #define LPCE_NN_ADAM_H_
 
+#include <functional>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "nn/layers.h"
 
@@ -41,6 +44,24 @@ class Adam {
   Options options_;
   int64_t t_ = 0;
   std::unordered_map<std::string, State> state_;
+};
+
+/// The end-of-mini-batch update of every trainer, for full and trailing
+/// partial batches alike: each store's gradients are averaged over the
+/// `batch_count` samples and clipped to `grad_clip`, the first store's
+/// pre-clip global norm is added to the epoch tally, and each Adam steps.
+/// `after_step` (may be empty) runs last.
+struct MiniBatchStep {
+  std::vector<std::pair<ParamStore*, Adam*>> stores;
+  float grad_clip = 5.0f;
+  std::function<void()> after_step;
+  // Epoch tally of pre-clip norms.
+  double grad_norm_sum = 0.0;
+  int steps = 0;
+
+  void Run(int batch_count);
+  /// Mean pre-clip norm since the last call; resets the tally.
+  double TakeEpochGradNorm();
 };
 
 }  // namespace lpce::nn
